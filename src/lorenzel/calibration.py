@@ -99,8 +99,7 @@ def scale_factor(s: Sample, t: float) -> ScaleFactor:
                        ratio=sigma_p_sq / sigma_v_sq)
 
 
-def scaled_statistic(kind: VariantKind, s: Sample, t: float, theta: float,
-                     gamma: float = 0.5) -> float:
+def scaled_statistic(kind: VariantKind, s: Sample, t: float, theta: float) -> float:
     """Variance-ratio-scaled log-likelihood ratio, asymptotically chi2(1)."""
     sf = scale_factor(s, t)
-    return sf.ratio * log_ratio(kind, s, t, theta, gamma=gamma).value
+    return sf.ratio * log_ratio(kind, s, t, theta).value

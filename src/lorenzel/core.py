@@ -40,6 +40,16 @@ class VariantKind(str, Enum):
     TEL = "tel"
     TAEL = "tael"
 
+    @property
+    def adjusted(self) -> bool:
+        """Whether the ratio is profiled with the AEL pseudo-point."""
+        return self in (VariantKind.AEL, VariantKind.TAEL)
+
+    @property
+    def transformed(self) -> bool:
+        """Whether the ratio is damped by the TEL transform."""
+        return self in (VariantKind.TEL, VariantKind.TAEL)
+
 
 class Sample:
     """Immutable, ascending-sorted view of real-valued observations.
@@ -145,10 +155,9 @@ def point_estimate(s: Sample, t: float) -> float:
 
 def estimating_values(s: Sample, t: float, theta: float) -> EstimatingValues:
     """Quantile, truncated values, and deviations W_i = V_i - theta."""
-    psi = sample_quantile(s, t)
-    trunc = np.where(s.values <= psi, s.values, 0.0)
+    trunc = truncated_values(s, t)
     return EstimatingValues(
-        quantile=psi, theta=float(theta), truncated=trunc,
+        quantile=sample_quantile(s, t), theta=float(theta), truncated=trunc,
         deviations=trunc - theta,
     )
 

@@ -3,23 +3,23 @@
 The interval at level 1 - alpha collects every theta whose scaled ratio
 stays at or below the chi-square(1) critical value.  Endpoints are located
 by walking outward from the point estimate until the statistic crosses the
-threshold, then bisecting the crossing.  The walk assumes the statistic is
-nondecreasing away from the point estimate; if a probe ever contradicts
-that, the side is redone on a dense grid and the extreme points of the
-sub-level set are taken, so multimodal shapes still yield the hull of the
-acceptance region rather than a silently wrong root.
+threshold, then bisecting the crossing.  The walk relies on the EL and AEL
+statistics being nondecreasing away from the point estimate.
+
+The TEL transform T is increasing, so r * T(l) <= crit exactly when
+r * l <= r * T^-1(crit / r), with r the variance ratio.  A TEL (TAEL)
+interval is therefore the EL (AEL) interval at that larger critical value,
+which is also why it contains the EL (AEL) interval.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .calibration import SignificanceLevel, scale_factor
 from .core import Sample, VariantKind, _profile_value, truncated_values
 from .errors import BracketFailure, ConvexHullViolation
-from .variants import _ael_value, tel_transform
+from .variants import _ael_value, _tel_inverse
 
 __all__ = ["ConfidenceInterval", "invert", "interval_length"]
 
@@ -38,7 +38,6 @@ _PROBE_FRACTIONS = tuple(
 # search domain are reported at the domain edge with bracketed=False.
 _AEL_CAP_MULTIPLE = 10.0  # cap = theta_hat +/- 10 * hull width
 _HULL_CLAMP = 1e-12  # relative inset keeping EL probes strictly inside the hull
-_GRID_POINTS = 2048
 
 
 @dataclass(frozen=True)
@@ -64,36 +63,26 @@ def interval_length(ci: ConfidenceInterval) -> float:
 
 
 class _Statistic:
-    """Scaled log-ratio as a function of theta, with eval counting.
+    """Scaled EL or AEL log-ratio as a function of theta, with eval counting.
 
     The truncated values, variance ratio, and Lagrange warm start are
-    cached across evaluations; outside the hull the EL/TEL statistic is
+    cached across evaluations; outside the hull the EL statistic is
     +inf by convention.
     """
 
-    def __init__(self, kind: VariantKind, s: Sample, t: float, gamma: float) -> None:
-        self.kind = kind
+    def __init__(self, adjusted: bool, s: Sample, t: float) -> None:
+        self.profile = _ael_value if adjusted else _profile_value
         self.trunc = truncated_values(s, t)
-        self.n = s.n
-        self.gamma = gamma
         self.ratio = scale_factor(s, t).ratio
         self.evals = 0
         self._lam = None
 
     def __call__(self, theta: float) -> float:
         self.evals += 1
-        w = self.trunc - theta
-        if self.kind in (VariantKind.EL, VariantKind.TEL):
-            try:
-                val, self._lam = _profile_value(w, lam0=self._lam)
-            except ConvexHullViolation:
-                return math.inf
-            if self.kind is VariantKind.TEL:
-                val = tel_transform(val, self.n, self.gamma)
-        else:
-            val, self._lam = _ael_value(w, lam0=self._lam)
-            if self.kind is VariantKind.TAEL:
-                val = tel_transform(val, self.n, self.gamma)
+        try:
+            val, self._lam = self.profile(self.trunc - theta, lam0=self._lam)
+        except ConvexHullViolation:
+            return math.inf
         return self.ratio * val
 
 
@@ -114,45 +103,21 @@ def _bisect(stat: _Statistic, crit: float, inner: float, outer: float,
     return inner
 
 
-def _grid_endpoint(stat: _Statistic, crit: float, theta_hat: float,
-                   bound: float, hull_w: float) -> tuple[float, bool]:
-    """Dense-grid sweep from the estimate to the domain boundary.
-
-    Returns the outermost point of the sub-level set {stat <= crit},
-    bisection-refined against its outward neighbour.  Used when the
-    outward walk sees the statistic decrease.
-    """
-    thetas = np.linspace(theta_hat, bound, _GRID_POINTS + 1)[1:]
-    vals = np.array([stat(th) for th in thetas])
-    inside = np.flatnonzero(vals <= crit)
-    if inside.size == 0:
-        return _bisect(stat, crit, theta_hat, thetas[0], hull_w), True
-    last = int(inside[-1])
-    if last == thetas.size - 1:
-        return float(thetas[-1]), False
-    return _bisect(stat, crit, float(thetas[last]), float(thetas[last + 1]), hull_w), True
-
-
 def _search_side(stat: _Statistic, crit: float, theta_hat: float,
                  bound: float, hull_w: float) -> tuple[float, bool]:
     """Locate the crossing between theta_hat and bound (either side)."""
     span = bound - theta_hat
-    prev_theta, prev_val = theta_hat, 0.0
-    slack_scale = max(1.0, crit)
+    prev_theta = theta_hat
     for frac in _PROBE_FRACTIONS:
         theta = theta_hat + frac * span
-        val = stat(theta)
-        if val < prev_val - 1e-6 * max(slack_scale, prev_val):
-            # non-monotone shape: fall back to the exhaustive sweep
-            return _grid_endpoint(stat, crit, theta_hat, bound, hull_w)
-        if val > crit:
+        if stat(theta) > crit:
             return _bisect(stat, crit, prev_theta, theta, hull_w), True
-        prev_theta, prev_val = theta, val
+        prev_theta = theta
     return bound, False  # never crossed inside the domain
 
 
 def invert(kind: VariantKind, s: Sample, t: float,
-           level: SignificanceLevel | float, gamma: float = 0.5) -> ConfidenceInterval:
+           level: SignificanceLevel | float) -> ConfidenceInterval:
     """Confidence interval for the generalized Lorenz ordinate at t.
 
     Parameters
@@ -163,8 +128,6 @@ def invert(kind: VariantKind, s: Sample, t: float,
         Data and Lorenz abscissa.
     level : SignificanceLevel or float
         Significance spec; a bare float is taken as alpha.
-    gamma : float
-        Damping parameter of the TEL/TAEL transform.
 
     Raises
     ------
@@ -179,23 +142,26 @@ def invert(kind: VariantKind, s: Sample, t: float,
     kind = VariantKind(kind)
     if not isinstance(level, SignificanceLevel):
         level = SignificanceLevel(float(level))
-    stat = _Statistic(kind, s, t, gamma)
+    stat = _Statistic(kind.adjusted, s, t)
     theta_hat = float(stat.trunc.sum() / s.n)
     vmin = float(stat.trunc.min())
     vmax = float(stat.trunc.max())
     hull_w = vmax - vmin
 
-    if kind in (VariantKind.EL, VariantKind.TEL):
-        dom_lo = vmin + _HULL_CLAMP * hull_w
-        dom_hi = vmax - _HULL_CLAMP * hull_w
-    else:
+    if kind.adjusted:
         dom_lo = theta_hat - _AEL_CAP_MULTIPLE * hull_w
         dom_hi = theta_hat + _AEL_CAP_MULTIPLE * hull_w
+    else:
+        dom_lo = vmin + _HULL_CLAMP * hull_w
+        dom_hi = vmax - _HULL_CLAMP * hull_w
 
     crit = level.chi2_crit
-    lower, lower_ok = _search_side(stat, crit, theta_hat, dom_lo, hull_w)
+    search_crit = crit
+    if kind.transformed:
+        search_crit = stat.ratio * _tel_inverse(crit / stat.ratio, s.n)
+    lower, lower_ok = _search_side(stat, search_crit, theta_hat, dom_lo, hull_w)
     stat._lam = None  # warm starts do not transfer across sides
-    upper, upper_ok = _search_side(stat, crit, theta_hat, dom_hi, hull_w)
+    upper, upper_ok = _search_side(stat, search_crit, theta_hat, dom_hi, hull_w)
 
     ci = ConfidenceInterval(
         lower=lower, upper=upper, level=level.level, kind=kind,

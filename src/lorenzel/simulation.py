@@ -4,8 +4,8 @@ Replication r of every cell draws from the same child stream, derived
 only from (seed, r), so the four calibrations are compared on identical
 samples and their coverage indicators nest replication by replication.
 A replication whose interval construction fails is counted in
-``failures`` and as non-covering; coverage divides by the replications
-that produced an interval.
+``failures`` and left out of the coverage and length denominators, which
+count only the replications that produced an interval.
 """
 from __future__ import annotations
 

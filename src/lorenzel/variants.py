@@ -6,9 +6,12 @@ small-sample interval behaviour:
 * AEL appends one pseudo-deviation ``-a_n * mean(w)`` before profiling,
   which keeps zero inside the hull for every finite theta and bounds the
   ratio, at the cost of some over-coverage for large ratios.
-* TEL damps large plain ratios through ``l * max(1 - l/n, 1 - gamma)``.
+* TEL damps large plain ratios through ``l * max(1 - l/n, 1/2)``.
 * TAEL applies the same damping to the adjusted ratio (divisor is the
   original n, not n + 1).
+
+A kind's ``adjusted`` and ``transformed`` properties say which of the two
+modifications it applies.
 """
 from __future__ import annotations
 
@@ -27,6 +30,11 @@ __all__ = [
     "log_tael_ratio",
     "log_ratio",
 ]
+
+# TEL damping past the kink at l = n * _GAMMA.  The transform is increasing
+# only for _GAMMA <= 1/2, which is what lets an interval be found by
+# inverting the undamped ratio at a remapped critical value.
+_GAMMA = 0.5
 
 
 def adjustment_factor(n: int) -> float:
@@ -56,48 +64,49 @@ def log_ael_ratio(s: Sample, t: float, theta: float) -> LogRatioValue:
     zero, the pseudo-deviation sits on the opposite side of zero from
     their mean, so the hull condition always holds.
     """
-    ev = estimating_values(s, t, theta)
-    val, _ = _ael_value(ev.deviations)
-    return LogRatioValue(value=val, kind=VariantKind.AEL)
+    return log_ratio(VariantKind.AEL, s, t, theta)
 
 
-def tel_transform(l: float, n: int, gamma: float = 0.5) -> float:
-    """Damped ratio l * max(1 - l/n, 1 - gamma).
+def tel_transform(l: float, n: int) -> float:
+    """Damped ratio l * max(1 - l/n, 1/2).
 
     Increasing and continuous in l; equals the identity at l = 0 and
-    slope-(1 - gamma) linear growth past the kink at l = n*gamma.
+    grows with slope 1/2 past the kink at l = n/2.
     """
     if l < 0.0:
         raise DomainError(f"log-ratio must be nonnegative, got {l}")
     if n < 1:
         raise DomainError(f"n must be positive, got {n}")
-    if not 0.0 <= gamma <= 1.0:
-        raise DomainError(f"gamma must lie in [0, 1], got {gamma}")
-    return l * max(1.0 - l / n, 1.0 - gamma)
+    return l * max(1.0 - l / n, 1.0 - _GAMMA)
 
 
-def log_tael_ratio(s: Sample, t: float, theta: float, gamma: float = 0.5) -> LogRatioValue:
+def _tel_inverse(y: float, n: int) -> float:
+    """The l >= 0 with tel_transform(l, n) = y, for y >= 0.
+
+    Below the kink (y <= n/4) this is the smaller root of l - l^2/n = y,
+    written 2y / (1 + sqrt(1 - 4y/n)) so that it keeps its digits when
+    4y/n is tiny.
+    """
+    kink = n * _GAMMA * (1.0 - _GAMMA)
+    if y <= kink:
+        return 2.0 * y / (1.0 + math.sqrt(1.0 - 4.0 * y / n))
+    return y / (1.0 - _GAMMA)
+
+
+def log_tael_ratio(s: Sample, t: float, theta: float) -> LogRatioValue:
     """Transformed adjusted ratio: tel_transform of the AEL ratio.
 
     The damping divisor is the original sample size n, not the augmented
     n + 1.
     """
-    ev = estimating_values(s, t, theta)
-    val, _ = _ael_value(ev.deviations)
-    return LogRatioValue(value=tel_transform(val, s.n, gamma), kind=VariantKind.TAEL)
+    return log_ratio(VariantKind.TAEL, s, t, theta)
 
 
-def log_ratio(kind: VariantKind, s: Sample, t: float, theta: float,
-              gamma: float = 0.5) -> LogRatioValue:
+def log_ratio(kind: VariantKind, s: Sample, t: float, theta: float) -> LogRatioValue:
     """Dispatch to the requested calibration of the log-likelihood ratio."""
     kind = VariantKind(kind)
-    ev = estimating_values(s, t, theta)
-    if kind in (VariantKind.EL, VariantKind.TEL):
-        val, _ = _profile_value(ev.deviations)
-        if kind is VariantKind.TEL:
-            val = tel_transform(val, s.n, gamma)
-    else:
-        val, _ = _ael_value(ev.deviations)
-        if kind is VariantKind.TAEL:
-            val = tel_transform(val, s.n, gamma)
+    w = estimating_values(s, t, theta).deviations
+    val, _ = _ael_value(w) if kind.adjusted else _profile_value(w)
+    if kind.transformed:
+        val = tel_transform(val, s.n)
     return LogRatioValue(value=val, kind=kind)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lorenzel as lz
@@ -94,6 +94,13 @@ class TestPointEstimate:
            st.floats(min_value=0.01, max_value=0.99),
            st.integers(min_value=-8, max_value=8))
     def test_scale_equivariance_exact_for_pow2(self, xs, t, k):
+        # Power-of-two scaling is exact only while every partial sum and the
+        # quotient sum/n stay normal: a subnormal rounds differently at each
+        # scale (xs=[0.0, -5e-324] gives -0.0, then -5e-324 once doubled),
+        # whatever the mean's implementation.  With nonzero |x| >= 2**-900
+        # every nonzero sum is a multiple of 2**-952, so c*sum/n >= 2**-966
+        # stays normal for k >= -8 and n <= 50.
+        assume(all(x == 0.0 or abs(x) >= 2.0 ** -900 for x in xs))
         c = 2.0 ** k
         s = lz.Sample(xs)
         sc = lz.Sample([c * x for x in xs])

@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 import lorenzel as lz
-from lorenzel.intervals import _Statistic, _grid_endpoint
-
 from conftest import oracle_ci, random_positive_data
 
 TOY = lz.Sample([1.0, 2.0, 3.0, 4.0, 5.0])
@@ -132,16 +130,3 @@ class TestFailureModes:
         ci = lz.invert("el", lz.Sample(x), 0.5, 1e-9)
         assert ci.lower_bracketed and ci.upper_bracketed
 
-
-class TestGridFallback:
-    def test_agrees_with_walk_on_monotone_shape(self):
-        # same instance, forced through the exhaustive route
-        stat = _Statistic(lz.VariantKind.EL, TOY, 0.4, 0.5)
-        crit = lz.chi2_crit(0.05)
-        theta_hat = 0.6
-        vmax = 2.0
-        dom_hi = vmax - 1e-12 * vmax
-        endpoint, ok = _grid_endpoint(stat, crit, theta_hat, dom_hi, vmax)
-        assert ok
-        ci = lz.invert("el", TOY, 0.4, 0.05)
-        assert endpoint == pytest.approx(ci.upper, rel=1e-5)
