@@ -33,11 +33,10 @@ from .errors import (
     FileError,
     LorenzELError,
     NonFinite,
-    QuadratureFailure,
     SchemaError,
 )
 from .income import CurvePoints, IncomeTable, curve, load_csv, write_curve_csv
-from .intervals import ConfidenceInterval, interval_length, invert
+from .intervals import ConfidenceInterval, invert
 from .populations import (
     ChiSquare,
     Population,
@@ -90,7 +89,6 @@ __all__ = [
     "scaled_statistic",
     "ConfidenceInterval",
     "invert",
-    "interval_length",
     "Weibull",
     "ChiSquare",
     "SkewNormal",
@@ -113,7 +111,6 @@ __all__ = [
     "NonFinite",
     "DegenerateVariance",
     "BracketFailure",
-    "QuadratureFailure",
     "DomainError",
     "FileError",
     "SchemaError",

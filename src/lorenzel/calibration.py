@@ -8,7 +8,7 @@ statistic is then compared against the chi-square(1) critical value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
@@ -37,24 +37,13 @@ class ScaleFactor:
 
 @dataclass(frozen=True)
 class SignificanceLevel:
-    """Significance level alpha with its chi-square(1) critical value.
-
-    ``chi2_crit`` may be supplied explicitly but must then agree with the
-    derived value to 1e-9.
-    """
+    """Significance level alpha with its chi-square(1) critical value."""
 
     alpha: float
-    chi2_crit: float | None = None
+    chi2_crit: float = field(init=False)
 
     def __post_init__(self) -> None:
-        crit = chi2_crit(self.alpha)
-        if self.chi2_crit is None:
-            object.__setattr__(self, "chi2_crit", crit)
-        elif abs(self.chi2_crit - crit) > 1e-9:
-            raise DomainError(
-                f"chi2_crit {self.chi2_crit!r} does not match alpha={self.alpha}"
-                f" (expected {crit!r})"
-            )
+        object.__setattr__(self, "chi2_crit", chi2_crit(self.alpha))
 
     @property
     def level(self) -> float:

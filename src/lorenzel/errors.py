@@ -34,10 +34,6 @@ class BracketFailure(LorenzELError):
         self.interval = interval
 
 
-class QuadratureFailure(LorenzELError):
-    """Numerical integration did not reach the requested accuracy."""
-
-
 class DomainError(LorenzELError, ValueError):
     """A scalar argument lies outside its mathematical domain."""
 

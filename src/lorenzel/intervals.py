@@ -21,7 +21,7 @@ from .core import Sample, VariantKind, _profile_value, truncated_values
 from .errors import BracketFailure, ConvexHullViolation
 from .variants import _ael_value, _tel_inverse
 
-__all__ = ["ConfidenceInterval", "invert", "interval_length"]
+__all__ = ["ConfidenceInterval", "invert"]
 
 # Outward probe schedule, as fractions of the distance from the point
 # estimate to the search-domain boundary.  Geometric on both ends: fine
@@ -55,11 +55,6 @@ class ConfidenceInterval:
     @property
     def length(self) -> float:
         return self.upper - self.lower
-
-
-def interval_length(ci: ConfidenceInterval) -> float:
-    """Upper minus lower endpoint."""
-    return ci.upper - ci.lower
 
 
 class _Statistic:

@@ -2,24 +2,29 @@
 
 Three families cover right-skewed income-like shapes (Weibull, chi-square)
 and a mildly skewed distribution with negative support (skew-normal).
-``true_ordinate`` integrates x * pdf(x) up to the population quantile with
-adaptive quadrature, so simulated coverage is judged against the exact
-target rather than a large-sample stand-in.
+``true_ordinate`` evaluates the partial mean theta(t) = E[X 1(X <= psi_t)]
+in closed form, so simulated coverage is judged against the exact target
+rather than a large-sample stand-in.  With P the regularized lower
+incomplete gamma function and Phi, phi the standard normal cdf and pdf:
+
+* Weibull(a, b): b Gamma(1 + 1/a) P(1 + 1/a, -log(1 - t));
+* chi-square(k): k P(k/2 + 1, psi/2), since x f_k(x) = k f_{k+2}(x);
+* skew-normal(xi, omega, alpha): xi t + omega [2 delta phi(0)
+  Phi(z / sqrt(1 - delta^2)) - 2 phi(z) Phi(alpha z)], with
+  z = (psi - xi) / omega and delta = alpha / sqrt(1 + alpha^2).
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gamma as gamma_fn
-from scipy.special import gammainc, ndtr, owens_t
+from scipy.special import gammainc, gammaincinv, ndtr, owens_t
 
 from .core import Sample, _check_t
-from .errors import DomainError, QuadratureFailure
+from .errors import DomainError, NonFinite
 
 __all__ = [
     "Weibull",
@@ -45,18 +50,6 @@ class Weibull:
         if not (self.shape > 0.0 and self.scale > 0.0):
             raise DomainError("Weibull shape and scale must be positive")
 
-    support = (0.0, math.inf)
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        z = x / self.scale
-        out = np.where(
-            x > 0.0,
-            (self.shape / self.scale) * z ** (self.shape - 1.0) * np.exp(-(z ** self.shape)),
-            0.0,
-        )
-        return out if out.ndim else float(out)
-
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         out = np.where(x > 0.0, -np.expm1(-((x / self.scale) ** self.shape)), 0.0)
@@ -69,6 +62,10 @@ class Weibull:
     @property
     def mean(self) -> float:
         return self.scale * gamma_fn(1.0 + 1.0 / self.shape)
+
+    def _ordinate(self, t: float) -> float:
+        s = 1.0 + 1.0 / self.shape
+        return self.scale * gamma_fn(s) * gammainc(s, -math.log1p(-t))
 
     @property
     def variance(self) -> float:
@@ -94,16 +91,6 @@ class ChiSquare:
         if not self.df > 0.0:
             raise DomainError("degrees of freedom must be positive")
 
-    support = (0.0, math.inf)
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        k = self.df
-        with np.errstate(divide="ignore", invalid="ignore"):
-            raw = x ** (0.5 * k - 1.0) * np.exp(-0.5 * x)
-        out = np.where(x > 0.0, raw / (2.0 ** (0.5 * k) * gamma_fn(0.5 * k)), 0.0)
-        return out if out.ndim else float(out)
-
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         out = np.where(x > 0.0, gammainc(0.5 * self.df, 0.5 * x), 0.0)
@@ -111,11 +98,14 @@ class ChiSquare:
 
     def quantile(self, t: float) -> float:
         t = _check_t(t)
-        return _cdf_inverse(self, t)
+        return 2.0 * float(gammaincinv(0.5 * self.df, t))
 
     @property
     def mean(self) -> float:
         return self.df
+
+    def _ordinate(self, t: float) -> float:
+        return self.df * gammainc(0.5 * self.df + 1.0, 0.5 * self.quantile(t))
 
     @property
     def variance(self) -> float:
@@ -140,17 +130,9 @@ class SkewNormal:
         if not self.scale > 0.0:
             raise DomainError("skew-normal scale must be positive")
 
-    support = (-math.inf, math.inf)
-
     @property
     def _delta(self) -> float:
         return self.shape / math.sqrt(1.0 + self.shape ** 2)
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        z = (x - self.location) / self.scale
-        out = (2.0 / self.scale) * np.exp(-0.5 * z * z) / _SQRT_2PI * ndtr(self.shape * z)
-        return out if out.ndim else float(out)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -165,6 +147,15 @@ class SkewNormal:
     @property
     def mean(self) -> float:
         return self.location + self.scale * self._delta * math.sqrt(2.0 / math.pi)
+
+    def _ordinate(self, t: float) -> float:
+        # E[Z 1(Z <= z)] for the standard skew-normal, by parts on z phi(z)
+        d = self._delta
+        z = (self.quantile(t) - self.location) / self.scale
+        phi_z = math.exp(-0.5 * z * z) / _SQRT_2PI
+        partial = (2.0 * d / _SQRT_2PI * ndtr(z / math.sqrt(1.0 - d * d))
+                   - 2.0 * phi_z * ndtr(self.shape * z))
+        return self.location * t + self.scale * partial
 
     @property
     def variance(self) -> float:
@@ -184,13 +175,11 @@ class SkewNormal:
 Population = Union[Weibull, ChiSquare, SkewNormal]
 
 
-def _cdf_inverse(pop: Population, t: float) -> float:
+def _cdf_inverse(pop: SkewNormal, t: float) -> float:
     """Smallest x with cdf(x) >= t, by bracketed bisection on the CDF."""
-    lo, hi = pop.support
-    if not math.isfinite(lo):
-        lo = -1.0
-        while pop.cdf(lo) >= t:
-            lo *= 2.0
+    lo = -1.0
+    while pop.cdf(lo) >= t:
+        lo *= 2.0
     hi = max(1.0, 2.0 * abs(lo))
     while pop.cdf(hi) < t:
         hi *= 2.0
@@ -230,26 +219,15 @@ def sample(pop: Population, n: int, seed: SeedSpec, replication: int = 0) -> Sam
 
 
 def true_ordinate(pop: Population, t: float) -> float:
-    """Exact generalized Lorenz ordinate: integral of x*pdf(x) below the
-    t-th population quantile.
+    """Exact generalized Lorenz ordinate: the partial mean of X below the
+    t-th population quantile, in the closed form of the population's family.
 
-    Raises QuadratureFailure if the adaptive rule reports an error
-    estimate worse than 1e-10 relative.
+    Raises NonFinite when the value overflows, which happens only for
+    Weibull shapes below about 0.006, where Gamma(1 + 1/a) and the mean are
+    already infinite.
     """
     t = _check_t(t)
-    psi = pop.quantile(t)
-    lo = pop.support[0]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            val, abserr = integrate.quad(
-                lambda x: x * pop.pdf(x), lo, psi,
-                epsabs=1e-13, epsrel=1e-10, limit=200,
-            )
-        except integrate.IntegrationWarning as exc:
-            raise QuadratureFailure(f"ordinate quadrature did not converge: {exc}")
-    if abserr > max(1e-10 * abs(val), 5e-13):
-        raise QuadratureFailure(
-            f"ordinate quadrature error {abserr:g} exceeds tolerance at t={t}"
-        )
-    return float(val)
+    val = float(pop._ordinate(t))
+    if not math.isfinite(val):
+        raise NonFinite(f"ordinate of {pop} at t={t} is {val}")
+    return val

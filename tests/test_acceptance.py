@@ -226,7 +226,7 @@ def test_criterion_7_solver_contract(capfd):
 
 
 def test_criterion_8_closed_form_ordinate(capfd):
-    """Quadrature ordinate matches the exponential closed form.
+    """Exact ordinate matches the exponential closed form.
 
     Weibull with shape 1 and scale 2 is Exp(mean 2), whose truncated
     mean is 2 - 2(1-t)(1 - ln(1-t)).

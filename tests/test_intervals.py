@@ -29,7 +29,6 @@ class TestToyInterval:
         assert ci.iterations > 0
         assert ci.lower < 0.6 < ci.upper
         assert ci.length == pytest.approx(ci.upper - ci.lower, abs=0)
-        assert lz.interval_length(ci) == ci.length
 
     def test_float_level_means_alpha(self):
         a = lz.invert("el", TOY, 0.4, 0.05)

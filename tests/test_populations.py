@@ -1,4 +1,4 @@
-"""Populations: densities, quantiles, exact ordinates, reproducible draws."""
+"""Populations: cdfs, quantiles, exact ordinates, reproducible draws."""
 from __future__ import annotations
 
 import math
@@ -13,6 +13,16 @@ WEI = lz.Weibull(1.0, 2.0)
 CHI = lz.ChiSquare(3.0)
 SN = lz.SkewNormal(1.0, 3.0, 5.0)
 T_GRID = [i / 10 for i in range(1, 10)]
+
+
+def scipy_dist(pop):
+    """The same population as a frozen scipy.stats distribution."""
+    if isinstance(pop, lz.Weibull):
+        return stats.weibull_min(pop.shape, scale=pop.scale)
+    if isinstance(pop, lz.ChiSquare):
+        return stats.chi2(pop.df)
+    return stats.skewnorm(pop.shape, loc=pop.location, scale=pop.scale)
+
 
 # closed form for Weibull(1, 2): 2 - 2(1-t)(1 - log(1-t))
 WEI_ORDINATES = {
@@ -38,17 +48,10 @@ class TestDistributions:
             lz.SkewNormal(0.0, 0.0, 1.0)
 
     @pytest.mark.parametrize("pop", [WEI, CHI, SN])
-    def test_pdf_integrates_to_one(self, pop):
-        lo, hi = pop.support
-        total, _ = integrate.quad(pop.pdf, lo, hi)
-        assert total == pytest.approx(1.0, abs=1e-9)
-
-    @pytest.mark.parametrize("pop", [WEI, CHI, SN])
-    def test_cdf_matches_integrated_pdf(self, pop):
-        lo, _ = pop.support
+    def test_cdf_matches_scipy(self, pop):
+        dist = scipy_dist(pop)
         for x in (0.5, 1.7, 4.0):
-            num, _ = integrate.quad(pop.pdf, lo, x)
-            assert pop.cdf(x) == pytest.approx(num, abs=1e-9)
+            assert pop.cdf(x) == pytest.approx(dist.cdf(x), abs=1e-12)
 
     @pytest.mark.parametrize("pop", [WEI, CHI, SN])
     def test_quantile_inverts_cdf(self, pop):
@@ -144,9 +147,21 @@ class TestTrueOrdinate:
         with pytest.raises(lz.DomainError):
             lz.true_ordinate(WEI, t)
 
-    def test_quadrature_failure_surfaces(self, monkeypatch):
-        def bad_quad(*args, **kwargs):
-            return 1.0, 0.5  # enormous reported error
-        monkeypatch.setattr(integrate, "quad", bad_quad)
-        with pytest.raises(lz.QuadratureFailure):
-            lz.true_ordinate(WEI, 0.5)
+    @pytest.mark.parametrize("pop", [
+        lz.Weibull(0.3, 1e-3), lz.Weibull(1.0, 2.0), lz.Weibull(5.0, 1e4),
+        lz.ChiSquare(0.5), lz.ChiSquare(3.0), lz.ChiSquare(300.0), lz.ChiSquare(3000.0),
+        lz.SkewNormal(1.0, 3.0, 5.0), lz.SkewNormal(0.0, 1.0, -50.0),
+        lz.SkewNormal(-1e3, 10.0, 2.0),
+    ], ids=str)
+    def test_against_scipy_quadrature(self, pop):
+        dist = scipy_dist(pop)
+        lo = -math.inf if isinstance(pop, lz.SkewNormal) else 0.0
+        for t in (0.01, 0.1, 0.5, 0.9, 0.99):
+            ref, _ = integrate.quad(lambda x: x * dist.pdf(x), lo, dist.ppf(t),
+                                    epsabs=0.0, epsrel=1e-11, limit=200)
+            assert lz.true_ordinate(pop, t) == pytest.approx(ref, rel=1e-8)
+
+    def test_overflow_raises_nonfinite(self):
+        # Gamma(1 + 1/a) overflows for shapes below about 0.006
+        with pytest.raises(lz.NonFinite):
+            lz.true_ordinate(lz.Weibull(0.005, 1.0), 0.9)
