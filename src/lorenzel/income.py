@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import Sample, point_estimate
-from .errors import FileError, SchemaError
+from .errors import DomainError, FileError, SchemaError
 
 __all__ = [
     "IncomeTable",
@@ -119,10 +119,16 @@ class CurvePoints:
 
 
 def curve(s: Sample, grid: Sequence[float]) -> CurvePoints:
-    """Evaluate the empirical curves at each abscissa in ``grid``."""
+    """Evaluate the empirical curves at each abscissa in ``grid``.
+
+    Raises DomainError when the sample mean is not positive, since the
+    relative Lorenz curve divides by it.
+    """
     grid = np.asarray([float(t) for t in grid])
-    gen = np.array([point_estimate(s, t) for t in grid])
     mu_hat = float(s.values.sum() / s.n)
+    if not mu_hat > 0.0:
+        raise DomainError(f"the Lorenz curve needs a positive mean, got {mu_hat:g}")
+    gen = np.array([point_estimate(s, t) for t in grid])
     return CurvePoints(grid=grid, generalized=gen, lorenz=gen / mu_hat, mu_hat=mu_hat)
 
 

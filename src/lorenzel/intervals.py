@@ -1,10 +1,23 @@
 """Confidence intervals by inverting the scaled log-likelihood ratio.
 
 The interval at level 1 - alpha collects every theta whose scaled ratio
-stays at or below the chi-square(1) critical value.  Endpoints are located
-by walking outward from the point estimate until the statistic crosses the
-threshold, then bisecting the crossing.  The walk relies on the EL and AEL
-statistics being nondecreasing away from the point estimate.
+stays at or below the chi-square(1) critical value.  The EL and AEL
+statistics are nondecreasing away from the point estimate, so each side
+holds one crossing.  It is found by a safeguarded Newton search on
+sqrt(stat) - sqrt(crit), which is nearly linear in theta, started from
+the Wald point.  The search keeps a bracket [inner, outer] around the
+crossing.  A step that leaves the bracket, that comes from a non-finite
+value, or that is longer than half the step before last (the safeguard
+of rtsafe, Numerical Recipes section 9.4) is replaced by bisection.  The
+search stops once the bracket is narrower than 1e-8 relative and returns
+its inner, covered, edge.  It raises LorenzELError rather than return an
+unconverged endpoint when its evaluation budget runs out.
+
+The slope costs nothing extra.  By the envelope theorem the derivative
+of the log-ratio l in theta comes from the Lagrange multiplier lambda that
+the evaluation already solved: dl/dtheta = -2 n lambda for EL, and
+2 lambda [(1 + a_n) / (1 + lambda w_{n+1}) - (n + 1)] for AEL, whose
+pseudo-deviation w_{n+1} = -a_n (theta_hat - theta) moves with theta.
 
 The TEL transform T is increasing, so r * T(l) <= crit exactly when
 r * l <= r * T^-1(crit / r), with r the variance ratio.  A TEL (TAEL)
@@ -18,31 +31,27 @@ from dataclasses import dataclass
 
 from .calibration import SignificanceLevel, scale_factor
 from .core import Sample, VariantKind, _profile_value, truncated_values
-from .errors import BracketFailure, ConvexHullViolation
-from .variants import _ael_value, _tel_inverse
+from .errors import BracketFailure, ConvexHullViolation, LorenzELError
+from .variants import _ael_value, _tel_inverse, adjustment_factor
 
 __all__ = ["ConfidenceInterval", "invert"]
-
-# Outward probe schedule, as fractions of the distance from the point
-# estimate to the search-domain boundary.  Geometric on both ends: fine
-# steps near the estimate (endpoints usually sit within a few percent of
-# the domain for large n) and fine steps near the boundary (where EL
-# statistics blow up).
-_PROBE_FRACTIONS = tuple(
-    [2.0 ** -k for k in range(7, 0, -1)]
-    + [1.0 - 2.0 ** -k for k in range(2, 41)]
-    + [1.0]
-)
 
 # Endpoints whose statistic never reaches the critical value inside the
 # search domain are reported at the domain edge with bracketed=False.
 _AEL_CAP_MULTIPLE = 10.0  # cap = theta_hat +/- 10 * hull width
 _HULL_CLAMP = 1e-12  # relative inset keeping EL probes strictly inside the hull
+# Statistic evaluations allowed per side.  Bisection alone closes any
+# bracket to the stopping tolerance in at most 54 steps.
+_MAX_EVALS = 100
 
 
 @dataclass(frozen=True)
 class ConfidenceInterval:
-    """A two-sided confidence interval for the generalized Lorenz ordinate."""
+    """A two-sided confidence interval for the generalized Lorenz ordinate.
+
+    ``iterations`` counts the statistic evaluations of the endpoint
+    search, over both sides.
+    """
 
     lower: float
     upper: float
@@ -58,57 +67,82 @@ class ConfidenceInterval:
 
 
 class _Statistic:
-    """Scaled EL or AEL log-ratio as a function of theta, with eval counting.
+    """Scaled EL or AEL log-ratio and its slope in theta, with eval counting.
 
     The truncated values, variance ratio, and Lagrange warm start are
     cached across evaluations; outside the hull the EL statistic is
-    +inf by convention.
+    +inf (slope nan) by convention.
     """
 
     def __init__(self, adjusted: bool, s: Sample, t: float) -> None:
+        self.adjusted = adjusted
         self.profile = _ael_value if adjusted else _profile_value
         self.trunc = truncated_values(s, t)
-        self.ratio = scale_factor(s, t).ratio
+        self.scale = scale_factor(s, t)
+        self.ratio = self.scale.ratio
+        self.a = adjustment_factor(s.n)
         self.evals = 0
         self._lam = None
 
-    def __call__(self, theta: float) -> float:
+    def __call__(self, theta: float) -> tuple[float, float]:
         self.evals += 1
+        w = self.trunc - theta
         try:
-            val, self._lam = self.profile(self.trunc - theta, lam0=self._lam)
+            val, lam = self.profile(w, lam0=self._lam)
         except ConvexHullViolation:
-            return math.inf
-        return self.ratio * val
-
-
-def _bisect(stat: _Statistic, crit: float, inner: float, outer: float,
-            hull_w: float) -> float:
-    """Shrink [inner, outer] around the threshold crossing; return the
-    inner (covered) edge."""
-    tol = 1e-8 * max(abs(inner), abs(outer)) + 1e-15 * hull_w
-    for _ in range(200):
-        if abs(outer - inner) <= tol:
-            break
-        mid = 0.5 * (inner + outer)
-        if stat(mid) <= crit:
-            inner = mid
+            return math.inf, math.nan
+        self._lam = lam
+        n = w.size
+        if self.adjusted:
+            pseudo = -self.a * float(w.mean())
+            slope = 2.0 * lam * ((1.0 + self.a) / (1.0 + lam * pseudo) - (n + 1))
         else:
-            outer = mid
-        tol = 1e-8 * max(abs(inner), abs(outer)) + 1e-15 * hull_w
-    return inner
+            slope = -2.0 * n * lam
+        return self.ratio * val, self.ratio * slope
 
 
-def _search_side(stat: _Statistic, crit: float, theta_hat: float,
+def _search_side(stat: _Statistic, crit: float, theta_hat: float, start: float,
                  bound: float, hull_w: float) -> tuple[float, bool]:
-    """Locate the crossing between theta_hat and bound (either side)."""
-    span = bound - theta_hat
-    prev_theta = theta_hat
-    for frac in _PROBE_FRACTIONS:
-        theta = theta_hat + frac * span
-        if stat(theta) > crit:
-            return _bisect(stat, crit, prev_theta, theta, hull_w), True
-        prev_theta = theta
-    return bound, False  # never crossed inside the domain
+    """Locate the crossing between theta_hat and bound (either side).
+
+    Returns the inner (covered) edge of the final bracket, or the bound
+    with False when the statistic stays at or below crit out to it.
+    """
+    inner, outer = theta_hat, bound
+    crossed = False  # outer has been seen above crit, not merely assumed
+    root_crit = math.sqrt(crit)
+    theta, prev = start, theta_hat
+    step = prev_step = abs(bound - theta_hat)
+    for _ in range(_MAX_EVALS):
+        if not (theta - inner) * (outer - theta) > 0.0:  # outside the bracket, or nan
+            theta = 0.5 * (inner + outer) if crossed else bound
+        prev_step, step, prev = step, abs(theta - prev), theta
+        val, slope = stat(theta)
+        if val <= crit:
+            if theta == bound:
+                return bound, False
+            inner = theta
+        else:
+            outer, crossed = theta, True
+        tol = 1e-8 * max(abs(inner), abs(outer)) + 1e-15 * hull_w
+        if crossed and abs(outer - inner) <= tol:
+            return inner, True
+        # Newton on sqrt(val) - sqrt(crit).  A step longer than half the one
+        # before last is converging too slowly and becomes a bisection; a
+        # step shorter than the tolerance is stretched to it so that the
+        # bracket can close.
+        root = math.sqrt(val)
+        newton = 2.0 * root * (root_crit - root) / slope if slope else math.nan
+        if not abs(newton) <= 0.5 * prev_step:
+            newton = math.nan
+        elif abs(newton) < tol:
+            newton = math.copysign(tol, newton)
+        theta += newton
+    side = "lower" if bound < theta_hat else "upper"
+    raise LorenzELError(
+        f"{side} endpoint search did not converge in {_MAX_EVALS} statistic "
+        f"evaluations (bracket [{min(inner, outer):.17g}, {max(inner, outer):.17g}])"
+    )
 
 
 def invert(kind: VariantKind, s: Sample, t: float,
@@ -133,6 +167,9 @@ def invert(kind: VariantKind, s: Sample, t: float,
         the exception's ``interval`` attribute.
     DegenerateVariance
         When the scale factor is undefined for (s, t).
+    LorenzELError
+        When an endpoint search exhausts its evaluation budget; the
+        message names the side.
     """
     kind = VariantKind(kind)
     if not isinstance(level, SignificanceLevel):
@@ -154,9 +191,13 @@ def invert(kind: VariantKind, s: Sample, t: float,
     search_crit = crit
     if kind.transformed:
         search_crit = stat.ratio * _tel_inverse(crit / stat.ratio, s.n)
-    lower, lower_ok = _search_side(stat, search_crit, theta_hat, dom_lo, hull_w)
+    # Wald half-width, from r * l(theta) ~ n (theta - theta_hat)^2 / sigma_v^2
+    wald = math.sqrt(search_crit * stat.scale.sigma_v_sq / s.n)
+    lower, lower_ok = _search_side(stat, search_crit, theta_hat, theta_hat - wald,
+                                   dom_lo, hull_w)
     stat._lam = None  # warm starts do not transfer across sides
-    upper, upper_ok = _search_side(stat, search_crit, theta_hat, dom_hi, hull_w)
+    upper, upper_ok = _search_side(stat, search_crit, theta_hat, theta_hat + wald,
+                                   dom_hi, hull_w)
 
     ci = ConfidenceInterval(
         lower=lower, upper=upper, level=level.level, kind=kind,

@@ -165,6 +165,15 @@ class TestCurve:
                             "--output-dir", str(tmp_path)], capsys)
         assert code == 3
 
+    def test_nonpositive_mean_is_exit_4(self, tmp_path, capsys):
+        p = tmp_path / "signed.csv"
+        p.write_text("v\n-1\n1\n")
+        code, out, err = run(["curve", "--input", str(p), "--value-column", "v",
+                              "--output-dir", str(tmp_path / "curves")], capsys)
+        assert code == 4
+        assert "DomainError" in err and "positive mean" in err
+        assert out == ""
+
     def test_groups_without_column_is_exit_2(self, income_csv, tmp_path, capsys):
         code, _, err = run(["curve", "--input", income_csv, "--value-column",
                             "income", "--groups", "AZ",

@@ -95,6 +95,12 @@ class TestCurve:
         scaled = lz.curve(lz.Sample(1000.0 * x), grid)
         assert scaled.lorenz == pytest.approx(pts.lorenz.tolist(), rel=1e-12)
 
+    @pytest.mark.parametrize("values", [[-1.0, 1.0], [-3.0, 1.0]])
+    def test_nonpositive_mean_raises(self, values):
+        # mean 0 gave ordinates [-inf, -inf, nan]; mean -1 gave 1.5 at t = 0.5
+        with pytest.raises(lz.DomainError, match="positive mean"):
+            lz.curve(lz.Sample(values), [0.25, 0.5, 0.75])
+
     def test_row_order_irrelevant(self, tmp_path):
         a = write(tmp_path, "v\n5\n1\n3\n2\n4\n", "a.csv")
         b = write(tmp_path, "v\n1\n2\n3\n4\n5\n", "b.csv")

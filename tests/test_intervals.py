@@ -8,6 +8,8 @@ import pytest
 
 import lorenzel as lz
 from conftest import oracle_ci, random_positive_data
+from lorenzel import intervals
+from lorenzel.variants import _tel_inverse
 
 TOY = lz.Sample([1.0, 2.0, 3.0, 4.0, 5.0])
 
@@ -129,3 +131,74 @@ class TestFailureModes:
         ci = lz.invert("el", lz.Sample(x), 0.5, 1e-9)
         assert ci.lower_bracketed and ci.upper_bracketed
 
+
+
+class TestSlope:
+    def test_matches_central_difference(self, rng):
+        # envelope-theorem slope: -2 n lambda for EL; AEL adds the term of
+        # the pseudo-deviation, which moves with theta
+        for _ in range(60):
+            n = int(rng.integers(10, 401))
+            s = lz.Sample(random_positive_data(rng, n))
+            t = float(rng.uniform(0.2, 0.9))
+            for adjusted in (False, True):
+                stat = intervals._Statistic(adjusted, s, t)
+                theta_hat = float(stat.trunc.mean())
+                vmin, vmax = float(stat.trunc.min()), float(stat.trunc.max())
+                frac = float(rng.uniform(0.05, 0.6))
+                edge = vmax if rng.random() < 0.5 else vmin
+                theta = theta_hat + frac * (edge - theta_hat)
+                _, slope = stat(theta)
+                h = 1e-5 * (vmax - vmin)
+                fd = (stat(theta + h)[0] - stat(theta - h)[0]) / (2.0 * h)
+                assert slope == pytest.approx(fd, rel=1e-6), (n, adjusted)
+
+
+class TestSearchBudget:
+    def test_exhausted_budget_raises(self, monkeypatch, rng):
+        # a slope a million times too steep makes every Newton step creep
+        # by the tolerance; the search must give up loudly, not return
+        true_call = intervals._Statistic.__call__
+
+        def steep(self, theta):
+            val, slope = true_call(self, theta)
+            return val, 1e6 * slope
+
+        monkeypatch.setattr(intervals._Statistic, "__call__", steep)
+        s = lz.Sample(random_positive_data(rng, 40))
+        with pytest.raises(lz.LorenzELError, match="lower endpoint search") as exc_info:
+            lz.invert("el", s, 0.5, 0.05)
+        assert not isinstance(exc_info.value, lz.BracketFailure)
+
+
+class TestEvaluationBudget:
+    def test_few_evaluations_and_covered_edges(self):
+        pops = [lz.Weibull(1.0, 2.0), lz.ChiSquare(3.0), lz.SkewNormal(1.0, 3.0, 5.0)]
+        level = lz.SignificanceLevel(0.05)
+        evals = {kind: [] for kind in lz.VariantKind}
+        for p, pop in enumerate(pops):
+            for n in (50, 300):
+                for r in range(4):
+                    s = lz.sample(pop, n, lz.SeedSpec(master_seed=31, stream_id=p), r)
+                    for t in (0.1, 0.5, 0.9):
+                        ratio = lz.scale_factor(s, t).ratio
+                        hull_w = float(np.ptp(lz.truncated_values(s, t)))
+                        for kind in lz.VariantKind:
+                            ci = lz.invert(kind, s, t, level)
+                            evals[kind].append(ci.iterations)
+                            crit = level.chi2_crit
+                            if kind.transformed:
+                                crit = ratio * _tel_inverse(crit / ratio, s.n)
+                            base = "ael" if kind.adjusted else "el"
+                            # covered at the endpoint (a cold-start
+                            # re-evaluation may differ from the search's
+                            # warm-started one in the last few ulps), not
+                            # covered just beyond the stopping tolerance
+                            for theta, out in ((ci.lower, -1.0), (ci.upper, 1.0)):
+                                stat = lz.scaled_statistic(base, s, t, theta)
+                                assert stat <= crit * (1.0 + 1e-12), (kind, n, t)
+                                beyond = theta + out * (2e-8 * abs(theta) + 1e-14 * hull_w)
+                                stat = lz.scaled_statistic(base, s, t, beyond)
+                                assert stat > crit, (kind, n, t)
+        for kind, counts in evals.items():
+            assert np.mean(counts) <= 16.0, kind
