@@ -33,7 +33,7 @@ print(f"point estimate theta_hat       = {theta_hat:.6f}")
 print("\nlog-ratio profiles (rows: hypothesized theta):")
 print(f"{'theta':>8}  {'EL':>10}  {'AEL':>10}  {'TEL':>10}  {'TAEL':>10}")
 for theta in (theta_hat, 0.9 * theta_hat, 1.1 * theta_hat, 1.3 * theta_hat):
-    vals = [lz.log_ratio(kind, s, t, theta).value for kind in lz.VariantKind]
+    vals = [lz.log_ratio(kind, s, t, theta) for kind in lz.VariantKind]
     print(f"{theta:8.4f}  " + "  ".join(f"{v:10.5f}" for v in vals))
 
 # Step 4: the scale factor that turns the ratio into a chi-square(1)

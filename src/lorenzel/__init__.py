@@ -13,13 +13,10 @@ from .calibration import (
     scaled_statistic,
 )
 from .core import (
-    EstimatingValues,
     LagrangeSolution,
-    LogRatioValue,
     Sample,
     VariantKind,
-    estimating_values,
-    log_el_ratio,
+    adjustment_factor,
     point_estimate,
     sample_quantile,
     solve_lambda,
@@ -53,34 +50,20 @@ from .simulation import (
     run_experiment,
     write_results_csv,
 )
-from .variants import (
-    adjustment_factor,
-    ael_augment,
-    log_ael_ratio,
-    log_ratio,
-    log_tael_ratio,
-    tel_transform,
-)
+from .variants import log_ratio, tel_transform
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Sample",
     "VariantKind",
-    "EstimatingValues",
     "LagrangeSolution",
-    "LogRatioValue",
     "sample_quantile",
     "point_estimate",
     "truncated_values",
-    "estimating_values",
     "solve_lambda",
-    "log_el_ratio",
     "adjustment_factor",
-    "ael_augment",
-    "log_ael_ratio",
     "tel_transform",
-    "log_tael_ratio",
     "log_ratio",
     "ScaleFactor",
     "SignificanceLevel",

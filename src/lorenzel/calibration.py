@@ -91,4 +91,4 @@ def scale_factor(s: Sample, t: float) -> ScaleFactor:
 def scaled_statistic(kind: VariantKind, s: Sample, t: float, theta: float) -> float:
     """Variance-ratio-scaled log-likelihood ratio, asymptotically chi2(1)."""
     sf = scale_factor(s, t)
-    return sf.ratio * log_ratio(kind, s, t, theta).value
+    return sf.ratio * log_ratio(kind, s, t, theta)

@@ -226,11 +226,15 @@ def _cmd_curve(args) -> int:
             label = label.strip()
             jobs.append((label, table.filter(label)))
     prec = None if args.raw else 4
-    os.makedirs(args.output_dir, exist_ok=True)
+    # every group is computed before any file is written, so a failing
+    # group leaves no partial set of files behind
+    curves = []
     for label, sub in jobs:
         if sub.n < 2:
             raise FileError(f"group {label!r}: need at least 2 usable rows, got {sub.n}")
-        pts = curve(sub.sample(), grid)
+        curves.append((label, curve(sub.sample(), grid)))
+    os.makedirs(args.output_dir, exist_ok=True)
+    for label, pts in curves:
         path = os.path.join(args.output_dir, f"curve_{_sanitize(label)}.csv")
         write_curve_csv(pts, path, precision=prec)
         print(path)

@@ -10,7 +10,7 @@ one-dimensional root-find for the Lagrange multiplier lambda.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -20,15 +20,12 @@ from .errors import ConvexHullViolation, DomainError, NonFinite
 __all__ = [
     "Sample",
     "VariantKind",
-    "EstimatingValues",
     "LagrangeSolution",
-    "LogRatioValue",
     "sample_quantile",
     "point_estimate",
     "truncated_values",
-    "estimating_values",
     "solve_lambda",
-    "log_el_ratio",
+    "adjustment_factor",
 ]
 
 
@@ -88,35 +85,23 @@ class Sample:
 
 
 @dataclass(frozen=True)
-class EstimatingValues:
-    """Truncated observations and their deviations at a candidate theta."""
-
-    quantile: float
-    theta: float
-    truncated: np.ndarray
-    deviations: np.ndarray
-
-
-@dataclass(frozen=True)
 class LagrangeSolution:
     """Root of the weight-constraint equation.
 
-    ``lam`` solves mean(w / (1 + lam*w)) = 0; ``weights`` are the implied
-    probabilities 1 / (m * (1 + lam*w)); ``residual`` is the equation value
-    at the returned root.
+    ``lam`` solves mean(w / (1 + lam*w)) = 0; ``residual`` is the equation
+    value at the returned root; ``deviations`` is the vector w as solved
+    (not copied).  ``weights``, the implied probabilities
+    1 / (m * (1 + lam*w)), are computed when read.
     """
 
     lam: float
-    weights: np.ndarray
     residual: float
+    deviations: np.ndarray = field(repr=False)
 
-
-@dataclass(frozen=True)
-class LogRatioValue:
-    """A nonnegative log-likelihood-ratio and the calibration that produced it."""
-
-    value: float
-    kind: VariantKind
+    @property
+    def weights(self) -> np.ndarray:
+        w = self.deviations
+        return 1.0 / (w.size * (1.0 + self.lam * w))
 
 
 def _check_t(t: float) -> float:
@@ -153,15 +138,6 @@ def point_estimate(s: Sample, t: float) -> float:
     return float(truncated_values(s, t).sum() / s.n)
 
 
-def estimating_values(s: Sample, t: float, theta: float) -> EstimatingValues:
-    """Quantile, truncated values, and deviations W_i = V_i - theta."""
-    trunc = truncated_values(s, t)
-    return EstimatingValues(
-        quantile=sample_quantile(s, t), theta=float(theta), truncated=trunc,
-        deviations=trunc - theta,
-    )
-
-
 def solve_lambda(w, lam0: float | None = None) -> LagrangeSolution:
     """Solve mean(w / (1 + lam*w)) = 0 for the Lagrange multiplier.
 
@@ -179,7 +155,7 @@ def solve_lambda(w, lam0: float | None = None) -> LagrangeSolution:
     -------
     LagrangeSolution
         The unique root in the open bracket (-1/max(w), -1/min(w)),
-        together with the implied probability weights and the residual.
+        together with the residual and the deviations it was solved for.
 
     Raises
     ------
@@ -211,7 +187,6 @@ def solve_lambda(w, lam0: float | None = None) -> LagrangeSolution:
             "zero is not interior to the convex hull of the deviations "
             f"(min={wmin:g}, max={wmax:g})"
         )
-    m = w.size
     lo = -1.0 / wmax
     hi = -1.0 / wmin
     eps = 1e-12 * (hi - lo)
@@ -244,30 +219,40 @@ def solve_lambda(w, lam0: float | None = None) -> LagrangeSolution:
             step = lam - g / slope if slope < 0.0 and math.isfinite(slope) else math.inf
             lam = step if lo < step < hi else 0.5 * (lo + hi)
 
-    weights = 1.0 / (m * (1.0 + lam * w))
-    return LagrangeSolution(lam=lam, weights=weights, residual=g)
+    return LagrangeSolution(lam=lam, residual=g, deviations=w)
 
 
-def _profile_value(w: np.ndarray, lam0: float | None = None) -> tuple[float, float]:
-    """Log-ratio 2*sum(log(1 + lam*w)) for a deviation vector, with its lam.
+def adjustment_factor(n: int) -> float:
+    """AEL pseudo-observation scale a_n = max(1, log(n)/2)."""
+    if n < 1:
+        raise DomainError(f"n must be positive, got {n}")
+    return max(1.0, 0.5 * math.log(n))
 
-    All-zero deviations satisfy the constraint with uniform weights, so the
-    ratio is 0 by convention.
+
+def _profile(v: np.ndarray, theta: float, adjusted: bool,
+             lam0: float | None = None) -> tuple[float, float, float]:
+    """Log-ratio 2*sum(log(1 + lam*w)) at theta, its slope in theta, and lam.
+
+    w = v - theta, with the AEL pseudo-deviation -a_n * mean(w) appended
+    when ``adjusted``.  By the envelope theorem the slope needs only lam:
+    -2 n lam for EL, and 2 lam [(1 + a_n) / (1 + lam w_{n+1}) - (n + 1)]
+    for AEL, whose pseudo-deviation w_{n+1} moves with theta.  All-zero
+    deviations satisfy the constraint with uniform weights, so the ratio
+    is 0 by convention.  Raises ConvexHullViolation (EL only) when theta
+    is outside the open hull of v.
     """
+    w = v - theta
     if not w.any():
-        return 0.0, 0.0
-    sol = solve_lambda(w, lam0=lam0)
-    val = 2.0 * float(np.sum(np.log1p(sol.lam * w)))
-    return max(val, 0.0), sol.lam
-
-
-def log_el_ratio(s: Sample, t: float, theta: float) -> LogRatioValue:
-    """Profile empirical log-likelihood ratio at a candidate ordinate value.
-
-    Nonnegative, zero exactly at ``point_estimate(s, t)``.  Raises
-    ConvexHullViolation when theta lies outside the open hull of the
-    truncated values.
-    """
-    ev = estimating_values(s, t, theta)
-    val, _ = _profile_value(ev.deviations)
-    return LogRatioValue(value=val, kind=VariantKind.EL)
+        return 0.0, 0.0, 0.0
+    n = w.size
+    if adjusted:
+        a = adjustment_factor(n)
+        pseudo = -a * float(w.mean())
+        w = np.append(w, pseudo)
+    lam = solve_lambda(w, lam0=lam0).lam
+    val = max(2.0 * float(np.sum(np.log1p(lam * w))), 0.0)
+    if adjusted:
+        slope = 2.0 * lam * ((1.0 + a) / (1.0 + lam * pseudo) - (n + 1))
+    else:
+        slope = -2.0 * n * lam
+    return val, slope, lam

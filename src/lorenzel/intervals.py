@@ -13,11 +13,9 @@ search stops once the bracket is narrower than 1e-8 relative and returns
 its inner, covered, edge.  It raises LorenzELError rather than return an
 unconverged endpoint when its evaluation budget runs out.
 
-The slope costs nothing extra.  By the envelope theorem the derivative
-of the log-ratio l in theta comes from the Lagrange multiplier lambda that
-the evaluation already solved: dl/dtheta = -2 n lambda for EL, and
-2 lambda [(1 + a_n) / (1 + lambda w_{n+1}) - (n + 1)] for AEL, whose
-pseudo-deviation w_{n+1} = -a_n (theta_hat - theta) moves with theta.
+The slope costs nothing extra.  The profile kernel (``core._profile``)
+returns it with the ratio, from the Lagrange multiplier the evaluation
+already solved, by the envelope theorem.
 
 The TEL transform T is increasing, so r * T(l) <= crit exactly when
 r * l <= r * T^-1(crit / r), with r the variance ratio.  A TEL (TAEL)
@@ -30,9 +28,9 @@ import math
 from dataclasses import dataclass
 
 from .calibration import SignificanceLevel, scale_factor
-from .core import Sample, VariantKind, _profile_value, truncated_values
+from .core import Sample, VariantKind, _profile, truncated_values
 from .errors import BracketFailure, ConvexHullViolation, LorenzELError
-from .variants import _ael_value, _tel_inverse, adjustment_factor
+from .variants import _tel_inverse
 
 __all__ = ["ConfidenceInterval", "invert"]
 
@@ -76,28 +74,18 @@ class _Statistic:
 
     def __init__(self, adjusted: bool, s: Sample, t: float) -> None:
         self.adjusted = adjusted
-        self.profile = _ael_value if adjusted else _profile_value
         self.trunc = truncated_values(s, t)
         self.scale = scale_factor(s, t)
         self.ratio = self.scale.ratio
-        self.a = adjustment_factor(s.n)
         self.evals = 0
         self._lam = None
 
     def __call__(self, theta: float) -> tuple[float, float]:
         self.evals += 1
-        w = self.trunc - theta
         try:
-            val, lam = self.profile(w, lam0=self._lam)
+            val, slope, self._lam = _profile(self.trunc, theta, self.adjusted, self._lam)
         except ConvexHullViolation:
             return math.inf, math.nan
-        self._lam = lam
-        n = w.size
-        if self.adjusted:
-            pseudo = -self.a * float(w.mean())
-            slope = 2.0 * lam * ((1.0 + self.a) / (1.0 + lam * pseudo) - (n + 1))
-        else:
-            slope = -2.0 * n * lam
         return self.ratio * val, self.ratio * slope
 
 

@@ -11,60 +11,23 @@ small-sample interval behaviour:
   original n, not n + 1).
 
 A kind's ``adjusted`` and ``transformed`` properties say which of the two
-modifications it applies.
+modifications it applies.  The EL and AEL ratios both come from the
+profile kernel in ``core``; ``log_ratio`` returns any kind's ratio as a
+float.
 """
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .core import LogRatioValue, Sample, VariantKind, _profile_value, estimating_values
+from .core import Sample, VariantKind, _profile, truncated_values
 from .errors import DomainError
 
-__all__ = [
-    "adjustment_factor",
-    "ael_augment",
-    "log_ael_ratio",
-    "tel_transform",
-    "log_tael_ratio",
-    "log_ratio",
-]
+__all__ = ["tel_transform", "log_ratio"]
 
 # TEL damping past the kink at l = n * _GAMMA.  The transform is increasing
 # only for _GAMMA <= 1/2, which is what lets an interval be found by
 # inverting the undamped ratio at a remapped critical value.
 _GAMMA = 0.5
-
-
-def adjustment_factor(n: int) -> float:
-    """AEL pseudo-observation scale a_n = max(1, log(n)/2)."""
-    if n < 1:
-        raise DomainError(f"n must be positive, got {n}")
-    return max(1.0, 0.5 * math.log(n))
-
-
-def ael_augment(w, a: float) -> np.ndarray:
-    """Append the balancing pseudo-deviation -a * mean(w) to w."""
-    w = np.asarray(w, dtype=float).ravel()
-    return np.append(w, -a * float(np.mean(w)))
-
-
-def _ael_value(w: np.ndarray, lam0: float | None = None) -> tuple[float, float]:
-    if not w.any():
-        return 0.0, 0.0
-    aug = ael_augment(w, adjustment_factor(w.size))
-    return _profile_value(aug, lam0=lam0)
-
-
-def log_ael_ratio(s: Sample, t: float, theta: float) -> LogRatioValue:
-    """Adjusted empirical log-likelihood ratio at a candidate ordinate.
-
-    Finite for every finite ``theta``: whenever the deviations are not all
-    zero, the pseudo-deviation sits on the opposite side of zero from
-    their mean, so the hull condition always holds.
-    """
-    return log_ratio(VariantKind.AEL, s, t, theta)
 
 
 def tel_transform(l: float, n: int) -> float:
@@ -93,20 +56,13 @@ def _tel_inverse(y: float, n: int) -> float:
     return y / (1.0 - _GAMMA)
 
 
-def log_tael_ratio(s: Sample, t: float, theta: float) -> LogRatioValue:
-    """Transformed adjusted ratio: tel_transform of the AEL ratio.
+def log_ratio(kind: VariantKind, s: Sample, t: float, theta: float) -> float:
+    """Log-likelihood ratio of the requested calibration at theta.
 
-    The damping divisor is the original sample size n, not the augmented
-    n + 1.
+    Nonnegative, zero at ``point_estimate(s, t)``.  For EL and TEL it
+    raises ConvexHullViolation when theta lies outside the open hull of
+    the truncated values; AEL and TAEL are finite for every finite theta.
     """
-    return log_ratio(VariantKind.TAEL, s, t, theta)
-
-
-def log_ratio(kind: VariantKind, s: Sample, t: float, theta: float) -> LogRatioValue:
-    """Dispatch to the requested calibration of the log-likelihood ratio."""
     kind = VariantKind(kind)
-    w = estimating_values(s, t, theta).deviations
-    val, _ = _ael_value(w) if kind.adjusted else _profile_value(w)
-    if kind.transformed:
-        val = tel_transform(val, s.n)
-    return LogRatioValue(value=val, kind=kind)
+    val, _, _ = _profile(truncated_values(s, t), theta, kind.adjusted)
+    return tel_transform(val, s.n) if kind.transformed else val

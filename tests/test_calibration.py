@@ -106,7 +106,7 @@ class TestScaledStatistic:
 
     def test_is_ratio_times_log_ratio(self):
         theta = 0.9
-        expect = 4.0 * lz.log_el_ratio(TOY, 0.4, theta).value
+        expect = 4.0 * lz.log_ratio("el", TOY, 0.4, theta)
         assert lz.scaled_statistic("el", TOY, 0.4, theta) == pytest.approx(
             expect, rel=1e-12)
 

@@ -174,6 +174,20 @@ class TestCurve:
         assert "DomainError" in err and "positive mean" in err
         assert out == ""
 
+    @pytest.mark.parametrize("b_rows, code", [(["-3", "-1"], 4), (["5"], 3)])
+    def test_failing_group_writes_no_files(self, tmp_path, capsys, b_rows, code):
+        # group B fails (mean -2, or a single row) after ALL and A succeed
+        p = tmp_path / "groups.csv"
+        rows = [f"{v},A" for v in ("10", "20", "30")] + [f"{v},B" for v in b_rows]
+        p.write_text("v,g\n" + "\n".join(rows) + "\n")
+        outdir = tmp_path / "curves"
+        got, out, _ = run(["curve", "--input", str(p), "--value-column", "v",
+                           "--group-column", "g", "--groups", "A,B",
+                           "--output-dir", str(outdir)], capsys)
+        assert got == code
+        assert list(tmp_path.glob("curves/curve_*.csv")) == []
+        assert out == ""
+
     def test_groups_without_column_is_exit_2(self, income_csv, tmp_path, capsys):
         code, _, err = run(["curve", "--input", income_csv, "--value-column",
                             "income", "--groups", "AZ",

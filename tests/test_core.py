@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lorenzel as lz
-from lorenzel.core import _profile_value
+from lorenzel.core import _profile
 
 TOY = lz.Sample([1.0, 2.0, 3.0, 4.0, 5.0])
 
@@ -80,7 +80,7 @@ class TestPointEstimate:
 
     def test_zero_at_ratio_root(self):
         theta_hat = lz.point_estimate(TOY, 0.4)
-        assert lz.log_el_ratio(TOY, 0.4, theta_hat).value == 0.0
+        assert lz.log_ratio("el", TOY, 0.4, theta_hat) == 0.0
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=2, max_size=50),
            st.floats(min_value=0.01, max_value=0.99),
@@ -161,13 +161,12 @@ class TestLogElRatio:
     def test_frozen_value(self):
         # deviations [-1, 2]: lam = 1/4, ratio = 2(log(3/4) + log(3/2))
         s = lz.Sample([0.0, 3.0])
-        got = lz.log_el_ratio(s, 0.75, 1.0)
-        assert got.kind is lz.VariantKind.EL
-        assert got.value == pytest.approx(0.23556607131276697, rel=1e-12)
+        got = lz.log_ratio("el", s, 0.75, 1.0)
+        assert got == pytest.approx(0.23556607131276697, rel=1e-12)
 
     def test_nonnegative_and_grows_outward(self):
         theta_hat = lz.point_estimate(TOY, 0.4)
-        vals = [lz.log_el_ratio(TOY, 0.4, th).value
+        vals = [lz.log_ratio("el", TOY, 0.4, th)
                 for th in np.linspace(0.05, 1.95, 41)]
         assert all(v >= 0.0 for v in vals)
         i_hat = int(np.argmin([abs(th - theta_hat) for th in np.linspace(0.05, 1.95, 41)]))
@@ -178,15 +177,15 @@ class TestLogElRatio:
     def test_outside_hull(self, theta):
         # truncated values of TOY at t=0.4 live in [0, 2]
         with pytest.raises(lz.ConvexHullViolation):
-            lz.log_el_ratio(TOY, 0.4, theta)
+            lz.log_ratio("el", TOY, 0.4, theta)
 
     def test_just_inside_hull_is_finite(self):
-        v = lz.log_el_ratio(TOY, 0.4, 2.0 - 1e-9).value
+        v = lz.log_ratio("el", TOY, 0.4, 2.0 - 1e-9)
         assert math.isfinite(v) and v > 0.0
 
     def test_degenerate_all_zero_deviations(self):
-        val, lam = _profile_value(np.zeros(4))
-        assert val == 0.0 and lam == 0.0
+        for adjusted in (False, True):
+            assert _profile(np.full(4, 2.0), 2.0, adjusted) == (0.0, 0.0, 0.0)
 
     @given(st.lists(st.floats(min_value=0.1, max_value=1e3), min_size=4, max_size=30),
            st.floats(min_value=0.2, max_value=0.9),
@@ -197,8 +196,8 @@ class TestLogElRatio:
         s = lz.Sample(xs)
         theta = 0.75 * lz.point_estimate(s, t) + 0.25 * max(lz.truncated_values(s, t))
         try:
-            base = lz.log_el_ratio(s, t, theta).value
+            base = lz.log_ratio("el", s, t, theta)
         except (lz.ConvexHullViolation, lz.DegenerateVariance):
             return
-        scaled = lz.log_el_ratio(lz.Sample([c * x for x in xs]), t, c * theta).value
+        scaled = lz.log_ratio("el", lz.Sample([c * x for x in xs]), t, c * theta)
         assert scaled == pytest.approx(base, rel=1e-12, abs=1e-12)

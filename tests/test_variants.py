@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import lorenzel as lz
-from lorenzel.core import _profile_value
-from lorenzel.variants import _ael_value, _tel_inverse
+from conftest import oracle_log_ratio, random_positive_data
+from lorenzel.core import _profile
+from lorenzel.variants import _tel_inverse
 
 S2 = lz.Sample([0.0, 3.0])  # deviations at (t=0.75, theta=1) are [-1, 2]
 TOY = lz.Sample([1.0, 2.0, 3.0, 4.0, 5.0])
@@ -29,45 +30,26 @@ class TestAdjustmentFactor:
             lz.adjustment_factor(0)
 
 
-class TestAelAugment:
-    def test_appends_scaled_negative_mean(self):
-        out = lz.ael_augment([-1.0, 2.0], 1.0)
-        assert out.tolist() == [-1.0, 2.0, -0.5]
-
-    def test_zero_mean_appends_zero(self):
-        out = lz.ael_augment([-1.0, 1.0], 3.0)
-        assert out[-1] == 0.0
-
-    def test_pseudo_point_opposes_mean(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            w = rng.normal(size=rng.integers(2, 20))
-            a = lz.adjustment_factor(w.size)
-            aug = lz.ael_augment(w, a)
-            assert aug[-1] * w.mean() <= 0.0
-
-
 class TestLogAelRatio:
     def test_frozen_value(self):
-        got = lz.log_ael_ratio(S2, 0.75, 1.0)
-        assert got.kind is lz.VariantKind.AEL
-        assert got.value == pytest.approx(0.051535467747335945, rel=1e-12)
+        got = lz.log_ratio("ael", S2, 0.75, 1.0)
+        assert got == pytest.approx(0.051535467747335945, rel=1e-12)
 
     def test_zero_at_point_estimate(self):
         theta_hat = lz.point_estimate(TOY, 0.4)
-        assert lz.log_ael_ratio(TOY, 0.4, theta_hat).value == 0.0
+        assert lz.log_ratio("ael", TOY, 0.4, theta_hat) == 0.0
 
     def test_finite_outside_the_el_hull(self):
         # EL is undefined at theta = 2.5 (outside [0, 2]); AEL is not
         with pytest.raises(lz.ConvexHullViolation):
-            lz.log_el_ratio(TOY, 0.4, 2.5)
-        got = lz.log_ael_ratio(TOY, 0.4, 2.5)
-        assert got.value == pytest.approx(2.7527474439863275, rel=1e-9)
+            lz.log_ratio("el", TOY, 0.4, 2.5)
+        got = lz.log_ratio("ael", TOY, 0.4, 2.5)
+        assert got == pytest.approx(2.7527474439863275, rel=1e-9)
 
     def test_bounded_far_away(self):
         hull = 2.0
-        near = lz.log_ael_ratio(TOY, 0.4, 0.6 + 5 * hull).value
-        far = lz.log_ael_ratio(TOY, 0.4, 0.6 + 1e6 * hull).value
+        near = lz.log_ratio("ael", TOY, 0.4, 0.6 + 5 * hull)
+        far = lz.log_ratio("ael", TOY, 0.4, 0.6 + 1e6 * hull)
         assert math.isfinite(far)
         assert far <= near * 1.5 + 10.0  # plateaus rather than diverging
 
@@ -80,8 +62,8 @@ class TestLogAelRatio:
             w = rng.normal(size=n)
             if not (w.min() < 0.0 < w.max()):
                 continue
-            el, _ = _profile_value(w)
-            ael, _ = _ael_value(w)
+            el, _, _ = _profile(w, 0.0, adjusted=False)
+            ael, _, _ = _profile(w, 0.0, adjusted=True)
             assert ael <= el + 1e-9 * (1.0 + el)
             checked += 1
 
@@ -132,16 +114,15 @@ class TestTelTransform:
 
 class TestTaelAndDispatch:
     def test_tael_frozen_value(self):
-        got = lz.log_tael_ratio(S2, 0.75, 1.0)
-        assert got.kind is lz.VariantKind.TAEL
-        assert got.value == pytest.approx(0.05020751552936759, rel=1e-12)
+        got = lz.log_ratio("tael", S2, 0.75, 1.0)
+        assert got == pytest.approx(0.05020751552936759, rel=1e-12)
 
     def test_tael_divides_by_original_n(self):
         # n = 2 here; dividing by n + 1 = 3 would give a different number
-        ael = lz.log_ael_ratio(S2, 0.75, 1.0).value
-        assert lz.log_tael_ratio(S2, 0.75, 1.0).value == pytest.approx(
+        ael = lz.log_ratio("ael", S2, 0.75, 1.0)
+        assert lz.log_ratio("tael", S2, 0.75, 1.0) == pytest.approx(
             lz.tel_transform(ael, 2), rel=1e-15)
-        assert lz.log_tael_ratio(S2, 0.75, 1.0).value != pytest.approx(
+        assert lz.log_ratio("tael", S2, 0.75, 1.0) != pytest.approx(
             lz.tel_transform(ael, 3), rel=1e-15)
 
     def test_dispatch_matches_components(self):
@@ -150,16 +131,14 @@ class TestTaelAndDispatch:
             tel = lz.log_ratio(lz.VariantKind.TEL, TOY, t, theta)
             ael = lz.log_ratio("ael", TOY, t, theta)
             tael = lz.log_ratio("tael", TOY, t, theta)
-            assert el.value == lz.log_el_ratio(TOY, t, theta).value
-            assert tel.value == lz.tel_transform(el.value, TOY.n)
-            assert ael.value == lz.log_ael_ratio(TOY, t, theta).value
-            assert tael.value == lz.tel_transform(ael.value, TOY.n)
-            assert (el.kind, ael.kind, tel.kind, tael.kind) == tuple(lz.VariantKind)
+            assert all(type(v) is float for v in (el, tel, ael, tael))
+            assert tel == lz.tel_transform(el, TOY.n)
+            assert tael == lz.tel_transform(ael, TOY.n)
 
     def test_all_kinds_vanish_at_point_estimate(self):
         theta_hat = lz.point_estimate(TOY, 0.6)
         for kind in lz.VariantKind:
-            assert lz.log_ratio(kind, TOY, 0.6, theta_hat).value == 0.0
+            assert lz.log_ratio(kind, TOY, 0.6, theta_hat) == 0.0
 
     def test_transforms_never_increase(self):
         rng = np.random.default_rng(5)
@@ -168,10 +147,38 @@ class TestTaelAndDispatch:
             s = lz.Sample(x)
             theta = lz.point_estimate(s, 0.5) * rng.uniform(0.5, 1.5)
             try:
-                el = lz.log_ratio("el", s, 0.5, theta).value
+                el = lz.log_ratio("el", s, 0.5, theta)
             except lz.ConvexHullViolation:
                 continue
-            tel = lz.log_ratio("tel", s, 0.5, theta).value
-            ael = lz.log_ratio("ael", s, 0.5, theta).value
-            tael = lz.log_ratio("tael", s, 0.5, theta).value
+            tel = lz.log_ratio("tel", s, 0.5, theta)
+            ael = lz.log_ratio("ael", s, 0.5, theta)
+            tael = lz.log_ratio("tael", s, 0.5, theta)
             assert tel <= el and tael <= ael
+
+
+class TestAgainstOracle:
+    """log_ratio of every kind against the scipy-brentq oracle in conftest."""
+
+    def test_matches_oracle(self, rng):
+        checked_outside = 0
+        for _ in range(50):
+            n = int(rng.integers(5, 201))
+            s = lz.Sample(random_positive_data(rng, n))
+            t = float(rng.uniform(0.2, 0.9))
+            v = lz.truncated_values(s, t)
+            lo, hi = float(v.min()), float(v.max())
+            inside = [lo + f * (hi - lo) for f in rng.uniform(0.02, 0.98, 3)]
+            beyond = [hi + f * (hi - lo) for f in rng.uniform(0.01, 5.0, 2)]
+            beyond.append(lo - float(rng.uniform(0.01, 5.0)) * (hi - lo))
+            for theta in inside + beyond:
+                for kind in lz.VariantKind:
+                    want = oracle_log_ratio(v, theta, kind.value, n)
+                    if not math.isfinite(want):
+                        assert not kind.adjusted
+                        with pytest.raises(lz.ConvexHullViolation):
+                            lz.log_ratio(kind, s, t, theta)
+                        checked_outside += 1
+                        continue
+                    assert lz.log_ratio(kind, s, t, theta) == pytest.approx(
+                        want, rel=1e-9, abs=0)
+        assert checked_outside == 50 * 3 * 2  # EL and TEL at every theta beyond
