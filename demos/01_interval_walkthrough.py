@@ -46,8 +46,7 @@ print(f"\nscale factor = {sf.ratio:.6f} "
 # Step 5: invert the scaled statistic at the 95% level.  TEL contains
 # EL and TAEL contains AEL by construction.
 print(f"\n95% confidence intervals for theta({t}):")
-level = lz.SignificanceLevel(0.05)
 for kind in lz.VariantKind:
-    ci = lz.invert(kind, s, t, level)
+    ci = lz.invert(kind, s, t, 0.05)
     print(f"  {kind.value:>4}: [{ci.lower:.6f}, {ci.upper:.6f}] "
           f"length {ci.length:.6f}")

@@ -51,12 +51,11 @@ lz.write_curve_csv(pts, out, precision=6)
 print(f"curve written to {out.resolve()} (mean income {pts.mu_hat:,.2f})")
 
 # Interval table at the deciles, EL vs TAEL.
-level = lz.SignificanceLevel(0.05)
 print(f"\n{'t':>4} {'estimate':>12} {'EL interval':>28} {'TAEL length':>12}")
 for t in (0.1, 0.25, 0.5, 0.75, 0.9):
     theta = lz.point_estimate(s, t)
-    el = lz.invert("el", s, t, level)
-    tael = lz.invert("tael", s, t, level)
+    el = lz.invert("el", s, t, 0.05)
+    tael = lz.invert("tael", s, t, 0.05)
     print(f"{t:4.2f} {theta:12.3f} "
           f"[{el.lower:12.3f}, {el.upper:12.3f}] {tael.length:12.3f}")
 

@@ -8,7 +8,7 @@ statistic is then compared against the chi-square(1) critical value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -19,7 +19,6 @@ from .variants import log_ratio
 
 __all__ = [
     "ScaleFactor",
-    "SignificanceLevel",
     "scale_factor",
     "chi2_crit",
     "scaled_statistic",
@@ -33,22 +32,6 @@ class ScaleFactor:
     sigma_p_sq: float
     sigma_v_sq: float
     ratio: float
-
-
-@dataclass(frozen=True)
-class SignificanceLevel:
-    """Significance level alpha with its chi-square(1) critical value."""
-
-    alpha: float
-    chi2_crit: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "chi2_crit", chi2_crit(self.alpha))
-
-    @property
-    def level(self) -> float:
-        """Nominal coverage 1 - alpha."""
-        return 1.0 - self.alpha
 
 
 def chi2_crit(alpha: float) -> float:

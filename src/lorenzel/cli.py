@@ -1,19 +1,19 @@
 """Command-line interface: interval construction, simulation, curves.
 
-Exit codes: 0 success, 2 usage error, 3 unreadable/malformed input data,
-4 numerical failure (degenerate variance, unbracketed endpoint, ...).
+Exit codes: 0 success, 2 usage error, 3 unreadable or malformed input
+data or unwritable output, 4 numerical failure (degenerate variance,
+unbracketed endpoint, ...).
 """
 from __future__ import annotations
 
 import argparse
-import csv
+import os
 import sys
 from typing import Optional
 
-from .calibration import SignificanceLevel
-from .core import Sample, VariantKind, point_estimate
+from .core import VariantKind, point_estimate
 from .errors import FileError, LorenzELError, SchemaError
-from .income import curve, load_csv, write_curve_csv
+from .income import _fmt, _write_table, curve, load_csv, write_curve_csv
 from .intervals import invert
 from .populations import ChiSquare, SeedSpec, SkewNormal, Weibull
 from .simulation import ExperimentConfig, run_experiment, write_results_csv
@@ -88,12 +88,6 @@ def _parse_methods(spec: str) -> tuple:
     return tuple(dict.fromkeys(out))
 
 
-def _open_out(path: Optional[str]):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lorenzel",
@@ -157,25 +151,17 @@ def _cmd_ci(args) -> int:
     if table.n < 2:
         raise FileError(f"{args.input}: need at least 2 usable rows, got {table.n}")
     smp = table.sample()
-    level = SignificanceLevel(args.alpha)
     prec = None if args.raw else 4
 
-    def fmt(x: float) -> str:
-        return repr(float(x)) if prec is None else f"{x:.{prec}f}"
-
-    fh, own = _open_out(args.output)
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "estimate", "method", "lower", "upper", "length"])
+    def rows():
         for t in args.t:
             est = point_estimate(smp, t)
             for kind in args.methods:
-                ci = invert(kind, smp, t, level)
-                writer.writerow([f"{t:.10g}", fmt(est), kind.value,
-                                 fmt(ci.lower), fmt(ci.upper), fmt(ci.length)])
-    finally:
-        if own:
-            fh.close()
+                ci = invert(kind, smp, t, args.alpha)
+                yield [f"{t:.10g}", _fmt(est, prec), kind.value,
+                       _fmt(ci.lower, prec), _fmt(ci.upper, prec), _fmt(ci.length, prec)]
+
+    _write_table(args.output, ["t", "estimate", "method", "lower", "upper", "length"], rows())
     return 0
 
 
@@ -195,8 +181,11 @@ def _cmd_simulate(args) -> int:
             meth = res.method.value if res.method else "point"
             print(f"cell {done}/{total}: n={res.n} t={res.t:g} method={meth}",
                   file=sys.stderr, flush=True)
-    results = run_experiment(cfg, workers=args.workers, progress=progress)
-    write_results_csv(results, cfg, args.output, precision=None if args.raw else 4)
+
+    def results():  # drawn lazily, so the output is opened before the study runs
+        yield from run_experiment(cfg, workers=args.workers, progress=progress)
+
+    write_results_csv(results(), cfg, args.output, precision=None if args.raw else 4)
     return 0
 
 
@@ -205,8 +194,6 @@ def _sanitize(label: str) -> str:
 
 
 def _cmd_curve(args) -> int:
-    import os
-
     table = load_csv(args.input, args.value_column, args.group_column)
     step = args.grid_step
     if not 0.0 < step < 1.0:
@@ -233,7 +220,10 @@ def _cmd_curve(args) -> int:
         if sub.n < 2:
             raise FileError(f"group {label!r}: need at least 2 usable rows, got {sub.n}")
         curves.append((label, curve(sub.sample(), grid)))
-    os.makedirs(args.output_dir, exist_ok=True)
+    try:
+        os.makedirs(args.output_dir, exist_ok=True)
+    except OSError as exc:
+        raise FileError(f"cannot write {args.output_dir}: {exc}")
     for label, pts in curves:
         path = os.path.join(args.output_dir, f"curve_{_sanitize(label)}.csv")
         write_curve_csv(pts, path, precision=prec)

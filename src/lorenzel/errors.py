@@ -1,6 +1,17 @@
 """Exception hierarchy for empirical-likelihood Lorenz inference."""
 from __future__ import annotations
 
+__all__ = [
+    "LorenzELError",
+    "ConvexHullViolation",
+    "NonFinite",
+    "DegenerateVariance",
+    "BracketFailure",
+    "DomainError",
+    "FileError",
+    "SchemaError",
+]
+
 
 class LorenzELError(Exception):
     """Base class for all errors raised by this package."""
@@ -39,7 +50,7 @@ class DomainError(LorenzELError, ValueError):
 
 
 class FileError(LorenzELError):
-    """An input file could not be read."""
+    """An input file could not be read, or an output could not be written."""
 
 
 class SchemaError(LorenzELError):

@@ -67,35 +67,34 @@ def load_csv(path, value_column: str, group_column: Optional[str] = None) -> Inc
     ``warnings.warn``.  Raises FileError when the file cannot be read and
     SchemaError when a requested column is absent.
     """
-    try:
-        fh = open(path, "r", newline="", encoding="utf-8-sig")
-    except OSError as exc:
-        raise FileError(f"cannot read {path}: {exc}")
     values: list[float] = []
     groups: list = []
     dropped = 0
-    with fh:
-        reader = csv.DictReader(fh)
-        names = reader.fieldnames or []
-        if value_column not in names:
-            raise SchemaError(f"column {value_column!r} not found in {path} "
-                              f"(have: {', '.join(names)})")
-        if group_column is not None and group_column not in names:
-            raise SchemaError(f"column {group_column!r} not found in {path} "
-                              f"(have: {', '.join(names)})")
-        for row in reader:
-            raw = row.get(value_column)
-            try:
-                val = float(raw)
-            except (TypeError, ValueError):
-                dropped += 1
-                continue
-            if not math.isfinite(val):
-                dropped += 1
-                continue
-            values.append(val)
-            if group_column is not None:
-                groups.append(row.get(group_column))
+    try:
+        with open(path, "r", newline="", encoding="utf-8-sig") as fh:
+            reader = csv.DictReader(fh)
+            names = reader.fieldnames or []
+            if value_column not in names:
+                raise SchemaError(f"column {value_column!r} not found in {path} "
+                                  f"(have: {', '.join(names)})")
+            if group_column is not None and group_column not in names:
+                raise SchemaError(f"column {group_column!r} not found in {path} "
+                                  f"(have: {', '.join(names)})")
+            for row in reader:
+                raw = row.get(value_column)
+                try:
+                    val = float(raw)
+                except (TypeError, ValueError):
+                    dropped += 1
+                    continue
+                if not math.isfinite(val):
+                    dropped += 1
+                    continue
+                values.append(val)
+                if group_column is not None:
+                    groups.append(row.get(group_column))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FileError(f"cannot read {path}: {exc}")
     if dropped:
         warnings.warn(f"dropped {dropped} unusable row(s) from {path}")
     return IncomeTable(values=np.asarray(values, dtype=float),
@@ -135,23 +134,41 @@ def curve(s: Sample, grid: Sequence[float]) -> CurvePoints:
 def write_curve_csv(points: CurvePoints, dest, precision: Optional[int] = None) -> None:
     """Write columns t,lorenz,generalized,diagonal (diagonal = t, the line
     of perfect equality, for plotting convenience)."""
-    own = False
+    _write_table(dest, ["t", "lorenz", "generalized", "diagonal"],
+                 ([f"{t:.10g}", _fmt(lz, precision), _fmt(gl, precision), f"{t:.10g}"]
+                  for t, lz, gl in zip(points.grid, points.lorenz, points.generalized)))
+
+
+def _fmt(x, precision: Optional[int]) -> str:
+    """A table cell: "" for None, full-precision repr when ``precision`` is
+    None, otherwise fixed-point (either way a nan of any sign is "nan")."""
+    if x is None:
+        return ""
+    x = float(x)
+    return repr(x) if precision is None else f"{x:.{precision}f}"
+
+
+def _write_table(dest, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a CSV table to ``dest``: '-' (stdout), a text file object, or a
+    path, which is opened before the first row is drawn from ``rows``.
+
+    Rows are written as they come, so a table whose rows fail partway
+    keeps the header and the rows before the failure.  Raises FileError
+    when the path cannot be opened for writing.
+    """
     if dest == "-":
         fh = sys.stdout
     elif hasattr(dest, "write"):
         fh = dest
     else:
-        fh = open(dest, "w", newline="")
-        own = True
-
-    def fmt(x: float) -> str:
-        return repr(float(x)) if precision is None else f"{x:.{precision}f}"
-
+        try:
+            fh = open(dest, "w", newline="")
+        except OSError as exc:
+            raise FileError(f"cannot write {dest}: {exc}")
     try:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "lorenz", "generalized", "diagonal"])
-        for t, lz, gl in zip(points.grid, points.lorenz, points.generalized):
-            writer.writerow([f"{t:.10g}", fmt(lz), fmt(gl), f"{t:.10g}"])
+        writer.writerow(header)
+        writer.writerows(rows)
     finally:
-        if own:
+        if fh is not dest and fh is not sys.stdout:
             fh.close()

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .calibration import SignificanceLevel, scale_factor
+from .calibration import chi2_crit, scale_factor
 from .core import Sample, VariantKind, _profile, truncated_values
 from .errors import BracketFailure, ConvexHullViolation, LorenzELError
 from .variants import _tel_inverse
@@ -133,8 +133,7 @@ def _search_side(stat: _Statistic, crit: float, theta_hat: float, start: float,
     )
 
 
-def invert(kind: VariantKind, s: Sample, t: float,
-           level: SignificanceLevel | float) -> ConfidenceInterval:
+def invert(kind: VariantKind, s: Sample, t: float, alpha: float) -> ConfidenceInterval:
     """Confidence interval for the generalized Lorenz ordinate at t.
 
     Parameters
@@ -143,11 +142,14 @@ def invert(kind: VariantKind, s: Sample, t: float,
         Which calibration of the log-ratio to invert.
     s, t : Sample, float
         Data and Lorenz abscissa.
-    level : SignificanceLevel or float
-        Significance spec; a bare float is taken as alpha.
+    alpha : float
+        Significance level in (0, 1); the interval has nominal coverage
+        1 - alpha.
 
     Raises
     ------
+    DomainError
+        When alpha lies outside (0, 1).
     BracketFailure
         When the statistic never reaches the critical value inside the
         search domain on some side.  The partial interval (offending
@@ -160,8 +162,7 @@ def invert(kind: VariantKind, s: Sample, t: float,
         message names the side.
     """
     kind = VariantKind(kind)
-    if not isinstance(level, SignificanceLevel):
-        level = SignificanceLevel(float(level))
+    crit = chi2_crit(alpha)
     stat = _Statistic(kind.adjusted, s, t)
     theta_hat = float(stat.trunc.sum() / s.n)
     vmin = float(stat.trunc.min())
@@ -175,7 +176,6 @@ def invert(kind: VariantKind, s: Sample, t: float,
         dom_lo = vmin + _HULL_CLAMP * hull_w
         dom_hi = vmax - _HULL_CLAMP * hull_w
 
-    crit = level.chi2_crit
     search_crit = crit
     if kind.transformed:
         search_crit = stat.ratio * _tel_inverse(crit / stat.ratio, s.n)
@@ -188,7 +188,7 @@ def invert(kind: VariantKind, s: Sample, t: float,
                                    dom_hi, hull_w)
 
     ci = ConfidenceInterval(
-        lower=lower, upper=upper, level=level.level, kind=kind,
+        lower=lower, upper=upper, level=1.0 - float(alpha), kind=kind,
         iterations=stat.evals, lower_bracketed=lower_ok, upper_bracketed=upper_ok,
     )
     if not (lower_ok and upper_ok):

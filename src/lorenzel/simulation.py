@@ -9,18 +9,18 @@ count only the replications that produced an interval.
 """
 from __future__ import annotations
 
-import csv
 import math
-import sys
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from itertools import repeat
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .calibration import SignificanceLevel
 from .core import VariantKind, point_estimate
 from .errors import BracketFailure, ConvexHullViolation, DegenerateVariance, NonFinite
+from .income import _fmt, _write_table
 from .intervals import invert
 from .populations import Population, SeedSpec, sample, true_ordinate
 
@@ -88,7 +88,6 @@ def run_cell(cfg: ExperimentConfig, n: int, t: float,
              method: Optional[VariantKind] = None) -> CellResult:
     """Run all replications of one cell and summarize."""
     theta_true = true_ordinate(cfg.population, t)
-    level = SignificanceLevel(cfg.alpha) if method is not None else None
     estimates = np.empty(cfg.reps)
     covered = 0
     failures = 0
@@ -99,7 +98,7 @@ def run_cell(cfg: ExperimentConfig, n: int, t: float,
         if method is None:
             continue
         try:
-            ci = invert(method, smp, t, level)
+            ci = invert(method, smp, t, cfg.alpha)
         except _CI_FAILURES:
             failures += 1
             continue
@@ -118,11 +117,6 @@ def run_cell(cfg: ExperimentConfig, n: int, t: float,
                       coverage=coverage, mean_length=mean_length, failures=failures)
 
 
-def _cell_task(args):
-    cfg, n, t, method = args
-    return run_cell(cfg, n, t, method)
-
-
 def run_experiment(cfg: ExperimentConfig, workers: int = 1,
                    progress: Optional[Callable[[int, int, CellResult], None]] = None,
                    ) -> list[CellResult]:
@@ -130,69 +124,31 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
 
     ``workers`` > 1 distributes cells over processes; results are identical
     to the sequential schedule because streams depend only on (seed,
-    replication).  ``progress(done, total, result)`` is called as cells
-    finish.
+    replication).  ``progress(done, total, result)`` is called for each
+    cell in design order, as soon as it and every cell before it are done.
     """
     methods = cfg.methods if cfg.methods else (None,)
-    cells = [(n, t, m) for n in cfg.n_grid for t in cfg.t_grid for m in methods]
-    total = len(cells)
-    results: list[Optional[CellResult]] = [None] * total
-    if workers <= 1:
-        for i, (n, t, m) in enumerate(cells):
-            results[i] = run_cell(cfg, n, t, m)
+    ns, ts, ms = zip(*[(n, t, m) for n in cfg.n_grid for t in cfg.t_grid for m in methods])
+    results: list[CellResult] = []
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
+        cells = (pool.map if pool else map)(run_cell, repeat(cfg), ns, ts, ms)
+        for done, res in enumerate(cells, 1):
+            results.append(res)
             if progress is not None:
-                progress(i + 1, total, results[i])
-        return results  # type: ignore[return-value]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(_cell_task, (cfg, n, t, m)): i
-                   for i, (n, t, m) in enumerate(cells)}
-        done = 0
-        for fut in as_completed(futures):
-            i = futures[fut]
-            results[i] = fut.result()
-            done += 1
-            if progress is not None:
-                progress(done, total, results[i])
-    return results  # type: ignore[return-value]
+                progress(done, len(ns), res)
+    return results
 
 
-def _fmt(x, precision: Optional[int]) -> str:
-    if x is None:
-        return ""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if precision is None:
-        return repr(x)
-    return f"{x:.{precision}f}"
-
-
-def write_results_csv(results: list[CellResult], cfg: ExperimentConfig,
+def write_results_csv(results: Iterable[CellResult], cfg: ExperimentConfig,
                       dest, precision: Optional[int] = None) -> None:
     """Write one CSV row per cell: population,n,t,method,bias,mse,coverage,
     mean_length,failures.  ``dest`` is a path or a text file object ('-'
-    means stdout); ``precision`` rounds the float columns (None = full)."""
-    own = False
-    if dest == "-":
-        fh = sys.stdout
-    elif hasattr(dest, "write"):
-        fh = dest
-    else:
-        fh = open(dest, "w", newline="")
-        own = True
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["population", "n", "t", "method", "bias", "mse",
-                         "coverage", "mean_length", "failures"])
-        pop = str(cfg.population)
-        for r in results:
-            writer.writerow([
-                pop, r.n, f"{r.t:.10g}",
-                r.method.value if r.method is not None else "",
-                _fmt(r.bias, precision), _fmt(r.mse, precision),
-                _fmt(r.coverage, precision), _fmt(r.mean_length, precision),
-                r.failures,
-            ])
-    finally:
-        if own:
-            fh.close()
+    means stdout); ``precision`` rounds the float columns (None = full).
+    A path is opened before the first result is drawn from ``results``."""
+    pop = str(cfg.population)
+    _write_table(dest, ["population", "n", "t", "method", "bias", "mse",
+                        "coverage", "mean_length", "failures"],
+                 ([pop, r.n, f"{r.t:.10g}", r.method.value if r.method is not None else "",
+                   _fmt(r.bias, precision), _fmt(r.mse, precision),
+                   _fmt(r.coverage, precision), _fmt(r.mean_length, precision),
+                   r.failures] for r in results))

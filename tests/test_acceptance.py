@@ -23,7 +23,7 @@ from scipy import stats as sps
 import lorenzel as lz
 from conftest import oracle_ci, random_positive_data
 
-LEVEL = lz.SignificanceLevel(0.05)
+ALPHA = 0.05
 POPULATIONS = (
     lz.Weibull(1.0, 2.0),
     lz.ChiSquare(3.0),
@@ -125,8 +125,8 @@ def test_criterion_5_transform_nesting(capfd):
         s = lz.Sample(data)
         for outer_kind, inner_kind in (("tel", "el"), ("tael", "ael")):
             try:
-                inner = lz.invert(inner_kind, s, t, LEVEL)
-                outer = lz.invert(outer_kind, s, t, LEVEL)
+                inner = lz.invert(inner_kind, s, t, ALPHA)
+                outer = lz.invert(outer_kind, s, t, ALPHA)
             except lz.BracketFailure:
                 # the bounded statistic stayed under the critical value:
                 # its acceptance region is a superset by construction
@@ -172,7 +172,7 @@ def test_criterion_6_oracle_equivalence(capfd):
         n = int(rng.integers(10, 51))
         data = random_positive_data(rng, n)
         t = float(rng.choice((0.2, 0.5, 0.8)))
-        ci = lz.invert("el", lz.Sample(data), t, LEVEL)
+        ci = lz.invert("el", lz.Sample(data), t, ALPHA)
         lo, hi = oracle_ci(data, t, 0.05, "el")
         worst = max(worst,
                     abs(ci.lower - lo) / max(abs(lo), 1e-12),
@@ -252,8 +252,8 @@ def test_criterion_9_income_snapshot(capfd):
                             "Median_Household_Income_2020")
     s = lz.load_csv(path, column).sample()
     theta = lz.point_estimate(s, 0.5)
-    el = lz.invert("el", s, 0.5, LEVEL)
-    tael = lz.invert("tael", s, 0.9, LEVEL)
+    el = lz.invert("el", s, 0.5, ALPHA)
+    tael = lz.invert("tael", s, 0.9, ALPHA)
     ok = (f"{theta:.3f}" == "23514.140"
           and abs(el.lower - 23312.6016) <= 1e-3 * 23312.6016
           and abs(el.upper - 23715.7678) <= 1e-3 * 23715.7678

@@ -86,18 +86,6 @@ class TestChi2Crit:
             lz.chi2_crit(alpha)
 
 
-class TestSignificanceLevel:
-    def test_derives_critical_value(self):
-        lev = lz.SignificanceLevel(0.05)
-        assert lev.chi2_crit == pytest.approx(3.841458820694124, abs=1e-9)
-        assert lev.level == pytest.approx(0.95)
-
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, -1.0])
-    def test_domain(self, alpha):
-        with pytest.raises(lz.DomainError):
-            lz.SignificanceLevel(alpha)
-
-
 class TestScaledStatistic:
     def test_zero_at_point_estimate(self):
         theta_hat = lz.point_estimate(TOY, 0.4)

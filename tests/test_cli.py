@@ -68,6 +68,13 @@ class TestCi:
                             "--value-column", "income"], capsys)
         assert code == 3 and "cannot read" in err
 
+    def test_non_utf8_input_is_exit_3(self, tmp_path, capsys):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"income\n1\n2\n\xff\n3\n")
+        code, out, err = run(["ci", "--input", str(p), "--value-column", "income",
+                              "--t", "0.5", "--methods", "el"], capsys)
+        assert code == 3 and "cannot read" in err and out == ""
+
     def test_missing_column_is_exit_3(self, income_csv, capsys):
         code, _, err = run(["ci", "--input", income_csv,
                             "--value-column", "wages"], capsys)
@@ -193,6 +200,24 @@ class TestCurve:
                             "income", "--groups", "AZ",
                             "--output-dir", str(tmp_path)], capsys)
         assert code == 2
+
+
+@pytest.mark.parametrize("command", ["ci", "simulate", "curve"])
+def test_unwritable_output_is_exit_3(command, income_csv, tmp_path, capsys):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    argv = {
+        "ci": ["ci", "--input", income_csv, "--value-column", "income",
+               "--t", "0.5", "--methods", "el", "--output", str(blocker / "x.csv")],
+        "simulate": ["simulate", "--n", "10", "--t", "0.5", "--reps", "2",
+                     "--methods", "el", "--output", str(blocker / "x.csv")],
+        "curve": ["curve", "--input", income_csv, "--value-column", "income",
+                  "--output-dir", str(blocker)],
+    }[command]
+    code, out, err = run(argv, capsys)
+    assert code == 3 and "cannot write" in err
+    # the destination is opened before any work, so simulate runs no cell
+    assert out == "" and "cell " not in err
 
 
 class TestParser:

@@ -24,7 +24,7 @@ class TestToyInterval:
         assert ci.upper == pytest.approx(0.9824073976145135, rel=1e-6)
 
     def test_fields(self):
-        ci = lz.invert(lz.VariantKind.EL, TOY, 0.4, lz.SignificanceLevel(0.05))
+        ci = lz.invert(lz.VariantKind.EL, TOY, 0.4, 0.05)
         assert ci.kind is lz.VariantKind.EL
         assert ci.level == pytest.approx(0.95)
         assert ci.lower_bracketed and ci.upper_bracketed
@@ -34,8 +34,12 @@ class TestToyInterval:
 
     def test_float_level_means_alpha(self):
         a = lz.invert("el", TOY, 0.4, 0.05)
-        b = lz.invert("el", TOY, 0.4, lz.SignificanceLevel(0.05))
+        b = lz.invert("el", TOY, 0.4, np.float64(0.05))
         assert (a.lower, a.upper) == (b.lower, b.upper)
+        assert a.level == b.level == 1.0 - 0.05 and type(b.level) is float
+        for alpha in (0.0, 1.0):
+            with pytest.raises(lz.DomainError):
+                lz.invert("el", TOY, 0.4, alpha)
 
     def test_all_kinds_against_oracle(self):
         for kind in lz.VariantKind:
@@ -174,7 +178,6 @@ class TestSearchBudget:
 class TestEvaluationBudget:
     def test_few_evaluations_and_covered_edges(self):
         pops = [lz.Weibull(1.0, 2.0), lz.ChiSquare(3.0), lz.SkewNormal(1.0, 3.0, 5.0)]
-        level = lz.SignificanceLevel(0.05)
         evals = {kind: [] for kind in lz.VariantKind}
         for p, pop in enumerate(pops):
             for n in (50, 300):
@@ -184,9 +187,9 @@ class TestEvaluationBudget:
                         ratio = lz.scale_factor(s, t).ratio
                         hull_w = float(np.ptp(lz.truncated_values(s, t)))
                         for kind in lz.VariantKind:
-                            ci = lz.invert(kind, s, t, level)
+                            ci = lz.invert(kind, s, t, 0.05)
                             evals[kind].append(ci.iterations)
-                            crit = level.chi2_crit
+                            crit = lz.chi2_crit(0.05)
                             if kind.transformed:
                                 crit = ratio * _tel_inverse(crit / ratio, s.n)
                             base = "ael" if kind.adjusted else "el"

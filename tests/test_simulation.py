@@ -114,9 +114,12 @@ class TestRunExperiment:
 
     def test_workers_do_not_change_results(self):
         cfg = small_cfg(n_grid=(10,), t_grid=(0.3, 0.6), methods=("el",), reps=6)
-        seq = lz.run_experiment(cfg, workers=1)
-        par = lz.run_experiment(cfg, workers=2)
+        calls = {1: [], 2: []}
+        seq = lz.run_experiment(cfg, workers=1, progress=lambda *a: calls[1].append(a))
+        par = lz.run_experiment(cfg, workers=2, progress=lambda *a: calls[2].append(a))
         assert seq == par
+        # progress reports cells in design order under either schedule
+        assert calls[1] == calls[2] == [(i + 1, 2, res) for i, res in enumerate(seq)]
 
 
 class TestCsv:
