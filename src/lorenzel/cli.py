@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 usage error, 3 unreadable or malformed input
 data or unwritable output, 4 numerical failure (degenerate variance,
-unbracketed endpoint, ...).
+unbracketed endpoint, ...), 141 standard output closed early (a broken
+pipe, as in ``lorenzel ci ... | head -1``).
 """
 from __future__ import annotations
 
@@ -204,36 +205,54 @@ def _cmd_curve(args) -> int:
     while (t := round(k * step, 12)) < 1.0:
         grid.append(t)
         k += 1
-    jobs = [("ALL", table)]
+    groups = []
     if args.groups is not None:
         if args.group_column is None:
             print("lorenzel curve: --groups requires --group-column", file=sys.stderr)
             return 2
-        for label in args.groups.split(","):
-            label = label.strip()
-            jobs.append((label, table.filter(label)))
+        groups = [label.strip() for label in args.groups.split(",")]
+    # _sanitize is not one-to-one, so two labels can ask for one file
+    names = ["curve_ALL.csv"] + [f"curve_{_sanitize(label)}.csv" for label in groups]
+    labels = ["the pooled table"] + [f"group {label!r}" for label in groups]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            print(f"lorenzel curve: {labels[names.index(name)]} and {labels[i]} "
+                  f"would both be written to {name}", file=sys.stderr)
+            return 2
+    subs = [table] + [table.filter(label) for label in groups]
     prec = None if args.raw else 4
     # every group is computed before any file is written, so a failing
     # group leaves no partial set of files behind
     curves = []
-    for label, sub in jobs:
+    for label, sub in zip(labels, subs):
         if sub.n < 2:
-            raise FileError(f"group {label!r}: need at least 2 usable rows, got {sub.n}")
-        curves.append((label, curve(sub.sample(), grid)))
+            raise FileError(f"{label}: need at least 2 usable rows, got {sub.n}")
+        curves.append(curve(sub.sample(), grid))
     try:
         os.makedirs(args.output_dir, exist_ok=True)
     except OSError as exc:
         raise FileError(f"cannot write {args.output_dir}: {exc}")
-    for label, pts in curves:
-        path = os.path.join(args.output_dir, f"curve_{_sanitize(label)}.csv")
+    for name, pts in zip(names, curves):
+        path = os.path.join(args.output_dir, name)
         write_curve_csv(pts, path, precision=prec)
         print(path)
     return 0
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()  # a closed pipe shows here at the latest
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (``lorenzel ci ... | head -1``); point
+        # stdout at devnull so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, what a shell reports for a killed writer
+
+
+def _run(args) -> int:
     try:
         if args.command == "ci":
             return _cmd_ci(args)

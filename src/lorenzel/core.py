@@ -5,7 +5,9 @@ is estimated from a sorted sample, and candidate values of theta are
 profiled through the empirical likelihood: observation weights p_i maximize
 prod(p_i) subject to sum(p_i) = 1 and sum(p_i * W_i) = 0, where
 W_i = X_i 1(X_i <= psi_hat) - theta.  The inner maximization reduces to a
-one-dimensional root-find for the Lagrange multiplier lambda.
+one-dimensional root-find for the Lagrange multiplier lambda.  At an
+interval endpoint, theta and lambda are found together instead, by
+Newton steps on both equations (``_joint_step``).
 """
 from __future__ import annotations
 
@@ -178,10 +180,10 @@ def solve_lambda(w, lam0: float | None = None) -> LagrangeSolution:
     w = np.asarray(w, dtype=float).ravel()
     if w.size == 0:
         raise ValueError("empty deviation vector")
-    if not np.all(np.isfinite(w)):
-        raise NonFinite("deviation vector contains non-finite entries")
     wmin = float(w.min())
     wmax = float(w.max())
+    if not (math.isfinite(wmin) and math.isfinite(wmax)):  # nan propagates
+        raise NonFinite("deviation vector contains non-finite entries")
     if not (wmin < 0.0 < wmax):
         raise ConvexHullViolation(
             "zero is not interior to the convex hull of the deviations "
@@ -193,7 +195,8 @@ def solve_lambda(w, lam0: float | None = None) -> LagrangeSolution:
     lo += eps
     hi -= eps
 
-    target = 1e-13 * float(np.mean(np.abs(w)))
+    m = w.size
+    target = 1e-13 * (float(np.abs(w).sum()) / m)
     lam = 0.0
     if lam0 is not None and lo < lam0 < hi:
         lam = float(lam0)
@@ -204,7 +207,7 @@ def solve_lambda(w, lam0: float | None = None) -> LagrangeSolution:
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(200):
             r = w / (1.0 + lam * w)
-            g = float(np.mean(r))
+            g = float(r.sum()) / m
             if not math.isfinite(g):
                 raise NonFinite("estimating equation overflowed")
             if abs(g) <= target and abs(lam * g) <= 2.5e-13:
@@ -215,7 +218,7 @@ def solve_lambda(w, lam0: float | None = None) -> LagrangeSolution:
                 hi = lam
             if hi - lo <= 1e-14:
                 break
-            slope = -float(np.mean(r * r))
+            slope = -float(r @ r) / m
             step = lam - g / slope if slope < 0.0 and math.isfinite(slope) else math.inf
             lam = step if lo < step < hi else 0.5 * (lo + hi)
 
@@ -247,12 +250,86 @@ def _profile(v: np.ndarray, theta: float, adjusted: bool,
     n = w.size
     if adjusted:
         a = adjustment_factor(n)
-        pseudo = -a * float(w.mean())
+        pseudo = -a * (float(w.sum()) / n)
         w = np.append(w, pseudo)
     lam = solve_lambda(w, lam0=lam0).lam
-    val = max(2.0 * float(np.sum(np.log1p(lam * w))), 0.0)
+    val = max(2.0 * float(np.log1p(lam * w).sum()), 0.0)
     if adjusted:
         slope = 2.0 * lam * ((1.0 + a) / (1.0 + lam * pseudo) - (n + 1))
     else:
         slope = -2.0 * n * lam
     return val, slope, lam
+
+
+# Halvings a joint step may take to stay admissible before it counts as stalled.
+_MAX_HALVINGS = 8
+
+
+def _joint_step(v: np.ndarray, theta: float, lam: float | None, adjusted: bool,
+                target: float, lo: float, hi: float,
+                hull: tuple[float, float]) -> tuple[float, float, float] | None:
+    """One damped Newton step on (theta, lam) towards an interval endpoint.
+
+    An endpoint solves F1 = sum(w / d) = 0 and F2 = 2 sum(log d) - target = 0
+    together, with d = 1 + lam w and w as in ``_profile``, so no inner
+    solve for lam is needed.  One pass over v gives F1, F2 and the Jacobian
+
+        [[-sum(w^2 / d^2), sum(w' / d^2)], [2 F1, 2 lam sum(w' / d)]],
+
+    where w' = dw/dtheta is -1 for the data and +a_n for the AEL
+    pseudo-deviation, which is carried as a scalar.  ``lam=None`` starts
+    from lam = sum(w) / sum(w^2), one Newton step on F1 from zero.  The
+    step is halved until theta lies strictly inside (lo, hi) and every d
+    stays positive; d is linear in w, so that is checked at the ends of
+    ``hull``, the (min, max) of v.  Returns the new theta and lam with the
+    length of the full theta step, or None when F is not finite or the
+    step needs more than _MAX_HALVINGS halvings.
+    """
+    n = v.size
+    w = v - theta
+    a = 0.0
+    pseudo = 0.0
+    if adjusted:
+        a = adjustment_factor(n)
+        pseudo = -a * (float(w.sum()) / n)
+    vmin, vmax = hull
+
+    def admissible(theta: float, lam: float, pseudo: float) -> bool:
+        return (lo < theta < hi and 1.0 + lam * (vmin - theta) > 0.0
+                and 1.0 + lam * (vmax - theta) > 0.0 and 1.0 + lam * pseudo > 0.0)
+
+    if lam is None:
+        lam = (float(w.sum()) + pseudo) / (float(w @ w) + pseudo * pseudo)
+        for _ in range(_MAX_HALVINGS):
+            if admissible(theta, lam, pseudo):
+                break
+            lam *= 0.5
+        else:
+            return None
+    dp = 1.0 + lam * pseudo
+    if not dp > 0.0:
+        return None
+    # every d is at least the value at an end of the hull, which the
+    # admissibility check computed in the same floating-point operations,
+    # so d > 0 here and 1/d and log(d) are finite
+    d = lam * w
+    d += 1.0
+    q = 1.0 / d
+    r = w * q
+    f1 = float(r.sum()) + pseudo / dp
+    f2 = 2.0 * (float(np.log(d).sum()) + math.log(dp)) - target
+    a11 = -float(r @ r) - (pseudo / dp) ** 2
+    a12 = a / (dp * dp) - float(q @ q)
+    a22 = 2.0 * lam * (a / dp - float(q.sum()))
+    det = a11 * a22 - 2.0 * f1 * a12
+    if not (math.isfinite(f2) and math.isfinite(det) and det != 0.0):
+        return None
+    dlam = (a12 * f2 - a22 * f1) / det
+    dtheta = (2.0 * f1 * f1 - a11 * f2) / det
+    full = abs(dtheta)
+    for _ in range(_MAX_HALVINGS + 1):
+        if admissible(theta + dtheta, lam + dlam, pseudo + a * dtheta):
+            return theta + dtheta, lam + dlam, full
+        dtheta *= 0.5
+        dlam *= 0.5
+    return None

@@ -3,19 +3,42 @@
 The interval at level 1 - alpha collects every theta whose scaled ratio
 stays at or below the chi-square(1) critical value.  The EL and AEL
 statistics are nondecreasing away from the point estimate, so each side
-holds one crossing.  It is found by a safeguarded Newton search on
-sqrt(stat) - sqrt(crit), which is nearly linear in theta, started from
-the Wald point.  The search keeps a bracket [inner, outer] around the
-crossing.  A step that leaves the bracket, that comes from a non-finite
-value, or that is longer than half the step before last (the safeguard
-of rtsafe, Numerical Recipes section 9.4) is replaced by bisection.  The
-search stops once the bracket is narrower than 1e-8 relative and returns
-its inner, covered, edge.  It raises LorenzELError rather than return an
-unconverged endpoint when its evaluation budget runs out.
+holds one crossing.  Each side is one loop with two kinds of step.
 
-The slope costs nothing extra.  The profile kernel (``core._profile``)
-returns it with the ratio, from the Lagrange multiplier the evaluation
-already solved, by the envelope theorem.
+Joint steps.  The crossing and its Lagrange multiplier solve two
+equations together, sum(w / (1 + lam w)) = 0 and
+2 sum(log(1 + lam w)) = crit / r, with w = V - theta and r the variance
+ratio (Hall & La Scala 1990; Owen 2001, ch. 3).  A Newton step on
+(lam, theta) takes one pass over the data and solves no inner equation
+for lam (``core._joint_step``).  It is halved until every 1 + lam w
+stays positive and theta stays between the point estimate and the
+search boundary.  Joint steps start from the Wald point, or from halfway
+to the boundary when the Wald point lies beyond it.
+
+Certified steps.  These are full evaluations of the statistic (the
+profile kernel ``core._profile``), and only they move the bracket
+[inner, outer] around the crossing.  When a joint theta step falls below
+the stopping tolerance, the joint root is evaluated, warm-started from
+the joint lam, and so is a point half a tolerance beyond it if it is
+covered, or inside it if not.  The bracket is then closed by the
+stopping rule below.
+
+Safeguard.  A joint step that needs more than ``core._MAX_HALVINGS``
+halvings, or that is longer than half of each of the two joint steps
+before it, has stalled; so has a certification that leaves the bracket
+open.  From then on the side takes certified steps: Newton on
+sqrt(stat) - sqrt(crit), which is nearly linear in theta, with the slope
+that the evaluation returns by the envelope theorem.  A step that leaves
+the bracket, that comes from a non-finite value, or that is longer than
+half the step before last (the safeguard of rtsafe, Numerical Recipes
+section 9.4) is replaced by bisection, or by the search boundary while
+nothing beyond the crossing has been seen.  A side whose statistic stays
+at or below crit out to the boundary ends there, unbracketed.
+
+The search stops once the bracket is narrower than 1e-8 relative and
+returns its inner, covered, edge.  Both kinds of step count against one
+budget of passes per side; the search raises LorenzELError rather than
+return an unconverged endpoint when it runs out.
 
 The TEL transform T is increasing, so r * T(l) <= crit exactly when
 r * l <= r * T^-1(crit / r), with r the variance ratio.  A TEL (TAEL)
@@ -28,7 +51,7 @@ import math
 from dataclasses import dataclass
 
 from .calibration import chi2_crit, scale_factor
-from .core import Sample, VariantKind, _profile, truncated_values
+from .core import Sample, VariantKind, _joint_step, _profile, truncated_values
 from .errors import BracketFailure, ConvexHullViolation, LorenzELError
 from .variants import _tel_inverse
 
@@ -38,17 +61,18 @@ __all__ = ["ConfidenceInterval", "invert"]
 # search domain are reported at the domain edge with bracketed=False.
 _AEL_CAP_MULTIPLE = 10.0  # cap = theta_hat +/- 10 * hull width
 _HULL_CLAMP = 1e-12  # relative inset keeping EL probes strictly inside the hull
-# Statistic evaluations allowed per side.  Bisection alone closes any
-# bracket to the stopping tolerance in at most 54 steps.
-_MAX_EVALS = 100
+# Passes over the data (joint steps and statistic evaluations) allowed per
+# side.  Bisection alone closes any bracket to the stopping tolerance in at
+# most 54 steps.
+_MAX_PASSES = 100
 
 
 @dataclass(frozen=True)
 class ConfidenceInterval:
     """A two-sided confidence interval for the generalized Lorenz ordinate.
 
-    ``iterations`` counts the statistic evaluations of the endpoint
-    search, over both sides.
+    ``iterations`` counts the passes over the data of the endpoint
+    search, joint steps plus certified evaluations, over both sides.
     """
 
     lower: float
@@ -65,43 +89,77 @@ class ConfidenceInterval:
 
 
 class _Statistic:
-    """Scaled EL or AEL log-ratio and its slope in theta, with eval counting.
+    """Scaled EL or AEL log-ratio and its slope in theta, with pass counting.
 
-    The truncated values, variance ratio, and Lagrange warm start are
-    cached across evaluations; outside the hull the EL statistic is
-    +inf (slope nan) by convention.
+    The truncated values, their hull, the variance ratio, and the Lagrange
+    warm start are cached across evaluations; outside the hull the EL
+    statistic is +inf (slope nan) by convention.  ``passes`` counts the
+    passes over the data: statistic evaluations and joint steps.
     """
 
     def __init__(self, adjusted: bool, s: Sample, t: float) -> None:
         self.adjusted = adjusted
         self.trunc = truncated_values(s, t)
+        self.hull = (float(self.trunc.min()), float(self.trunc.max()))
         self.scale = scale_factor(s, t)
         self.ratio = self.scale.ratio
-        self.evals = 0
+        self.passes = 0
         self._lam = None
 
     def __call__(self, theta: float) -> tuple[float, float]:
-        self.evals += 1
+        self.passes += 1
         try:
             val, slope, self._lam = _profile(self.trunc, theta, self.adjusted, self._lam)
         except ConvexHullViolation:
             return math.inf, math.nan
         return self.ratio * val, self.ratio * slope
 
+    def joint(self, theta: float, lam: float | None, crit: float, lo: float,
+              hi: float) -> tuple[float, float, float] | None:
+        """One joint Newton step towards r * l(theta) = crit (``core._joint_step``)."""
+        self.passes += 1
+        return _joint_step(self.trunc, theta, lam, self.adjusted, crit / self.ratio,
+                           lo, hi, self.hull)
+
 
 def _search_side(stat: _Statistic, crit: float, theta_hat: float, start: float,
                  bound: float, hull_w: float) -> tuple[float, bool]:
     """Locate the crossing between theta_hat and bound (either side).
 
-    Returns the inner (covered) edge of the final bracket, or the bound
-    with False when the statistic stays at or below crit out to it.
+    Joint steps run from ``start`` until they converge or stall, then
+    certified steps finish the side (see the module docstring).  Returns
+    the inner (covered) edge of the final bracket, or the bound with False
+    when the statistic stays at or below crit out to it.
     """
     inner, outer = theta_hat, bound
     crossed = False  # outer has been seen above crit, not merely assumed
     root_crit = math.sqrt(crit)
-    theta, prev = start, theta_hat
-    step = prev_step = abs(bound - theta_hat)
-    for _ in range(_MAX_EVALS):
+    out = math.copysign(1.0, bound - theta_hat)
+    lo, hi = min(theta_hat, bound), max(theta_hat, bound)
+    theta = start if lo < start < hi else 0.5 * (theta_hat + bound)
+    lam = None
+    joint = True  # joint steps until they converge or stall
+    probe = False  # the next certified step checks the other side of theta
+    prev = theta_hat
+    step = prev_step = math.inf
+    for _ in range(_MAX_PASSES):
+        if joint:
+            nxt = stat.joint(theta, lam, crit, lo, hi)
+            # a joint step that must be halved too often, or that is longer
+            # than half of each of the two before it, has stalled
+            if nxt is None or nxt[2] > 0.5 * max(step, prev_step):
+                joint = False
+            else:
+                theta, lam, moved = nxt
+                prev_step, step = step, moved
+                probe = moved <= 1e-8 * abs(theta) + 1e-15 * hull_w
+                joint = not probe
+            if not joint:  # certified steps from here on, warm-started
+                stat._lam = lam  # from the joint lam, with a fresh step history
+                step = prev_step = abs(bound - theta_hat)
+            continue
+        # Certified step: a full evaluation, the only kind that moves the
+        # bracket.
         if not (theta - inner) * (outer - theta) > 0.0:  # outside the bracket, or nan
             theta = 0.5 * (inner + outer) if crossed else bound
         prev_step, step, prev = step, abs(theta - prev), theta
@@ -115,6 +173,13 @@ def _search_side(stat: _Statistic, crit: float, theta_hat: float, start: float,
         tol = 1e-8 * max(abs(inner), abs(outer)) + 1e-15 * hull_w
         if crossed and abs(outer - inner) <= tol:
             return inner, True
+        if probe:
+            # the joint root is certified by a point just beyond it if it
+            # is covered, and just inside it if it is not
+            probe = False
+            half = 0.5 * (1e-8 * abs(theta) + 1e-15 * hull_w)
+            theta += out * half if val <= crit else -out * half
+            continue
         # Newton on sqrt(val) - sqrt(crit).  A step longer than half the one
         # before last is converging too slowly and becomes a bisection; a
         # step shorter than the tolerance is stretched to it so that the
@@ -128,8 +193,8 @@ def _search_side(stat: _Statistic, crit: float, theta_hat: float, start: float,
         theta += newton
     side = "lower" if bound < theta_hat else "upper"
     raise LorenzELError(
-        f"{side} endpoint search did not converge in {_MAX_EVALS} statistic "
-        f"evaluations (bracket [{min(inner, outer):.17g}, {max(inner, outer):.17g}])"
+        f"{side} endpoint search did not converge in {_MAX_PASSES} passes over "
+        f"the data (bracket [{min(inner, outer):.17g}, {max(inner, outer):.17g}])"
     )
 
 
@@ -158,15 +223,14 @@ def invert(kind: VariantKind, s: Sample, t: float, alpha: float) -> ConfidenceIn
     DegenerateVariance
         When the scale factor is undefined for (s, t).
     LorenzELError
-        When an endpoint search exhausts its evaluation budget; the
-        message names the side.
+        When an endpoint search exhausts its budget of passes over the
+        data; the message names the side.
     """
     kind = VariantKind(kind)
     crit = chi2_crit(alpha)
     stat = _Statistic(kind.adjusted, s, t)
     theta_hat = float(stat.trunc.sum() / s.n)
-    vmin = float(stat.trunc.min())
-    vmax = float(stat.trunc.max())
+    vmin, vmax = stat.hull
     hull_w = vmax - vmin
 
     if kind.adjusted:
@@ -183,13 +247,12 @@ def invert(kind: VariantKind, s: Sample, t: float, alpha: float) -> ConfidenceIn
     wald = math.sqrt(search_crit * stat.scale.sigma_v_sq / s.n)
     lower, lower_ok = _search_side(stat, search_crit, theta_hat, theta_hat - wald,
                                    dom_lo, hull_w)
-    stat._lam = None  # warm starts do not transfer across sides
     upper, upper_ok = _search_side(stat, search_crit, theta_hat, theta_hat + wald,
                                    dom_hi, hull_w)
 
     ci = ConfidenceInterval(
         lower=lower, upper=upper, level=1.0 - float(alpha), kind=kind,
-        iterations=stat.evals, lower_bracketed=lower_ok, upper_bracketed=upper_ok,
+        iterations=stat.passes, lower_bracketed=lower_ok, upper_bracketed=upper_ok,
     )
     if not (lower_ok and upper_ok):
         sides = [name for name, ok in (("lower", lower_ok), ("upper", upper_ok)) if not ok]

@@ -3,11 +3,16 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from lorenzel import cli
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @pytest.fixture
@@ -195,6 +200,25 @@ class TestCurve:
         assert list(tmp_path.glob("curves/curve_*.csv")) == []
         assert out == ""
 
+    @pytest.mark.parametrize("groups, first, second, name", [
+        ("A B,A_B", "group 'A B'", "group 'A_B'", "curve_A_B.csv"),
+        ("ALL", "the pooled table", "group 'ALL'", "curve_ALL.csv"),
+    ], ids=["sanitized", "pooled"])
+    def test_labels_sharing_a_file_are_exit_2(self, tmp_path, capsys, groups, first,
+                                             second, name):
+        # two labels whose sanitized file names coincide would overwrite one
+        # another; nothing is written and both are named
+        p = tmp_path / "groups.csv"
+        rows = [f"{v},{g}" for g in ("A B", "A_B", "ALL") for v in ("10", "20", "30")]
+        p.write_text("v,g\n" + "\n".join(rows) + "\n")
+        outdir = tmp_path / "curves"
+        code, out, err = run(["curve", "--input", str(p), "--value-column", "v",
+                              "--group-column", "g", "--groups", groups,
+                              "--output-dir", str(outdir)], capsys)
+        assert code == 2
+        assert first in err and second in err and name in err
+        assert out == "" and not outdir.exists()
+
     def test_groups_without_column_is_exit_2(self, income_csv, tmp_path, capsys):
         code, _, err = run(["curve", "--input", income_csv, "--value-column",
                             "income", "--groups", "AZ",
@@ -218,6 +242,27 @@ def test_unwritable_output_is_exit_3(command, income_csv, tmp_path, capsys):
     assert code == 3 and "cannot write" in err
     # the destination is opened before any work, so simulate runs no cell
     assert out == "" and "cell " not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ci", "--value-column", "income", "--t", "0.5", "--methods", "el"],
+    ["simulate", "--n", "10", "--t", "0.5", "--reps", "2", "--methods", "el", "--quiet"],
+], ids=["ci", "simulate"])
+def test_closed_stdout_is_exit_141(argv, income_csv):
+    # the reader of the pipe is gone before the first row is written, as
+    # with ``| head -1`` on a long table: no traceback, exit 128 + SIGPIPE
+    if argv[0] == "ci":
+        argv = argv[:1] + ["--input", income_csv] + argv[1:]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "lorenzel.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 class TestParser:

@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lorenzel as lz
-from lorenzel.core import _profile
+from conftest import random_positive_data
+from lorenzel.core import _joint_step, _profile
 
 TOY = lz.Sample([1.0, 2.0, 3.0, 4.0, 5.0])
 
@@ -201,3 +202,41 @@ class TestLogElRatio:
             return
         scaled = lz.log_ratio("el", lz.Sample([c * x for x in xs]), t, c * theta)
         assert scaled == pytest.approx(base, rel=1e-12, abs=1e-12)
+
+
+class TestJointStep:
+    def test_converges_quadratically_to_the_endpoint(self, rng):
+        # from 5% inside an endpoint, with the exact multiplier there, four
+        # joint steps land on the crossing; a wrong Jacobian term (the AEL
+        # pseudo-deviation's, say) leaves the steps shrinking only linearly
+        for _ in range(40):
+            n = int(rng.integers(15, 300))
+            s = lz.Sample(random_positive_data(rng, n))
+            t = float(rng.uniform(0.2, 0.9))
+            v = lz.truncated_values(s, t)
+            hull = (float(v.min()), float(v.max()))
+            theta_hat = lz.point_estimate(s, t)
+            target = lz.chi2_crit(0.05) / lz.scale_factor(s, t).ratio
+            for adjusted in (False, True):
+                ci = lz.invert("ael" if adjusted else "el", s, t, 0.05)
+                for end, lo, hi in ((ci.lower, hull[0], theta_hat),
+                                    (ci.upper, theta_hat, hull[1])):
+                    theta = end - 0.05 * (end - theta_hat)
+                    lam = _profile(v, theta, adjusted)[2]
+                    steps = []
+                    for _ in range(4):
+                        theta, lam, step = _joint_step(v, theta, lam, adjusted, target,
+                                                       lo, hi, hull)
+                        steps.append(step)
+                    assert steps[-1] <= 1e-12 * abs(end), (n, t, adjusted, steps)
+                    assert theta == pytest.approx(end, rel=2e-8)
+
+    def test_cold_start_and_stall(self):
+        # lam=None starts from the one-step multiplier; a step that cannot
+        # stay inside (lo, hi) comes back as None
+        v = lz.truncated_values(TOY, 0.4)  # (1, 2, 0, 0, 0), theta_hat 0.6
+        hull = (0.0, 2.0)
+        theta, lam, step = _joint_step(v, 0.9, None, False, 3.0, 0.6, 2.0, hull)
+        assert 0.6 < theta < 2.0 and lam < 0.0 and step > 0.0
+        assert _joint_step(v, 0.9, None, False, 3.0, 0.9 - 1e-9, 0.9 + 1e-9,
+                           hull) is None

@@ -160,14 +160,32 @@ class TestSlope:
 
 class TestSearchBudget:
     def test_exhausted_budget_raises(self, monkeypatch, rng):
-        # a slope a million times too steep makes every Newton step creep
-        # by the tolerance; the search must give up loudly, not return
+        # a joint step that never moves theta and reports steps shrinking by
+        # 0.7 each time, from an absurd length, neither converges nor stalls
+        # within the budget; the search must give up loudly, not return
+        lengths = iter(1e30 * 0.7 ** k for k in range(10**6))
+
+        def creeps(v, theta, lam, adjusted, target, lo, hi, hull):
+            return theta, 1.0 if lam is None else lam, next(lengths)
+
+        monkeypatch.setattr(intervals, "_joint_step", creeps)
+        s = lz.Sample(random_positive_data(rng, 40))
+        with pytest.raises(lz.LorenzELError, match="lower endpoint search") as exc_info:
+            lz.invert("el", s, 0.5, 0.05)
+        assert not isinstance(exc_info.value, lz.BracketFailure)
+        assert "100 passes" in str(exc_info.value)
+
+    def test_exhausted_budget_raises_in_the_safeguard(self, monkeypatch, rng):
+        # joint steps that stall at once hand over to certified steps; a
+        # slope a million times too steep makes each of those creep by the
+        # tolerance, and the one budget still runs out loudly
         true_call = intervals._Statistic.__call__
 
         def steep(self, theta):
             val, slope = true_call(self, theta)
             return val, 1e6 * slope
 
+        monkeypatch.setattr(intervals, "_joint_step", lambda *args: None)
         monkeypatch.setattr(intervals._Statistic, "__call__", steep)
         s = lz.Sample(random_positive_data(rng, 40))
         with pytest.raises(lz.LorenzELError, match="lower endpoint search") as exc_info:
@@ -205,3 +223,60 @@ class TestEvaluationBudget:
                                 assert stat > crit, (kind, n, t)
         for kind, counts in evals.items():
             assert np.mean(counts) <= 16.0, kind
+
+    def test_small_samples_through_the_safeguard(self, monkeypatch):
+        # at n <= 25 a share of the sides stall in the joint steps and are
+        # finished by certified steps; their endpoints must be as good
+        certified = []
+        true_call = intervals._Statistic.__call__
+        true_search = intervals._search_side
+
+        def counted_call(self, theta):
+            certified[-1] += 1
+            return true_call(self, theta)
+
+        def counted_search(*args):
+            certified.append(0)
+            return true_search(*args)
+
+        monkeypatch.setattr(intervals._Statistic, "__call__", counted_call)
+        monkeypatch.setattr(intervals, "_search_side", counted_search)
+        pops = [lz.Weibull(1.0, 2.0), lz.ChiSquare(3.0), lz.SkewNormal(1.0, 3.0, 5.0)]
+        crit = lz.chi2_crit(0.05)
+        unbracketed = 0
+        for p, pop in enumerate(pops):
+            for n in (5, 10, 15, 25):
+                for r in range(6):
+                    s = lz.sample(pop, n, lz.SeedSpec(master_seed=47, stream_id=p), r)
+                    for t in np.arange(1, 10) / 10.0:
+                        try:
+                            ratio = lz.scale_factor(s, t).ratio
+                        except lz.DegenerateVariance:
+                            continue
+                        trunc = lz.truncated_values(s, t)
+                        hull_w = float(np.ptp(trunc))
+                        theta_hat = lz.point_estimate(s, t)
+                        for kind in lz.VariantKind:
+                            try:
+                                ci = lz.invert(kind, s, t, 0.05)
+                            except lz.BracketFailure as exc:
+                                ci = exc.interval
+                            level = crit
+                            if kind.transformed:
+                                level = ratio * _tel_inverse(crit / ratio, n)
+                            base = "ael" if kind.adjusted else "el"
+                            sides = ((ci.lower, -1.0, ci.lower_bracketed),
+                                     (ci.upper, 1.0, ci.upper_bracketed))
+                            for theta, out, bracketed in sides:
+                                stat = lz.scaled_statistic(base, s, t, theta)
+                                assert stat <= level * (1.0 + 1e-12), (kind, n, t)
+                                if not bracketed:
+                                    unbracketed += 1
+                                    assert kind.adjusted
+                                    assert theta == pytest.approx(theta_hat + out * 10.0 * hull_w)
+                                    continue
+                                beyond = theta + out * (2e-8 * abs(theta) + 1e-14 * hull_w)
+                                assert lz.scaled_statistic(base, s, t, beyond) > level, (kind, n, t)
+        safeguarded = sum(c > 2 for c in certified)
+        assert unbracketed > 0
+        assert 0.02 * len(certified) < safeguarded < 0.2 * len(certified)
