@@ -60,8 +60,11 @@ def scale_factor(s: Sample, t: float) -> ScaleFactor:
     below = x <= psi
     trunc = np.where(below, x, 0.0)
     shifted = np.where(below, x - psi, 0.0)
-    sigma_p_sq = float(trunc.var())
-    sigma_v_sq = float(shifted.var())
+    # numpy's own two-pass variance, bit for bit, without ndarray.var's wrapper
+    d = trunc - trunc.sum() / s.n
+    sigma_p_sq = float((d * d).sum() / s.n)
+    d = shifted - shifted.sum() / s.n
+    sigma_v_sq = float((d * d).sum() / s.n)
     if sigma_v_sq <= 0.0 or not math.isfinite(sigma_v_sq):
         raise DegenerateVariance(
             f"variance of the shifted truncated values is {sigma_v_sq:g}; "

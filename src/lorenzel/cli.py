@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 usage error, 3 unreadable or malformed input
 data or unwritable output, 4 numerical failure (degenerate variance,
-unbracketed endpoint, ...), 141 standard output closed early (a broken
+unbounded interval, ...), 141 standard output closed early (a broken
 pipe, as in ``lorenzel ci ... | head -1``).
 """
 from __future__ import annotations

@@ -232,6 +232,13 @@ def adjustment_factor(n: int) -> float:
     return max(1.0, 0.5 * math.log(n))
 
 
+def _ael_limit(n: int) -> float:
+    """Limit of the AEL log-ratio as theta -> +-inf: the deviations over |theta|
+    tend to n copies of -+1 and the pseudo-point +-a_n, whatever the data."""
+    a = adjustment_factor(n)
+    return -2.0 * (n * math.log((n + 1) * a / (n * (1.0 + a))) + math.log((n + 1) / (1.0 + a)))
+
+
 def _profile(v: np.ndarray, theta: float, adjusted: bool,
              lam0: float | None = None) -> tuple[float, float, float]:
     """Log-ratio 2*sum(log(1 + lam*w)) at theta, its slope in theta, and lam.

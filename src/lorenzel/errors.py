@@ -32,12 +32,11 @@ class DegenerateVariance(LorenzELError):
 
 
 class BracketFailure(LorenzELError):
-    """The scaled statistic never crossed the critical threshold inside
-    the search domain.
+    """The scaled AEL (TAEL) statistic is bounded at or below the critical
+    value, so the confidence set is the whole line.
 
-    The partially constructed interval (with the offending endpoint
-    clamped to the domain boundary and its ``bracketed`` flag cleared)
-    is attached as the ``interval`` attribute.
+    That interval, (-inf, inf) with 0 iterations, is attached as the
+    ``interval`` attribute.
     """
 
     def __init__(self, message: str, interval=None):

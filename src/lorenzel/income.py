@@ -11,7 +11,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 

@@ -2,8 +2,14 @@
 
 The interval at level 1 - alpha collects every theta whose scaled ratio
 stays at or below the chi-square(1) critical value.  The EL and AEL
-statistics are nondecreasing away from the point estimate, so each side
-holds one crossing.  Each side is one loop with two kinds of step.
+statistics are nondecreasing away from the point estimate.  The EL
+statistic is +inf at the edges of the hull of the truncated values, so
+each side holds one crossing inside the hull.  The AEL statistic rises
+on both sides to the same limit ``core._ael_limit(n)``, whatever the data
+(Chen, Variyath & Abraham 2008; Emerson & Owen 2009).  So ``invert``
+knows before any search whether an AEL interval is the whole line or is
+bounded on both sides, and then searches each side out towards infinity.
+Each side is one loop with two kinds of step.
 
 Joint steps.  The crossing and its Lagrange multiplier solve two
 equations together, sum(w / (1 + lam w)) = 0 and
@@ -31,9 +37,9 @@ sqrt(stat) - sqrt(crit), which is nearly linear in theta, with the slope
 that the evaluation returns by the envelope theorem.  A step that leaves
 the bracket, that comes from a non-finite value, or that is longer than
 half the step before last (the safeguard of rtsafe, Numerical Recipes
-section 9.4) is replaced by bisection, or by the search boundary while
-nothing beyond the crossing has been seen.  A side whose statistic stays
-at or below crit out to the boundary ends there, unbracketed.
+section 9.4) is replaced by bisection or, while the outer edge is
+infinite, by a step that doubles the distance from the point estimate
+(by at least one hull width).
 
 The search stops once the bracket is narrower than 1e-8 relative and
 returns its inner, covered, edge.  Both kinds of step count against one
@@ -51,16 +57,12 @@ import math
 from dataclasses import dataclass
 
 from .calibration import chi2_crit, scale_factor
-from .core import Sample, VariantKind, _joint_step, _profile, truncated_values
+from .core import Sample, VariantKind, _ael_limit, _joint_step, _profile, truncated_values
 from .errors import BracketFailure, ConvexHullViolation, LorenzELError
 from .variants import _tel_inverse
 
 __all__ = ["ConfidenceInterval", "invert"]
 
-# Endpoints whose statistic never reaches the critical value inside the
-# search domain are reported at the domain edge with bracketed=False.
-_AEL_CAP_MULTIPLE = 10.0  # cap = theta_hat +/- 10 * hull width
-_HULL_CLAMP = 1e-12  # relative inset keeping EL probes strictly inside the hull
 # Passes over the data (joint steps and statistic evaluations) allowed per
 # side.  Bisection alone closes any bracket to the stopping tolerance in at
 # most 54 steps.
@@ -80,8 +82,6 @@ class ConfidenceInterval:
     level: float
     kind: VariantKind
     iterations: int
-    lower_bracketed: bool = True
-    upper_bracketed: bool = True
 
     @property
     def length(self) -> float:
@@ -123,16 +123,15 @@ class _Statistic:
 
 
 def _search_side(stat: _Statistic, crit: float, theta_hat: float, start: float,
-                 bound: float, hull_w: float) -> tuple[float, bool]:
+                 bound: float, hull_w: float) -> float:
     """Locate the crossing between theta_hat and bound (either side).
 
-    Joint steps run from ``start`` until they converge or stall, then
-    certified steps finish the side (see the module docstring).  Returns
-    the inner (covered) edge of the final bracket, or the bound with False
-    when the statistic stays at or below crit out to it.
+    ``bound``, the hull edge (EL) or an infinity (AEL), lies beyond the
+    crossing.  Joint steps run from ``start`` until they converge or
+    stall, then certified steps finish the side (see the module
+    docstring).  Returns the inner (covered) edge of the final bracket.
     """
     inner, outer = theta_hat, bound
-    crossed = False  # outer has been seen above crit, not merely assumed
     root_crit = math.sqrt(crit)
     out = math.copysign(1.0, bound - theta_hat)
     lo, hi = min(theta_hat, bound), max(theta_hat, bound)
@@ -161,18 +160,21 @@ def _search_side(stat: _Statistic, crit: float, theta_hat: float, start: float,
         # Certified step: a full evaluation, the only kind that moves the
         # bracket.
         if not (theta - inner) * (outer - theta) > 0.0:  # outside the bracket, or nan
-            theta = 0.5 * (inner + outer) if crossed else bound
+            if math.isfinite(outer):
+                theta = 0.5 * (inner + outer)
+            else:  # no point above crit seen yet on an AEL side: step outwards
+                theta = inner + out * max(abs(inner - theta_hat), hull_w)
         prev_step, step, prev = step, abs(theta - prev), theta
         val, slope = stat(theta)
         if val <= crit:
-            if theta == bound:
-                return bound, False
             inner = theta
         else:
-            outer, crossed = theta, True
-        tol = 1e-8 * max(abs(inner), abs(outer)) + 1e-15 * hull_w
-        if crossed and abs(outer - inner) <= tol:
-            return inner, True
+            outer = theta
+        # an infinite outer keeps the bracket open but must not make tol infinite
+        edge = outer if math.isfinite(outer) else inner
+        tol = 1e-8 * max(abs(inner), abs(edge)) + 1e-15 * hull_w
+        if abs(outer - inner) <= tol:
+            return inner
         if probe:
             # the joint root is certified by a point just beyond it if it
             # is covered, and just inside it if it is not
@@ -216,10 +218,9 @@ def invert(kind: VariantKind, s: Sample, t: float, alpha: float) -> ConfidenceIn
     DomainError
         When alpha lies outside (0, 1).
     BracketFailure
-        When the statistic never reaches the critical value inside the
-        search domain on some side.  The partial interval (offending
-        endpoint at the domain edge, its bracketed flag cleared) rides on
-        the exception's ``interval`` attribute.
+        When an AEL (TAEL) statistic is bounded at or below the critical
+        value, so that the confidence set is the whole line.  The
+        exception's ``interval`` is (-inf, inf) with 0 iterations.
     DegenerateVariance
         When the scale factor is undefined for (s, t).
     LorenzELError
@@ -228,37 +229,26 @@ def invert(kind: VariantKind, s: Sample, t: float, alpha: float) -> ConfidenceIn
     """
     kind = VariantKind(kind)
     crit = chi2_crit(alpha)
+    level = 1.0 - float(alpha)
     stat = _Statistic(kind.adjusted, s, t)
     theta_hat = float(stat.trunc.sum() / s.n)
-    vmin, vmax = stat.hull
-    hull_w = vmax - vmin
-
-    if kind.adjusted:
-        dom_lo = theta_hat - _AEL_CAP_MULTIPLE * hull_w
-        dom_hi = theta_hat + _AEL_CAP_MULTIPLE * hull_w
-    else:
-        dom_lo = vmin + _HULL_CLAMP * hull_w
-        dom_hi = vmax - _HULL_CLAMP * hull_w
+    dom_lo, dom_hi = stat.hull
+    hull_w = dom_hi - dom_lo
 
     search_crit = crit
     if kind.transformed:
         search_crit = stat.ratio * _tel_inverse(crit / stat.ratio, s.n)
+    if kind.adjusted:
+        bounded = stat.ratio * _ael_limit(s.n)
+        if bounded <= search_crit:
+            raise BracketFailure(
+                f"{kind.value} statistic is bounded by r * l_inf = {bounded:.6g} <= the "
+                f"critical value {search_crit:.6g}: the confidence set is the whole line",
+                interval=ConfidenceInterval(-math.inf, math.inf, level, kind, 0))
+        dom_lo, dom_hi = -math.inf, math.inf
     # Wald half-width, from r * l(theta) ~ n (theta - theta_hat)^2 / sigma_v^2
     wald = math.sqrt(search_crit * stat.scale.sigma_v_sq / s.n)
-    lower, lower_ok = _search_side(stat, search_crit, theta_hat, theta_hat - wald,
-                                   dom_lo, hull_w)
-    upper, upper_ok = _search_side(stat, search_crit, theta_hat, theta_hat + wald,
-                                   dom_hi, hull_w)
-
-    ci = ConfidenceInterval(
-        lower=lower, upper=upper, level=1.0 - float(alpha), kind=kind,
-        iterations=stat.passes, lower_bracketed=lower_ok, upper_bracketed=upper_ok,
-    )
-    if not (lower_ok and upper_ok):
-        sides = [name for name, ok in (("lower", lower_ok), ("upper", upper_ok)) if not ok]
-        raise BracketFailure(
-            f"{kind.value} statistic stayed below the critical value "
-            f"{crit:.6g} out to the search boundary on the "
-            f"{' and '.join(sides)} side", interval=ci,
-        )
-    return ci
+    lower = _search_side(stat, search_crit, theta_hat, theta_hat - wald, dom_lo, hull_w)
+    upper = _search_side(stat, search_crit, theta_hat, theta_hat + wald, dom_hi, hull_w)
+    return ConfidenceInterval(lower=lower, upper=upper, level=level, kind=kind,
+                              iterations=stat.passes)

@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 import lorenzel as lz
 from conftest import oracle_ci, random_positive_data
 from lorenzel import intervals
+from lorenzel.core import _ael_limit, _profile
 from lorenzel.variants import _tel_inverse
 
 TOY = lz.Sample([1.0, 2.0, 3.0, 4.0, 5.0])
@@ -27,7 +29,6 @@ class TestToyInterval:
         ci = lz.invert(lz.VariantKind.EL, TOY, 0.4, 0.05)
         assert ci.kind is lz.VariantKind.EL
         assert ci.level == pytest.approx(0.95)
-        assert ci.lower_bracketed and ci.upper_bracketed
         assert ci.iterations > 0
         assert ci.lower < 0.6 < ci.upper
         assert ci.length == pytest.approx(ci.upper - ci.lower, abs=0)
@@ -113,28 +114,87 @@ class TestFailureModes:
             lz.invert("el", lz.Sample([2.0, 2.0, 2.0]), 0.5, 0.05)
 
     def test_bracket_failure_carries_partial_interval(self):
-        # an absurdly demanding level pushes the TAEL plateau below the
-        # critical value, so the cap is reached on both sides
+        # an absurdly demanding level puts the TAEL plateau below the
+        # critical value, so the confidence set is the whole line, decided
+        # without a pass over the data
         s = lz.Sample([1.0, 2.0, 10.0])
         with pytest.raises(lz.BracketFailure) as exc_info:
             lz.invert("tael", s, 0.7, 1e-9)
         partial = exc_info.value.interval
-        assert partial is not None
-        assert not (partial.lower_bracketed and partial.upper_bracketed)
-        theta_hat = lz.point_estimate(s, 0.7)
-        hull_w = 10.0 - 1.0
-        if not partial.lower_bracketed:
-            assert partial.lower == pytest.approx(theta_hat - 10.0 * hull_w)
-        if not partial.upper_bracketed:
-            assert partial.upper == pytest.approx(theta_hat + 10.0 * hull_w)
+        assert (partial.lower, partial.upper) == (-math.inf, math.inf)
+        assert partial.iterations == 0
+        assert partial.kind is lz.VariantKind.TAEL
+        ratio = lz.scale_factor(s, 0.7).ratio
+        crit = ratio * _tel_inverse(lz.chi2_crit(1e-9) / ratio, s.n)
+        assert ratio * _ael_limit(s.n) <= crit
 
     def test_el_never_needs_the_cap(self, rng):
-        # the plain ratio blows up at the hull edge, so even extreme levels
-        # bracket within the hull
+        # the plain ratio is +inf at the hull edge, so even extreme levels
+        # give endpoints strictly inside the hull
         x = random_positive_data(rng, 25)
-        ci = lz.invert("el", lz.Sample(x), 0.5, 1e-9)
-        assert ci.lower_bracketed and ci.upper_bracketed
+        s = lz.Sample(x)
+        ci = lz.invert("el", s, 0.5, 1e-9)
+        trunc = lz.truncated_values(s, 0.5)
+        assert trunc.min() < ci.lower < ci.upper < trunc.max()
 
+
+class TestBoundedness:
+    """The AEL statistic rises to the same limit on both sides, so an AEL
+    (TAEL) interval is bounded exactly when r * l_inf exceeds crit'."""
+
+    @pytest.mark.parametrize("n", [2, 10, 25, 300])
+    def test_limit_matches_the_profile_far_out(self, rng, n):
+        v = random_positive_data(rng, n)
+        theta_hat = float(v.sum() / n)
+        hull_w = float(np.ptp(v))
+        for out in (-1.0, 1.0):
+            val, _, _ = _profile(v, theta_hat + out * 1e6 * hull_w, True)
+            assert val == pytest.approx(_ael_limit(n), rel=1e-12), (n, out)
+
+    def test_rule_agrees_with_the_oracle_grid(self):
+        # the oracle searches its own 10-hull-width domain; where it sees no
+        # crossing on either side, the rule must call the interval unbounded
+        pops = [lz.Weibull(1.0, 2.0), lz.ChiSquare(3.0), lz.SkewNormal(1.0, 3.0, 5.0)]
+        verdicts = []
+        for p, pop in enumerate(pops):
+            for n in (5, 10, 15, 20, 25):
+                for r in range(2):
+                    s = lz.sample(pop, n, lz.SeedSpec(master_seed=61, stream_id=p), r)
+                    for t in (0.2, 0.5, 0.8):
+                        try:
+                            ratio = lz.scale_factor(s, t).ratio
+                        except lz.DegenerateVariance:
+                            continue
+                        hull_w = float(np.ptp(lz.truncated_values(s, t)))
+                        for kind in ("ael", "tael"):
+                            crit = lz.chi2_crit(0.05)
+                            if kind == "tael":
+                                crit = ratio * _tel_inverse(crit / ratio, n)
+                            unbounded = ratio * _ael_limit(n) <= crit
+                            lo, hi = oracle_ci(s.values, t, 0.05, kind=kind, points=33)
+                            no_crossing = math.isclose(hi - lo, 20.0 * hull_w, rel_tol=1e-9)
+                            assert unbounded == no_crossing, (p, n, r, t, kind)
+                            verdicts.append(unbounded)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_far_crossing_is_found(self):
+        # critical values just under the plateau put the AEL crossings 16
+        # and 5,189 hull widths out, beyond any fixed search cap
+        s = lz.Sample([1.0, 2.0, 3.5, 4.0, 7.0, 10.0, 12.0, 20.0])
+        t = 0.7
+        ratio = lz.scale_factor(s, t).ratio
+        trunc = lz.truncated_values(s, t)
+        theta_hat = float(trunc.sum() / s.n)
+        hull_w = float(np.ptp(trunc))
+        for gap, widths in ((1e-4, 16.4), (1e-9, 5189.0)):
+            alpha = 2.0 * ndtr(-math.sqrt(ratio * _ael_limit(s.n) * (1.0 - gap)))
+            crit = lz.chi2_crit(alpha)
+            ci = lz.invert("ael", s, t, alpha)
+            assert (ci.upper - theta_hat) / hull_w == pytest.approx(widths, rel=3e-3)
+            assert lz.scaled_statistic("ael", s, t, ci.upper) <= crit * (1.0 + 1e-12)
+            if gap == 1e-4:  # farther out the plateau is flat to rounding
+                beyond = ci.upper + 2e-8 * abs(ci.upper)
+                assert lz.scaled_statistic("ael", s, t, beyond) > crit
 
 
 class TestSlope:
@@ -243,7 +303,7 @@ class TestEvaluationBudget:
         monkeypatch.setattr(intervals, "_search_side", counted_search)
         pops = [lz.Weibull(1.0, 2.0), lz.ChiSquare(3.0), lz.SkewNormal(1.0, 3.0, 5.0)]
         crit = lz.chi2_crit(0.05)
-        unbracketed = 0
+        unbounded = 0
         for p, pop in enumerate(pops):
             for n in (5, 10, 15, 25):
                 for r in range(6):
@@ -253,30 +313,26 @@ class TestEvaluationBudget:
                             ratio = lz.scale_factor(s, t).ratio
                         except lz.DegenerateVariance:
                             continue
-                        trunc = lz.truncated_values(s, t)
-                        hull_w = float(np.ptp(trunc))
-                        theta_hat = lz.point_estimate(s, t)
+                        hull_w = float(np.ptp(lz.truncated_values(s, t)))
                         for kind in lz.VariantKind:
-                            try:
-                                ci = lz.invert(kind, s, t, 0.05)
-                            except lz.BracketFailure as exc:
-                                ci = exc.interval
                             level = crit
                             if kind.transformed:
                                 level = ratio * _tel_inverse(crit / ratio, n)
+                            # the whole line exactly when the rule says so
+                            predicted = kind.adjusted and ratio * _ael_limit(n) <= level
+                            try:
+                                ci = lz.invert(kind, s, t, 0.05)
+                            except lz.BracketFailure:
+                                assert predicted, (kind, n, t)
+                                unbounded += 1
+                                continue
+                            assert not predicted, (kind, n, t)
                             base = "ael" if kind.adjusted else "el"
-                            sides = ((ci.lower, -1.0, ci.lower_bracketed),
-                                     (ci.upper, 1.0, ci.upper_bracketed))
-                            for theta, out, bracketed in sides:
+                            for theta, out in ((ci.lower, -1.0), (ci.upper, 1.0)):
                                 stat = lz.scaled_statistic(base, s, t, theta)
                                 assert stat <= level * (1.0 + 1e-12), (kind, n, t)
-                                if not bracketed:
-                                    unbracketed += 1
-                                    assert kind.adjusted
-                                    assert theta == pytest.approx(theta_hat + out * 10.0 * hull_w)
-                                    continue
                                 beyond = theta + out * (2e-8 * abs(theta) + 1e-14 * hull_w)
                                 assert lz.scaled_statistic(base, s, t, beyond) > level, (kind, n, t)
         safeguarded = sum(c > 2 for c in certified)
-        assert unbracketed > 0
+        assert unbounded > 0
         assert 0.02 * len(certified) < safeguarded < 0.2 * len(certified)
