@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConvexHullViolation, DomainError, NonFinite
+from .errors import ConvexHullViolation, DomainError, LorenzELError, NonFinite
 
 __all__ = [
     "Sample",
@@ -140,6 +140,9 @@ def point_estimate(s: Sample, t: float) -> float:
     return float(truncated_values(s, t).sum() / s.n)
 
 
+_MAX_LAMBDA_ITERATIONS = 200
+
+
 def solve_lambda(w, lam0: float | None = None) -> LagrangeSolution:
     """Solve mean(w / (1 + lam*w)) = 0 for the Lagrange multiplier.
 
@@ -165,6 +168,9 @@ def solve_lambda(w, lam0: float | None = None) -> LagrangeSolution:
         If all entries share a sign (zeros included on the boundary).
     NonFinite
         On non-finite input or internal overflow.
+    LorenzELError
+        When no stopping rule is met in _MAX_LAMBDA_ITERATIONS iterations,
+        as when the entries of w span hundreds of orders of magnitude.
 
     Notes
     -----
@@ -205,7 +211,7 @@ def solve_lambda(w, lam0: float | None = None) -> LagrangeSolution:
 
     g = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(200):
+        for _ in range(_MAX_LAMBDA_ITERATIONS):
             r = w / (1.0 + lam * w)
             g = float(r.sum()) / m
             if not math.isfinite(g):
@@ -221,6 +227,10 @@ def solve_lambda(w, lam0: float | None = None) -> LagrangeSolution:
             slope = -float(r @ r) / m
             step = lam - g / slope if slope < 0.0 and math.isfinite(slope) else math.inf
             lam = step if lo < step < hi else 0.5 * (lo + hi)
+        else:
+            raise LorenzELError(
+                f"Lagrange multiplier did not converge in {_MAX_LAMBDA_ITERATIONS} "
+                f"iterations (lam = {lam:.6g}, |lam * g| = {abs(lam * g):.3g})")
 
     return LagrangeSolution(lam=lam, residual=g, deviations=w)
 
@@ -240,32 +250,22 @@ def _ael_limit(n: int) -> float:
 
 
 def _profile(v: np.ndarray, theta: float, adjusted: bool,
-             lam0: float | None = None) -> tuple[float, float, float]:
-    """Log-ratio 2*sum(log(1 + lam*w)) at theta, its slope in theta, and lam.
+             lam0: float | None = None) -> tuple[float, float]:
+    """Log-ratio 2*sum(log(1 + lam*w)) at theta, and lam.
 
     w = v - theta, with the AEL pseudo-deviation -a_n * mean(w) appended
-    when ``adjusted``.  By the envelope theorem the slope needs only lam:
-    -2 n lam for EL, and 2 lam [(1 + a_n) / (1 + lam w_{n+1}) - (n + 1)]
-    for AEL, whose pseudo-deviation w_{n+1} moves with theta.  All-zero
-    deviations satisfy the constraint with uniform weights, so the ratio
-    is 0 by convention.  Raises ConvexHullViolation (EL only) when theta
-    is outside the open hull of v.
+    when ``adjusted``.  All-zero deviations satisfy the constraint with
+    uniform weights, so the ratio is 0 by convention.  Raises
+    ConvexHullViolation (EL only) when theta is outside the open hull of v.
     """
     w = v - theta
     if not w.any():
-        return 0.0, 0.0, 0.0
-    n = w.size
+        return 0.0, 0.0
     if adjusted:
-        a = adjustment_factor(n)
-        pseudo = -a * (float(w.sum()) / n)
-        w = np.append(w, pseudo)
+        n = w.size
+        w = np.append(w, -adjustment_factor(n) * (float(w.sum()) / n))
     lam = solve_lambda(w, lam0=lam0).lam
-    val = max(2.0 * float(np.log1p(lam * w).sum()), 0.0)
-    if adjusted:
-        slope = 2.0 * lam * ((1.0 + a) / (1.0 + lam * pseudo) - (n + 1))
-    else:
-        slope = -2.0 * n * lam
-    return val, slope, lam
+    return max(2.0 * float(np.log1p(lam * w).sum()), 0.0), lam
 
 
 # Halvings a joint step may take to stay admissible before it counts as stalled.

@@ -64,5 +64,5 @@ def log_ratio(kind: VariantKind, s: Sample, t: float, theta: float) -> float:
     the truncated values; AEL and TAEL are finite for every finite theta.
     """
     kind = VariantKind(kind)
-    val, _, _ = _profile(truncated_values(s, t), theta, kind.adjusted)
+    val, _ = _profile(truncated_values(s, t), theta, kind.adjusted)
     return tel_transform(val, s.n) if kind.transformed else val

@@ -145,6 +145,15 @@ class TestSolveLambda:
         assert warm.lam == pytest.approx(cold.lam, rel=1e-10)
         assert silly.lam == pytest.approx(cold.lam, rel=1e-10)
 
+    def test_unconverged_root_raises(self):
+        # entries spanning 1e-257 to 1e276 leave lam near -9.5e31 after the
+        # iteration budget, with |lam * g| = 4e-5 and weights summing to
+        # 0.875; that root must not be returned
+        w = [1.05291294e-206, -1.8968274e276, -4.45280651e-257, 1.72612506e-161,
+             4.39441001e-216, 3.57857364e-036, 6.63824220e-242, -1.53382468e-221]
+        with pytest.raises(lz.LorenzELError, match=r"200 iterations.*\|lam \* g\|"):
+            lz.solve_lambda(w)
+
     @settings(max_examples=300, deadline=None)
     @given(mixed_sign_vectors())
     def test_contract_on_random_vectors(self, w):
@@ -186,7 +195,7 @@ class TestLogElRatio:
 
     def test_degenerate_all_zero_deviations(self):
         for adjusted in (False, True):
-            assert _profile(np.full(4, 2.0), 2.0, adjusted) == (0.0, 0.0, 0.0)
+            assert _profile(np.full(4, 2.0), 2.0, adjusted) == (0.0, 0.0)
 
     @given(st.lists(st.floats(min_value=0.1, max_value=1e3), min_size=4, max_size=30),
            st.floats(min_value=0.2, max_value=0.9),
@@ -222,7 +231,7 @@ class TestJointStep:
                 for end, lo, hi in ((ci.lower, hull[0], theta_hat),
                                     (ci.upper, theta_hat, hull[1])):
                     theta = end - 0.05 * (end - theta_hat)
-                    lam = _profile(v, theta, adjusted)[2]
+                    lam = _profile(v, theta, adjusted)[1]
                     steps = []
                     for _ in range(4):
                         theta, lam, step = _joint_step(v, theta, lam, adjusted, target,

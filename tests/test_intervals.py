@@ -148,7 +148,7 @@ class TestBoundedness:
         theta_hat = float(v.sum() / n)
         hull_w = float(np.ptp(v))
         for out in (-1.0, 1.0):
-            val, _, _ = _profile(v, theta_hat + out * 1e6 * hull_w, True)
+            val, _ = _profile(v, theta_hat + out * 1e6 * hull_w, True)
             assert val == pytest.approx(_ael_limit(n), rel=1e-12), (n, out)
 
     def test_rule_agrees_with_the_oracle_grid(self):
@@ -197,27 +197,6 @@ class TestBoundedness:
                 assert lz.scaled_statistic("ael", s, t, beyond) > crit
 
 
-class TestSlope:
-    def test_matches_central_difference(self, rng):
-        # envelope-theorem slope: -2 n lambda for EL; AEL adds the term of
-        # the pseudo-deviation, which moves with theta
-        for _ in range(60):
-            n = int(rng.integers(10, 401))
-            s = lz.Sample(random_positive_data(rng, n))
-            t = float(rng.uniform(0.2, 0.9))
-            for adjusted in (False, True):
-                stat = intervals._Statistic(adjusted, s, t)
-                theta_hat = float(stat.trunc.mean())
-                vmin, vmax = float(stat.trunc.min()), float(stat.trunc.max())
-                frac = float(rng.uniform(0.05, 0.6))
-                edge = vmax if rng.random() < 0.5 else vmin
-                theta = theta_hat + frac * (edge - theta_hat)
-                _, slope = stat(theta)
-                h = 1e-5 * (vmax - vmin)
-                fd = (stat(theta + h)[0] - stat(theta - h)[0]) / (2.0 * h)
-                assert slope == pytest.approx(fd, rel=1e-6), (n, adjusted)
-
-
 class TestSearchBudget:
     def test_exhausted_budget_raises(self, monkeypatch, rng):
         # a joint step that never moves theta and reports steps shrinking by
@@ -234,23 +213,6 @@ class TestSearchBudget:
             lz.invert("el", s, 0.5, 0.05)
         assert not isinstance(exc_info.value, lz.BracketFailure)
         assert "100 passes" in str(exc_info.value)
-
-    def test_exhausted_budget_raises_in_the_safeguard(self, monkeypatch, rng):
-        # joint steps that stall at once hand over to certified steps; a
-        # slope a million times too steep makes each of those creep by the
-        # tolerance, and the one budget still runs out loudly
-        true_call = intervals._Statistic.__call__
-
-        def steep(self, theta):
-            val, slope = true_call(self, theta)
-            return val, 1e6 * slope
-
-        monkeypatch.setattr(intervals, "_joint_step", lambda *args: None)
-        monkeypatch.setattr(intervals._Statistic, "__call__", steep)
-        s = lz.Sample(random_positive_data(rng, 40))
-        with pytest.raises(lz.LorenzELError, match="lower endpoint search") as exc_info:
-            lz.invert("el", s, 0.5, 0.05)
-        assert not isinstance(exc_info.value, lz.BracketFailure)
 
 
 class TestEvaluationBudget:
@@ -286,20 +248,20 @@ class TestEvaluationBudget:
 
     def test_small_samples_through_the_safeguard(self, monkeypatch):
         # at n <= 25 a share of the sides stall in the joint steps and are
-        # finished by certified steps; their endpoints must be as good
+        # finished by bisection; their endpoints must be as good
         certified = []
-        true_call = intervals._Statistic.__call__
+        true_profile = intervals._profile
         true_search = intervals._search_side
 
-        def counted_call(self, theta):
+        def counted_profile(*args):
             certified[-1] += 1
-            return true_call(self, theta)
+            return true_profile(*args)
 
         def counted_search(*args):
             certified.append(0)
             return true_search(*args)
 
-        monkeypatch.setattr(intervals._Statistic, "__call__", counted_call)
+        monkeypatch.setattr(intervals, "_profile", counted_profile)
         monkeypatch.setattr(intervals, "_search_side", counted_search)
         pops = [lz.Weibull(1.0, 2.0), lz.ChiSquare(3.0), lz.SkewNormal(1.0, 3.0, 5.0)]
         crit = lz.chi2_crit(0.05)
@@ -336,3 +298,34 @@ class TestEvaluationBudget:
         safeguarded = sum(c > 2 for c in certified)
         assert unbounded > 0
         assert 0.02 * len(certified) < safeguarded < 0.2 * len(certified)
+
+    def test_bisection_alone_finds_the_same_endpoints(self, monkeypatch):
+        # with every joint step stalled at once, certified steps alone must
+        # find the same endpoints, fail the same way, and stay in budget
+        pops = [lz.Weibull(1.0, 2.0), lz.ChiSquare(3.0), lz.SkewNormal(1.0, 3.0, 5.0)]
+        cases = []
+        for p, pop in enumerate(pops):
+            for n in (10, 25, 50, 300):
+                for r in range(2):
+                    s = lz.sample(pop, n, lz.SeedSpec(master_seed=53, stream_id=p), r)
+                    cases += [(s, t, kind) for t in (0.1, 0.5, 0.9) for kind in lz.VariantKind]
+
+        def run_all():
+            out = []
+            for s, t, kind in cases:
+                try:
+                    out.append(lz.invert(kind, s, t, 0.05))
+                except (lz.BracketFailure, lz.DegenerateVariance) as exc:
+                    out.append(type(exc))
+            return out
+
+        joint = run_all()
+        monkeypatch.setattr(intervals, "_joint_step", lambda *args: None)
+        bisected = run_all()
+        assert sum(isinstance(ci, type) for ci in joint) < len(cases)
+        for case, a, b in zip(cases, joint, bisected):
+            if isinstance(a, type) or isinstance(b, type):
+                assert a is b, case[1:]
+                continue
+            assert b.lower == pytest.approx(a.lower, rel=2e-8), case[1:]
+            assert b.upper == pytest.approx(a.upper, rel=2e-8), case[1:]
