@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .core import Sample, VariantKind, sample_quantile
+from .core import Sample, VariantKind, sample_quantile, truncated_values
 from .errors import DegenerateVariance, DomainError
 from .variants import log_ratio
 
@@ -46,6 +46,28 @@ def chi2_crit(alpha: float) -> float:
     return float(ndtri(1.0 - 0.5 * alpha)) ** 2
 
 
+def _truncate(s: Sample, t: float) -> tuple[np.ndarray, float, ScaleFactor]:
+    """The truncated values V, their mean theta_hat, and the scale factor,
+    from one truncation; see ``scale_factor``."""
+    v = truncated_values(s, t)
+    # x - psi_hat is +0.0 only at x = psi_hat, so this equals
+    # (x - psi_hat) 1(x <= psi_hat) bit for bit
+    shifted = np.minimum(s.values - sample_quantile(s, t), 0.0)
+    theta_hat = float(v.sum() / s.n)
+    # numpy's own two-pass variance, bit for bit, without ndarray.var's wrapper
+    d = v - theta_hat
+    sigma_p_sq = float((d * d).sum() / s.n)
+    d = shifted - shifted.sum() / s.n
+    sigma_v_sq = float((d * d).sum() / s.n)
+    if sigma_v_sq <= 0.0 or not math.isfinite(sigma_v_sq):
+        raise DegenerateVariance(
+            f"variance of the shifted truncated values is {sigma_v_sq:g}; "
+            "the scale factor is undefined"
+        )
+    return v, theta_hat, ScaleFactor(sigma_p_sq=sigma_p_sq, sigma_v_sq=sigma_v_sq,
+                                     ratio=sigma_p_sq / sigma_v_sq)
+
+
 def scale_factor(s: Sample, t: float) -> ScaleFactor:
     """Variance ratio restoring the chi-square(1) limit.
 
@@ -55,23 +77,7 @@ def scale_factor(s: Sample, t: float) -> ScaleFactor:
     observation at or below the quantile, or all included values tied at
     it), in which case no interval exists.
     """
-    psi = sample_quantile(s, t)
-    x = s.values
-    below = x <= psi
-    trunc = np.where(below, x, 0.0)
-    shifted = np.where(below, x - psi, 0.0)
-    # numpy's own two-pass variance, bit for bit, without ndarray.var's wrapper
-    d = trunc - trunc.sum() / s.n
-    sigma_p_sq = float((d * d).sum() / s.n)
-    d = shifted - shifted.sum() / s.n
-    sigma_v_sq = float((d * d).sum() / s.n)
-    if sigma_v_sq <= 0.0 or not math.isfinite(sigma_v_sq):
-        raise DegenerateVariance(
-            f"variance of the shifted truncated values is {sigma_v_sq:g}; "
-            "the scale factor is undefined"
-        )
-    return ScaleFactor(sigma_p_sq=sigma_p_sq, sigma_v_sq=sigma_v_sq,
-                       ratio=sigma_p_sq / sigma_v_sq)
+    return _truncate(s, t)[2]
 
 
 def scaled_statistic(kind: VariantKind, s: Sample, t: float, theta: float) -> float:

@@ -12,7 +12,6 @@ Newton steps on both equations (``_joint_step``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -22,7 +21,6 @@ from .errors import ConvexHullViolation, DomainError, LorenzELError, NonFinite
 __all__ = [
     "Sample",
     "VariantKind",
-    "LagrangeSolution",
     "sample_quantile",
     "point_estimate",
     "truncated_values",
@@ -86,26 +84,6 @@ class Sample:
         return f"Sample(n={self.n}, min={self._values[0]:g}, max={self._values[-1]:g})"
 
 
-@dataclass(frozen=True)
-class LagrangeSolution:
-    """Root of the weight-constraint equation.
-
-    ``lam`` solves mean(w / (1 + lam*w)) = 0; ``residual`` is the equation
-    value at the returned root; ``deviations`` is the vector w as solved
-    (not copied).  ``weights``, the implied probabilities
-    1 / (m * (1 + lam*w)), are computed when read.
-    """
-
-    lam: float
-    residual: float
-    deviations: np.ndarray = field(repr=False)
-
-    @property
-    def weights(self) -> np.ndarray:
-        w = self.deviations
-        return 1.0 / (w.size * (1.0 + self.lam * w))
-
-
 def _check_t(t: float) -> float:
     t = float(t)
     if not 0.0 < t < 1.0:
@@ -143,7 +121,7 @@ def point_estimate(s: Sample, t: float) -> float:
 _MAX_LAMBDA_ITERATIONS = 200
 
 
-def solve_lambda(w, lam0: float | None = None) -> LagrangeSolution:
+def solve_lambda(w, lam0: float | None = None) -> float:
     """Solve mean(w / (1 + lam*w)) = 0 for the Lagrange multiplier.
 
     Parameters
@@ -158,9 +136,10 @@ def solve_lambda(w, lam0: float | None = None) -> LagrangeSolution:
 
     Returns
     -------
-    LagrangeSolution
-        The unique root in the open bracket (-1/max(w), -1/min(w)),
-        together with the residual and the deviations it was solved for.
+    float
+        The multiplier lam, the unique root in the open bracket
+        (-1/max(w), -1/min(w)).  The implied probabilities are
+        1 / (m * (1 + lam*w)) for the m entries of w.
 
     Raises
     ------
@@ -181,7 +160,10 @@ def solve_lambda(w, lam0: float | None = None) -> LagrangeSolution:
     1e-10 * (1 + max|w|)) *and* |lam * residual| <= 2.5e-13 — the latter
     because sum(weights) - 1 equals -lam * residual identically, so the
     weights sum to one only as tightly as that product is driven down —
-    or when the bracket width falls below 1e-14.
+    or when the bracket width falls below 1e-14 / max|w|.  That last rule
+    is relative because lam scales as 1/w while lam * w does not: an
+    absolute width would stop at once on deviations of order 1e14, with
+    the residual far above the contract.
     """
     w = np.asarray(w, dtype=float).ravel()
     if w.size == 0:
@@ -222,7 +204,7 @@ def solve_lambda(w, lam0: float | None = None) -> LagrangeSolution:
                 lo = lam
             else:
                 hi = lam
-            if hi - lo <= 1e-14:
+            if (hi - lo) * max(wmax, -wmin) <= 1e-14:
                 break
             slope = -float(r @ r) / m
             step = lam - g / slope if slope < 0.0 and math.isfinite(slope) else math.inf
@@ -232,7 +214,7 @@ def solve_lambda(w, lam0: float | None = None) -> LagrangeSolution:
                 f"Lagrange multiplier did not converge in {_MAX_LAMBDA_ITERATIONS} "
                 f"iterations (lam = {lam:.6g}, |lam * g| = {abs(lam * g):.3g})")
 
-    return LagrangeSolution(lam=lam, residual=g, deviations=w)
+    return lam
 
 
 def adjustment_factor(n: int) -> float:
@@ -264,7 +246,7 @@ def _profile(v: np.ndarray, theta: float, adjusted: bool,
     if adjusted:
         n = w.size
         w = np.append(w, -adjustment_factor(n) * (float(w.sum()) / n))
-    lam = solve_lambda(w, lam0=lam0).lam
+    lam = solve_lambda(w, lam0=lam0)
     return max(2.0 * float(np.log1p(lam * w).sum()), 0.0), lam
 
 

@@ -33,15 +33,8 @@ class DegenerateVariance(LorenzELError):
 
 class BracketFailure(LorenzELError):
     """The scaled AEL (TAEL) statistic is bounded at or below the critical
-    value, so the confidence set is the whole line.
-
-    That interval, (-inf, inf) with 0 iterations, is attached as the
-    ``interval`` attribute.
-    """
-
-    def __init__(self, message: str, interval=None):
-        super().__init__(message)
-        self.interval = interval
+    value, so the confidence set is the whole line, (-inf, inf).  The
+    message gives the bound and the critical value."""
 
 
 class DomainError(LorenzELError, ValueError):

@@ -23,10 +23,12 @@ equations together, sum(w / (1 + lam w)) = 0 and
 over the data and solves no inner equation for lam
 (``core._joint_step``).  It is halved until every 1 + lam w stays
 positive and theta stays between the point estimate and the search
-boundary.  Joint steps start from the Wald point, or halfway to the
-boundary if the Wald point lies beyond it.  A joint step has stalled
-when it needs more than ``core._MAX_HALVINGS`` halvings, or is longer
-than half of each of the two joint steps before it.
+boundary.  Joint steps start from the Wald point.  If that lies beyond
+the boundary, or rounds onto the point estimate, they start halfway to
+the boundary instead, or one hull width out on an AEL side, whose
+boundary is infinite.  A joint step has stalled when it needs more than
+``core._MAX_HALVINGS`` halvings, or is longer than half of each of the
+two joint steps before it.
 
 Certified steps.  Full evaluations of the log-ratio (``core._profile``),
 warm-started from the last lam; only they move the bracket
@@ -50,8 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import chi2_crit, scale_factor
-from .core import Sample, VariantKind, _ael_limit, _joint_step, _profile, truncated_values
+from .calibration import _truncate, chi2_crit
+from .core import Sample, VariantKind, _ael_limit, _joint_step, _profile
 from .errors import BracketFailure, ConvexHullViolation, LorenzELError
 from .variants import _tel_inverse
 
@@ -95,7 +97,9 @@ def _search_side(v: np.ndarray, adjusted: bool, hull: tuple[float, float], targe
     hull_w = hull[1] - hull[0]
     out = math.copysign(1.0, bound - theta_hat)
     lo, hi = min(theta_hat, bound), max(theta_hat, bound)
-    theta = start if lo < start < hi else 0.5 * (theta_hat + bound)
+    theta = start
+    if not lo < theta < hi:  # the Wald point is beyond the bound or rounds onto theta_hat
+        theta = 0.5 * (theta_hat + bound) if math.isfinite(bound) else theta_hat + out * hull_w
     lam = None  # the Lagrange warm start, shared by both kinds of step
     joint = True  # joint steps until they converge or stall
     probe = False  # the next certified step checks the other side of theta
@@ -165,8 +169,8 @@ def invert(kind: VariantKind, s: Sample, t: float, alpha: float) -> ConfidenceIn
         When alpha lies outside (0, 1).
     BracketFailure
         When an AEL (TAEL) statistic is bounded at or below the critical
-        value, so that the confidence set is the whole line.  The
-        exception's ``interval`` is (-inf, inf) with 0 iterations.
+        value, so that the confidence set is the whole line; this is
+        decided before any pass over the data.
     DegenerateVariance
         When the scale factor is undefined for (s, t).
     LorenzELError
@@ -175,11 +179,8 @@ def invert(kind: VariantKind, s: Sample, t: float, alpha: float) -> ConfidenceIn
     """
     kind = VariantKind(kind)
     crit = chi2_crit(alpha)
-    level = 1.0 - float(alpha)
-    v = truncated_values(s, t)
+    v, theta_hat, scale = _truncate(s, t)
     hull = (float(v.min()), float(v.max()))
-    scale = scale_factor(s, t)
-    theta_hat = float(v.sum() / s.n)
 
     # the unscaled log-ratio that r * l (r * T(l) for TEL/TAEL) must not exceed
     target = crit / scale.ratio
@@ -191,8 +192,7 @@ def invert(kind: VariantKind, s: Sample, t: float, alpha: float) -> ConfidenceIn
         if limit <= target:
             raise BracketFailure(
                 f"{kind.value} log-ratio is bounded by l_inf = {limit:.6g} <= its "
-                f"critical value {target:.6g}: the confidence set is the whole line",
-                interval=ConfidenceInterval(-math.inf, math.inf, level, kind, 0))
+                f"critical value {target:.6g}: the confidence set is the whole line")
         dom_lo, dom_hi = -math.inf, math.inf
     # Wald half-width, from l(theta) ~ n (theta - theta_hat)^2 / sigma_p^2
     wald = math.sqrt(target * scale.sigma_p_sq / s.n)
@@ -200,5 +200,5 @@ def invert(kind: VariantKind, s: Sample, t: float, alpha: float) -> ConfidenceIn
                                        theta_hat - wald, dom_lo)
     upper, upper_passes = _search_side(v, kind.adjusted, hull, target, theta_hat,
                                        theta_hat + wald, dom_hi)
-    return ConfidenceInterval(lower=lower, upper=upper, level=level, kind=kind,
+    return ConfidenceInterval(lower=lower, upper=upper, level=1.0 - float(alpha), kind=kind,
                               iterations=lower_passes + upper_passes)

@@ -23,7 +23,20 @@ def mixed_sign_vectors(draw):
     w = [m * s for m, s in zip(mags, signs)]
     w[0] = -abs(w[0])
     w[1] = abs(w[1])
-    return np.asarray(w)
+    # the multiplier scales as 1/w, so every stopping rule must be relative
+    return np.asarray(w) * 10.0 ** draw(st.integers(min_value=-16, max_value=16))
+
+
+def residual(w, lam):
+    """mean(w / (1 + lam*w)), the equation the multiplier solves."""
+    w = np.asarray(w, dtype=float)
+    return float(np.mean(w / (1.0 + lam * w)))
+
+
+def weights(w, lam):
+    """The EL probabilities 1 / (m * (1 + lam*w)) implied by lam."""
+    w = np.asarray(w, dtype=float)
+    return 1.0 / (w.size * (1.0 + lam * w))
 
 
 class TestSample:
@@ -110,17 +123,28 @@ class TestPointEstimate:
 
 class TestSolveLambda:
     def test_symmetric_root_is_zero(self):
-        sol = lz.solve_lambda([-1.0, 1.0])
-        assert sol.lam == pytest.approx(0.0, abs=1e-12)
-        assert sol.weights == pytest.approx([0.5, 0.5], abs=1e-12)
+        lam = lz.solve_lambda([-1.0, 1.0])
+        assert type(lam) is float
+        assert lam == pytest.approx(0.0, abs=1e-12)
+        assert weights([-1.0, 1.0], lam) == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_known_root(self):
-        sol = lz.solve_lambda([-1.0, 2.0])
-        assert sol.lam == pytest.approx(0.25, rel=1e-12)
-        assert abs(sol.residual) <= 1e-10 * (1.0 + 2.0)
-        assert sol.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        w = [-1.0, 2.0]
+        lam = lz.solve_lambda(w)
+        assert lam == pytest.approx(0.25, rel=1e-12)
+        assert abs(residual(w, lam)) <= 1e-10 * (1.0 + 2.0)
+        assert weights(w, lam).sum() == pytest.approx(1.0, abs=1e-12)
         # p = (2/3, 1/3): the profile puts more mass on the nearer point
-        assert sol.weights == pytest.approx([2 / 3, 1 / 3], rel=1e-10)
+        assert weights(w, lam) == pytest.approx([2 / 3, 1 / 3], rel=1e-10)
+
+    @pytest.mark.parametrize("e", [12, 13, 14, 15, 16])
+    def test_known_root_at_large_scale(self, e):
+        # an absolute bracket width would stop at lam = 0 from 1e14 on,
+        # with a residual of 2.5e13 times the scale's contract
+        w = [-(10.0 ** e), 2.0 * 10.0 ** e]
+        lam = lz.solve_lambda(w)
+        assert lam == pytest.approx(0.25 / 10.0 ** e, rel=1e-12)
+        assert abs(residual(w, lam)) <= 1e-10 * (1.0 + 2.0 * 10.0 ** e)
 
     @pytest.mark.parametrize("w", [[1.0, 2.0], [-3.0, -0.5], [0.0, 1.0, 2.0],
                                    [0.0, 0.0], [-1.0, 0.0]])
@@ -140,10 +164,10 @@ class TestSolveLambda:
     def test_warm_start_agrees(self):
         w = [-1.0, 0.5, 2.0, -0.2]
         cold = lz.solve_lambda(w)
-        warm = lz.solve_lambda(w, lam0=cold.lam * 0.9)
+        warm = lz.solve_lambda(w, lam0=cold * 0.9)
         silly = lz.solve_lambda(w, lam0=1e18)  # outside bracket: ignored
-        assert warm.lam == pytest.approx(cold.lam, rel=1e-10)
-        assert silly.lam == pytest.approx(cold.lam, rel=1e-10)
+        assert warm == pytest.approx(cold, rel=1e-10)
+        assert silly == pytest.approx(cold, rel=1e-10)
 
     def test_unconverged_root_raises(self):
         # entries spanning 1e-257 to 1e276 leave lam near -9.5e31 after the
@@ -157,14 +181,15 @@ class TestSolveLambda:
     @settings(max_examples=300, deadline=None)
     @given(mixed_sign_vectors())
     def test_contract_on_random_vectors(self, w):
-        sol = lz.solve_lambda(w)
+        lam = lz.solve_lambda(w)
+        p = weights(w, lam)
         scale = 1.0 + float(np.max(np.abs(w)))
-        assert abs(sol.residual) <= 1e-10 * scale
-        assert np.all(1.0 + sol.lam * w > 0.0)
-        assert np.all(sol.weights > 0.0)
-        assert float(sol.weights.sum()) == pytest.approx(1.0, abs=1e-12)
+        assert abs(residual(w, lam)) <= 1e-10 * scale
+        assert np.all(1.0 + lam * w > 0.0)
+        assert np.all(p > 0.0)
+        assert float(p.sum()) == pytest.approx(1.0, abs=1e-12)
         # the constraint the multiplier enforces
-        assert float(np.sum(sol.weights * w)) == pytest.approx(0.0, abs=1e-10 * scale)
+        assert float(np.sum(p * w)) == pytest.approx(0.0, abs=1e-10 * scale)
 
 
 class TestLogElRatio:
