@@ -8,14 +8,15 @@ statistic is then compared against the chi-square(1) critical value.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
-from .core import Sample, VariantKind, sample_quantile, truncated_values
-from .errors import DegenerateVariance, DomainError
-from .variants import log_ratio
+from .core import Sample, VariantKind, _profile, sample_quantile, truncated_values
+from .errors import DegenerateVariance, DomainError, NonFinite
+from .variants import tel_transform
 
 __all__ = [
     "ScaleFactor",
@@ -50,22 +51,26 @@ def _truncate(s: Sample, t: float) -> tuple[np.ndarray, float, ScaleFactor]:
     """The truncated values V, their mean theta_hat, and the scale factor,
     from one truncation; see ``scale_factor``."""
     v = truncated_values(s, t)
-    # x - psi_hat is +0.0 only at x = psi_hat, so this equals
-    # (x - psi_hat) 1(x <= psi_hat) bit for bit
-    shifted = np.minimum(s.values - sample_quantile(s, t), 0.0)
-    theta_hat = float(v.sum() / s.n)
-    # numpy's own two-pass variance, bit for bit, without ndarray.var's wrapper
-    d = v - theta_hat
-    sigma_p_sq = float((d * d).sum() / s.n)
-    d = shifted - shifted.sum() / s.n
-    sigma_v_sq = float((d * d).sum() / s.n)
-    if sigma_v_sq <= 0.0 or not math.isfinite(sigma_v_sq):
-        raise DegenerateVariance(
-            f"variance of the shifted truncated values is {sigma_v_sq:g}; "
-            "the scale factor is undefined"
-        )
-    return v, theta_hat, ScaleFactor(sigma_p_sq=sigma_p_sq, sigma_v_sq=sigma_v_sq,
-                                     ratio=sigma_p_sq / sigma_v_sq)
+    lo, psi = float(s.values[0]), sample_quantile(s, t)
+    if lo == psi:  # the sample is sorted: every value up to the quantile ties at it
+        raise DegenerateVariance(f"every value at or below the quantile is {psi:g}, so "
+                                 "sigma_v^2 = 0 and the scale factor is undefined")
+    m = max(-lo, psi)  # deviations are at most 4m, sums of n squares at most 16 n m^2
+    with np.errstate(over="ignore", invalid="ignore") if s.n * m * m > 1e306 else nullcontext():
+        # x - psi_hat is +0.0 only at x = psi_hat, so this equals
+        # (x - psi_hat) 1(x <= psi_hat) bit for bit
+        shifted = np.minimum(s.values - psi, 0.0)
+        theta_hat = float(v.sum() / s.n)
+        # numpy's own two-pass variance, bit for bit, without ndarray.var's wrapper
+        d = v - theta_hat
+        sigma_p_sq = float((d * d).sum() / s.n)
+        d = shifted - shifted.sum() / s.n
+        sigma_v_sq = float((d * d).sum() / s.n)
+    ratio = sigma_p_sq / sigma_v_sq if sigma_v_sq else 0.0
+    if not 0.0 < ratio < math.inf:
+        raise NonFinite(f"plug-in variances {sigma_p_sq:g} and {sigma_v_sq:g} over- or "
+                        "underflow; the scale factor is undefined")
+    return v, theta_hat, ScaleFactor(sigma_p_sq=sigma_p_sq, sigma_v_sq=sigma_v_sq, ratio=ratio)
 
 
 def scale_factor(s: Sample, t: float) -> ScaleFactor:
@@ -73,14 +78,16 @@ def scale_factor(s: Sample, t: float) -> ScaleFactor:
 
     sigma_p^2 is the plug-in variance of X 1(X <= psi_hat) and sigma_v^2
     that of (X - psi_hat) 1(X <= psi_hat), both with divisor n.  Raises
-    DegenerateVariance when sigma_v^2 vanishes (for example, a single
-    observation at or below the quantile, or all included values tied at
-    it), in which case no interval exists.
+    DegenerateVariance when sigma_v^2 vanishes, that is when every value at
+    or below the quantile ties at it (a single one, for example), and then
+    no interval exists; raises NonFinite when a variance over- or underflows.
     """
     return _truncate(s, t)[2]
 
 
 def scaled_statistic(kind: VariantKind, s: Sample, t: float, theta: float) -> float:
     """Variance-ratio-scaled log-likelihood ratio, asymptotically chi2(1)."""
-    sf = scale_factor(s, t)
-    return sf.ratio * log_ratio(kind, s, t, theta)
+    v, _, sf = _truncate(s, t)
+    kind = VariantKind(kind)
+    val, _ = _profile(v, theta, kind.adjusted)
+    return sf.ratio * (tel_transform(val, s.n) if kind.transformed else val)

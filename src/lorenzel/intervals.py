@@ -171,8 +171,8 @@ def invert(kind: VariantKind, s: Sample, t: float, alpha: float) -> ConfidenceIn
         When an AEL (TAEL) statistic is bounded at or below the critical
         value, so that the confidence set is the whole line; this is
         decided before any pass over the data.
-    DegenerateVariance
-        When the scale factor is undefined for (s, t).
+    DegenerateVariance, NonFinite
+        When the scale factor is undefined, or over- or underflows, for (s, t).
     LorenzELError
         When an endpoint search exhausts its budget of passes over the
         data (the message names the side), or a multiplier does not converge.

@@ -1,9 +1,10 @@
 """Monte-Carlo harness: bias, MSE, coverage, and interval length.
 
-Replication r of every cell draws from the same child stream, derived
-only from (seed, r), so the four calibrations are compared on identical
-samples and their coverage indicators nest replication by replication.
-A replication whose interval construction fails is counted in
+The cells of one (n, t) pair form a block, the unit of parallel work.
+Replication r of a block is drawn once, from the child stream of (seed,
+r), for its point estimate and every method, so the calibrations are
+compared on identical samples and nest replication by replication.  A
+replication whose interval construction fails is counted in
 ``failures`` and left out of the coverage and length denominators, which
 count only the replications that produced an interval.
 """
@@ -13,8 +14,8 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import Callable, Iterable, Optional
+from itertools import chain, repeat
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .populations import Population, SeedSpec, sample, true_ordinate
 __all__ = [
     "ExperimentConfig",
     "CellResult",
-    "run_cell",
     "run_experiment",
     "write_results_csv",
 ]
@@ -84,37 +84,39 @@ class CellResult:
     failures: int
 
 
-def run_cell(cfg: ExperimentConfig, n: int, t: float,
-             method: Optional[VariantKind] = None) -> CellResult:
-    """Run all replications of one cell and summarize."""
+def _block(cfg: ExperimentConfig, n: int, t: float) -> Iterator[CellResult]:
+    """The cells of one (n, t) pair, one per method in order (or the
+    estimate-only cell), from one draw and one estimate per replication."""
     theta_true = true_ordinate(cfg.population, t)
-    estimates = np.empty(cfg.reps)
-    covered = 0
-    failures = 0
-    length_sum = 0.0
-    for r in range(cfg.reps):
-        smp = sample(cfg.population, n, cfg.seed, replication=r)
-        estimates[r] = point_estimate(smp, t)
-        if method is None:
-            continue
-        try:
-            ci = invert(method, smp, t, cfg.alpha)
-        except _CI_FAILURES:
-            failures += 1
-            continue
-        if ci.lower <= theta_true <= ci.upper:
-            covered += 1
-        length_sum += ci.length
+    samples = [sample(cfg.population, n, cfg.seed, replication=r) for r in range(cfg.reps)]
+    estimates = np.array([point_estimate(smp, t) for smp in samples])
     bias = float(estimates.mean() - theta_true)
     mse = float(np.mean((estimates - theta_true) ** 2))
-    if method is None:
-        coverage = mean_length = None
-    else:
+    if not cfg.methods:
+        yield CellResult(n=n, t=t, method=None, bias=bias, mse=mse,
+                         coverage=None, mean_length=None, failures=0)
+    for method in cfg.methods:
+        covered = failures = 0
+        length_sum = 0.0
+        for smp in samples:
+            try:
+                ci = invert(method, smp, t, cfg.alpha)
+            except _CI_FAILURES:
+                failures += 1
+                continue
+            if ci.lower <= theta_true <= ci.upper:
+                covered += 1
+            length_sum += ci.length
         produced = cfg.reps - failures
-        coverage = covered / produced if produced else math.nan
-        mean_length = length_sum / produced if produced else math.nan
-    return CellResult(n=n, t=t, method=method, bias=bias, mse=mse,
-                      coverage=coverage, mean_length=mean_length, failures=failures)
+        yield CellResult(n=n, t=t, method=method, bias=bias, mse=mse,
+                         coverage=covered / produced if produced else math.nan,
+                         mean_length=length_sum / produced if produced else math.nan,
+                         failures=failures)
+
+
+def _block_list(cfg: ExperimentConfig, n: int, t: float) -> list[CellResult]:
+    """``_block`` as a list, which a worker process can send back."""
+    return list(_block(cfg, n, t))
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1,
@@ -122,20 +124,22 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
                    ) -> list[CellResult]:
     """Run every cell of the design, in deterministic (n, t, method) order.
 
-    ``workers`` > 1 distributes cells over processes; results are identical
-    to the sequential schedule because streams depend only on (seed,
-    replication).  ``progress(done, total, result)`` is called for each
-    cell in design order, as soon as it and every cell before it are done.
+    ``workers`` > 1 distributes the (n, t) pairs over processes; results
+    are identical to the sequential schedule because streams depend only
+    on (seed, replication).  ``progress(done, total, result)`` is called
+    for each cell in design order, as soon as it and every cell before it
+    are done.
     """
-    methods = cfg.methods if cfg.methods else (None,)
-    ns, ts, ms = zip(*[(n, t, m) for n in cfg.n_grid for t in cfg.t_grid for m in methods])
+    ns, ts = zip(*[(n, t) for n in cfg.n_grid for t in cfg.t_grid])
+    total = len(ns) * max(len(cfg.methods), 1)
     results: list[CellResult] = []
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
-        cells = (pool.map if pool else map)(run_cell, repeat(cfg), ns, ts, ms)
-        for done, res in enumerate(cells, 1):
+        blocks = (pool.map(_block_list, repeat(cfg), ns, ts) if pool
+                  else map(_block, repeat(cfg), ns, ts))
+        for done, res in enumerate(chain.from_iterable(blocks), 1):
             results.append(res)
             if progress is not None:
-                progress(done, len(ns), res)
+                progress(done, total, res)
     return results
 
 

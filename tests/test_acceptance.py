@@ -48,9 +48,9 @@ def test_criterion_1_weibull_bias_mse(capfd):
     estimate-only mode; the wall-clock budget covers the whole cell.
     """
     cfg = lz.ExperimentConfig(population=lz.Weibull(1.0, 2.0), n_grid=(50,),
-                              t_grid=(0.5,), reps=10_000, seed=lz.SeedSpec(0))
+                              t_grid=(0.5,), reps=10_000, methods=(), seed=lz.SeedSpec(0))
     start = time.perf_counter()
-    cell = lz.run_cell(cfg, 50, 0.5)
+    (cell,) = lz.run_experiment(cfg)
     elapsed = time.perf_counter() - start
     ok = (abs(cell.bias - 0.0109) <= 0.003
           and abs(cell.mse - 0.0050) <= 0.2 * 0.0050
@@ -62,8 +62,8 @@ def test_criterion_1_weibull_bias_mse(capfd):
 def test_criterion_2_chisquare_bias_mse(capfd):
     """Point-estimate benchmark: chi-square(3), n=500, t=0.9, 10^4 reps."""
     cfg = lz.ExperimentConfig(population=lz.ChiSquare(3.0), n_grid=(500,),
-                              t_grid=(0.9,), reps=10_000, seed=lz.SeedSpec(0))
-    cell = lz.run_cell(cfg, 500, 0.9)
+                              t_grid=(0.9,), reps=10_000, methods=(), seed=lz.SeedSpec(0))
+    (cell,) = lz.run_experiment(cfg)
     ok = (abs(cell.bias - 0.0024) <= 0.002
           and abs(cell.mse - 0.0072) <= 0.2 * 0.0072)
     _check(capfd, 2, "chi-square bias/MSE benchmark", ok,

@@ -1,8 +1,12 @@
 """Variance-ratio scale factor and chi-square critical values."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 import lorenzel as lz
@@ -34,6 +38,46 @@ class TestScaleFactor:
         # values are identically zero, so no scale factor exists
         with pytest.raises(lz.DegenerateVariance):
             lz.scale_factor(lz.Sample([1.0, 5.0]), 0.4)
+
+    def test_tie_at_the_quantile_degenerate(self):
+        # psi = 2 and every value at or below it equals 2; one value below
+        # the tie makes the factor exist again
+        with pytest.raises(lz.DegenerateVariance):
+            lz.scale_factor(lz.Sample([2.0, 2.0, 2.0, 5.0, 7.0]), 0.6)
+        assert lz.scale_factor(lz.Sample([1.0, 2.0, 2.0, 5.0, 7.0]), 0.6).ratio > 0.0
+
+    @given(st.lists(st.integers(-3, 3), min_size=2, max_size=30),
+           st.sampled_from([0.1, 0.25, 0.4, 0.5, 0.75, 0.9]))
+    def test_degenerate_exactly_when_the_shifted_variance_is_zero(self, xs, t):
+        s = lz.Sample(xs)
+        psi = lz.sample_quantile(s, t)
+        shifted = np.where(s.values <= psi, s.values - psi, 0.0)
+        if shifted.var() == 0.0:
+            with pytest.raises(lz.DegenerateVariance):
+                lz.scale_factor(s, t)
+        else:
+            assert lz.scale_factor(s, t).sigma_v_sq > 0.0
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_overflow_and_underflow_are_nonfinite(self, scale):
+        # distinct values, so the variances exist; in floating point they
+        # overflow (1e200) or underflow (1e-200), and no warning escapes
+        s = lz.Sample([scale * k for k in (1.0, 2.0, 3.0, 4.0, 5.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(lz.NonFinite):
+                lz.scale_factor(s, 0.8)
+            with pytest.raises(lz.NonFinite):
+                lz.invert("el", s, 0.8, 0.05)
+
+    def test_large_but_finite_variances(self):
+        # near the overflow bound the result is still computed, without warnings
+        base = lz.scale_factor(TOY, 0.8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = lz.scale_factor(lz.Sample(2.0 ** 510 * TOY.values), 0.8)
+        assert big.ratio == base.ratio
+        assert big.sigma_v_sq == 2.0 ** 1020 * base.sigma_v_sq
 
     def test_positive_for_continuous_data(self, rng):
         for _ in range(25):
@@ -92,11 +136,18 @@ class TestScaledStatistic:
         for kind in lz.VariantKind:
             assert lz.scaled_statistic(kind, TOY, 0.4, theta_hat) == 0.0
 
-    def test_is_ratio_times_log_ratio(self):
+    def test_is_ratio_times_log_ratio(self, rng):
         theta = 0.9
         expect = 4.0 * lz.log_ratio("el", TOY, 0.4, theta)
         assert lz.scaled_statistic("el", TOY, 0.4, theta) == pytest.approx(
             expect, rel=1e-12)
+        # bit for bit, for every kind
+        s = lz.Sample(rng.chisquare(3.0, 80))
+        for t in (0.5, 0.9):
+            theta = 1.05 * lz.point_estimate(s, t)
+            for kind in lz.VariantKind:
+                assert lz.scaled_statistic(kind, s, t, theta) == (
+                    lz.scale_factor(s, t).ratio * lz.log_ratio(kind, s, t, theta))
 
     def test_tel_never_above_el(self):
         for theta in (0.2, 0.9, 1.5):

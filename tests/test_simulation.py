@@ -8,6 +8,7 @@ import math
 import pytest
 
 import lorenzel as lz
+import lorenzel.simulation as simulation
 
 WEI = lz.Weibull(1.0, 2.0)
 
@@ -43,22 +44,28 @@ class TestExperimentConfig:
             small_cfg(**kw)
 
 
+def one_block(cfg):
+    """The cells of a design with one (n, t) pair."""
+    assert len(cfg.n_grid) == len(cfg.t_grid) == 1
+    return lz.run_experiment(cfg)
+
+
 class TestRunCell:
+    """Designs of a single (n, t) pair: one cell per method."""
+
     def test_deterministic(self):
         cfg = small_cfg()
-        a = lz.run_cell(cfg, 20, 0.5, lz.VariantKind.EL)
-        b = lz.run_cell(cfg, 20, 0.5, lz.VariantKind.EL)
-        assert a == b
+        assert one_block(cfg) == one_block(cfg)
 
     def test_point_only(self):
-        res = lz.run_cell(small_cfg(methods=()), 20, 0.5, None)
+        (res,) = one_block(small_cfg(methods=()))
         assert res.method is None
         assert res.coverage is None and res.mean_length is None
         assert res.failures == 0
         assert res.bias ** 2 <= res.mse + 1e-15
 
     def test_interval_cell(self):
-        res = lz.run_cell(small_cfg(reps=150), 20, 0.5, lz.VariantKind.EL)
+        (res,) = one_block(small_cfg(reps=150))
         assert res.method is lz.VariantKind.EL
         assert 0.7 <= res.coverage <= 1.0
         assert res.mean_length > 0.0
@@ -67,8 +74,7 @@ class TestRunCell:
     def test_all_replications_failing(self):
         # n=2 with t<=0.5 keeps exactly one observation below the quantile,
         # so every replication hits DegenerateVariance
-        cfg = small_cfg(n_grid=(2,), t_grid=(0.4,), reps=7)
-        res = lz.run_cell(cfg, 2, 0.4, lz.VariantKind.EL)
+        (res,) = one_block(small_cfg(n_grid=(2,), t_grid=(0.4,), reps=7))
         assert res.failures == 7
         assert math.isnan(res.coverage) and math.isnan(res.mean_length)
         assert math.isfinite(res.bias)  # the point estimate still exists
@@ -77,7 +83,7 @@ class TestRunCell:
         # identical replication streams + interval nesting force the
         # ordering with no Monte-Carlo slack at all
         cfg = small_cfg(reps=250, n_grid=(50,), methods=tuple(lz.VariantKind))
-        out = {m: lz.run_cell(cfg, 50, 0.5, m) for m in cfg.methods}
+        out = {r.method: r for r in one_block(cfg)}
         assert all(r.failures == 0 for r in out.values())
         assert out[lz.VariantKind.TEL].coverage >= out[lz.VariantKind.EL].coverage
         assert out[lz.VariantKind.TAEL].coverage >= out[lz.VariantKind.AEL].coverage
@@ -113,13 +119,49 @@ class TestRunExperiment:
         assert seen == [(1, 2), (2, 2)]
 
     def test_workers_do_not_change_results(self):
-        cfg = small_cfg(n_grid=(10,), t_grid=(0.3, 0.6), methods=("el",), reps=6)
+        # two methods, so every (n, t) block yields several cells
+        cfg = small_cfg(n_grid=(10, 20), t_grid=(0.3, 0.6), methods=("el", "tael"), reps=6)
         calls = {1: [], 2: []}
         seq = lz.run_experiment(cfg, workers=1, progress=lambda *a: calls[1].append(a))
         par = lz.run_experiment(cfg, workers=2, progress=lambda *a: calls[2].append(a))
         assert seq == par
         # progress reports cells in design order under either schedule
-        assert calls[1] == calls[2] == [(i + 1, 2, res) for i, res in enumerate(seq)]
+        assert calls[1] == calls[2] == [(i + 1, 8, res) for i, res in enumerate(seq)]
+
+    @pytest.mark.parametrize("methods", [(), ("el", "ael", "tel", "tael")])
+    def test_each_replication_is_drawn_once(self, monkeypatch, methods):
+        # one draw per (n, t, replication) and one ordinate per (n, t),
+        # however many methods share them
+        calls = {"sample": 0, "true_ordinate": 0}
+
+        def counting(name):
+            original = getattr(simulation, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(simulation, name, counting(name))
+        cfg = small_cfg(n_grid=(10, 20), t_grid=(0.3, 0.6, 0.9), methods=methods, reps=3)
+        res = lz.run_experiment(cfg)
+        assert len(res) == 2 * 3 * max(len(methods), 1)
+        assert calls == {"sample": 2 * 3 * 3, "true_ordinate": 2 * 3}
+
+    def test_progress_sees_a_cell_before_the_next_method_runs(self, monkeypatch):
+        # a block yields its cells lazily, so progress fires per cell
+        events = []
+        original = simulation.invert
+
+        def logged(kind, *args):
+            events.append(lz.VariantKind(kind).value)
+            return original(kind, *args)
+
+        monkeypatch.setattr(simulation, "invert", logged)
+        cfg = small_cfg(methods=("el", "ael"), reps=2)
+        lz.run_experiment(cfg, progress=lambda d, t, r: events.append(f"cell {d}"))
+        assert events == ["el", "el", "cell 1", "ael", "ael", "cell 2"]
 
 
 class TestCsv:
