@@ -8,15 +8,14 @@ statistic is then compared against the chi-square(1) critical value.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
-from .core import Sample, VariantKind, _profile, sample_quantile, truncated_values
+from .core import Sample, VariantKind, sample_quantile, truncated_values
 from .errors import DegenerateVariance, DomainError, NonFinite
-from .variants import tel_transform
+from .variants import _log_ratio
 
 __all__ = [
     "ScaleFactor",
@@ -55,8 +54,7 @@ def _truncate(s: Sample, t: float) -> tuple[np.ndarray, float, ScaleFactor]:
     if lo == psi:  # the sample is sorted: every value up to the quantile ties at it
         raise DegenerateVariance(f"every value at or below the quantile is {psi:g}, so "
                                  "sigma_v^2 = 0 and the scale factor is undefined")
-    m = max(-lo, psi)  # deviations are at most 4m, sums of n squares at most 16 n m^2
-    with np.errstate(over="ignore", invalid="ignore") if s.n * m * m > 1e306 else nullcontext():
+    with np.errstate(over="ignore", invalid="ignore"):
         # x - psi_hat is +0.0 only at x = psi_hat, so this equals
         # (x - psi_hat) 1(x <= psi_hat) bit for bit
         shifted = np.minimum(s.values - psi, 0.0)
@@ -88,6 +86,4 @@ def scale_factor(s: Sample, t: float) -> ScaleFactor:
 def scaled_statistic(kind: VariantKind, s: Sample, t: float, theta: float) -> float:
     """Variance-ratio-scaled log-likelihood ratio, asymptotically chi2(1)."""
     v, _, sf = _truncate(s, t)
-    kind = VariantKind(kind)
-    val, _ = _profile(v, theta, kind.adjusted)
-    return sf.ratio * (tel_transform(val, s.n) if kind.transformed else val)
+    return sf.ratio * _log_ratio(kind, v, s.n, theta)

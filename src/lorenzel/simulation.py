@@ -88,7 +88,8 @@ def _block(cfg: ExperimentConfig, n: int, t: float) -> Iterator[CellResult]:
     """The cells of one (n, t) pair, one per method in order (or the
     estimate-only cell), from one draw and one estimate per replication."""
     theta_true = true_ordinate(cfg.population, t)
-    samples = [sample(cfg.population, n, cfg.seed, replication=r) for r in range(cfg.reps)]
+    draws = (sample(cfg.population, n, cfg.seed, replication=r) for r in range(cfg.reps))
+    samples = list(draws) if cfg.methods else draws  # held only for the methods
     estimates = np.array([point_estimate(smp, t) for smp in samples])
     bias = float(estimates.mean() - theta_true)
     mse = float(np.mean((estimates - theta_true) ** 2))
@@ -128,7 +129,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
     are identical to the sequential schedule because streams depend only
     on (seed, replication).  ``progress(done, total, result)`` is called
     for each cell in design order, as soon as it and every cell before it
-    are done.
+    are done.  Memory is O(reps * n) per process, one block's samples
+    (40 MB at n = 500, 10**4 reps); O(n) for an estimate-only design.
     """
     ns, ts = zip(*[(n, t) for n in cfg.n_grid for t in cfg.t_grid])
     total = len(ns) * max(len(cfg.methods), 1)

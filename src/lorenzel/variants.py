@@ -63,6 +63,11 @@ def log_ratio(kind: VariantKind, s: Sample, t: float, theta: float) -> float:
     raises ConvexHullViolation when theta lies outside the open hull of
     the truncated values; AEL and TAEL are finite for every finite theta.
     """
+    return _log_ratio(kind, truncated_values(s, t), s.n, theta)
+
+
+def _log_ratio(kind: VariantKind, v, n: int, theta: float) -> float:
+    """``log_ratio`` from the truncated values V of a sample of size n."""
     kind = VariantKind(kind)
-    val, _ = _profile(truncated_values(s, t), theta, kind.adjusted)
-    return tel_transform(val, s.n) if kind.transformed else val
+    val, _ = _profile(v, theta, kind.adjusted)
+    return tel_transform(val, n) if kind.transformed else val

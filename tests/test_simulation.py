@@ -149,6 +149,17 @@ class TestRunExperiment:
         assert len(res) == 2 * 3 * max(len(methods), 1)
         assert calls == {"sample": 2 * 3 * 3, "true_ordinate": 2 * 3}
 
+    def test_estimate_only_keeps_no_samples(self, monkeypatch):
+        # without methods each sample is estimated as soon as it is drawn
+        events = []
+        for name in ("sample", "point_estimate"):
+            def logged(*args, _name=name, _original=getattr(simulation, name), **kwargs):
+                events.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(simulation, name, logged)
+        lz.run_experiment(small_cfg(methods=(), reps=4))
+        assert events == ["sample", "point_estimate"] * 4
+
     def test_progress_sees_a_cell_before_the_next_method_runs(self, monkeypatch):
         # a block yields its cells lazily, so progress fires per cell
         events = []
