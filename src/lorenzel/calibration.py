@@ -8,6 +8,7 @@ statistic is then compared against the chi-square(1) critical value.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +65,9 @@ def _truncate(s: Sample, t: float) -> tuple[np.ndarray, float, ScaleFactor]:
         sigma_p_sq = float((d * d).sum() / s.n)
         d = shifted - shifted.sum() / s.n
         sigma_v_sq = float((d * d).sum() / s.n)
-    ratio = sigma_p_sq / sigma_v_sq if sigma_v_sq else 0.0
+    # a subnormal variance has lost its relative precision, and so has the ratio
+    tiny = sys.float_info.min
+    ratio = sigma_p_sq / sigma_v_sq if sigma_p_sq >= tiny and sigma_v_sq >= tiny else 0.0
     if not 0.0 < ratio < math.inf:
         raise NonFinite(f"plug-in variances {sigma_p_sq:g} and {sigma_v_sq:g} over- or "
                         "underflow; the scale factor is undefined")
@@ -78,7 +81,8 @@ def scale_factor(s: Sample, t: float) -> ScaleFactor:
     that of (X - psi_hat) 1(X <= psi_hat), both with divisor n.  Raises
     DegenerateVariance when sigma_v^2 vanishes, that is when every value at
     or below the quantile ties at it (a single one, for example), and then
-    no interval exists; raises NonFinite when a variance over- or underflows.
+    no interval exists; raises NonFinite when a variance over- or underflows,
+    subnormal values included.
     """
     return _truncate(s, t)[2]
 

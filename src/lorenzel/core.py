@@ -12,6 +12,7 @@ Newton steps on both equations (``_joint_step``).
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 
 import numpy as np
@@ -250,6 +251,58 @@ def _profile(v: np.ndarray, theta: float, adjusted: bool,
     return max(2.0 * float(np.log1p(lam * w).sum()), 0.0), lam
 
 
+def _certify(v: np.ndarray, theta: float, adjusted: bool, lam: float | None,
+             target: float, hull: tuple[float, float]) -> tuple[float, float]:
+    """Bound the log-ratio at theta on the side of ``target``, in one pass at lam.
+
+    With w as in ``_profile`` and d = 1 + lam w, the log-ratio is the
+    supremum of L = 2 sum(log1p(lam w)) over admissible lam (weak duality),
+    so L > target means not covered.  -sum(log d) is standard
+    self-concordant in lam, so while its Newton decrement
+    delta = |g| / sqrt(h), with g = sum(w / d) and h = sum((w / d)^2), is
+    below 1, the log-ratio is at most L - 2 (delta + log1p(-delta))
+    (Nesterov 2004, sec. 4.1.4); at most the target means covered.
+    Returns the bound that decides, and the Newton step lam + g / h as the
+    next warm start.  Falls back to ``_profile``, and returns what it
+    returns, when lam is None or not admissible, when h could overflow
+    (an infinite h would make delta 0) or is subnormal, or when the bounds
+    straddle the target.
+    """
+    if lam is None:
+        return _profile(v, theta, adjusted, lam)
+    n = v.size
+    w = v - theta
+    pseudo = -adjustment_factor(n) * (float(w.sum()) / n) if adjusted else 0.0
+    e0, e1 = hull[0] - theta, hull[1] - theta
+    d0, d1, dp = 1.0 + lam * e0, 1.0 + lam * e1, 1.0 + lam * pseudo
+    # d is linear in w, so d > 0 at the ends of the hull means everywhere
+    if not (d0 > 0.0 and d1 > 0.0 and dp > 0.0):
+        return _profile(v, theta, adjusted, lam)
+    # w / d increases with w, so its largest size is at an end of the hull;
+    # under this bound r @ r can neither overflow nor warn that it did
+    r_end = max(-e0 / d0, e1 / d1)
+    if n * r_end * r_end > 1e300:
+        return _profile(v, theta, adjusted, lam)
+    d = lam * w
+    # log1p, not log(d): rounding d costs up to an ulp of 1 per term, more
+    # than a bound on a small target can spare
+    low = 2.0 * (float(np.log1p(d).sum()) + math.log1p(lam * pseudo))
+    d += 1.0
+    r = w / d
+    pr = pseudo / dp
+    g = float(r.sum()) + pr
+    h = float(r @ r) + pr * pr
+    if sys.float_info.min <= h < math.inf:  # pr * pr may overflow
+        if low > target:
+            return low, lam + g / h
+        delta = abs(g) / math.sqrt(h)
+        if delta < 1.0:
+            high = low - 2.0 * (delta + math.log1p(-delta))
+            if high <= target:
+                return high, lam + g / h
+    return _profile(v, theta, adjusted, lam)
+
+
 # Halvings a joint step may take to stay admissible before it counts as stalled.
 _MAX_HALVINGS = 8
 
@@ -305,9 +358,11 @@ def _joint_step(v: np.ndarray, theta: float, lam: float | None, adjusted: bool,
     d += 1.0
     q = 1.0 / d
     r = w * q
-    f1 = float(r.sum()) + pseudo / dp
+    pr = pseudo / dp
+    f1 = float(r.sum()) + pr
     f2 = 2.0 * (float(np.log(d).sum()) + math.log(dp)) - target
-    a11 = -float(r @ r) - (pseudo / dp) ** 2
+    # a product, not ** 2: a float power raises OverflowError where * gives inf
+    a11 = -float(r @ r) - pr * pr
     a12 = a / (dp * dp) - float(q @ q)
     a22 = 2.0 * lam * (a / dp - float(q.sum()))
     det = a11 * a22 - 2.0 * f1 * a12

@@ -30,15 +30,22 @@ boundary is infinite.  A joint step has stalled when it needs more than
 ``core._MAX_HALVINGS`` halvings, or is longer than half of each of the
 two joint steps before it.
 
-Certified steps.  Full evaluations of the log-ratio (``core._profile``),
-warm-started from the last lam; only they move the bracket
-[inner, outer] around the crossing.  The first is at the last joint
-theta.  If the joint steps converged (a theta step below the stopping
-tolerance) that is the joint root, and the second is half a tolerance
-beyond it if it is covered, or inside it if not, which usually closes
-the bracket.  Every other certified step bisects the bracket, or doubles
-the distance from the point estimate (by at least one hull width) while
-an AEL side's outer edge is still infinite.
+Certified steps.  Only they move the bracket [inner, outer] around the
+crossing.  Each decides whether theta is covered in one pass at the last
+lam (``core._certify``).  Any admissible lam gives a lower bound on l
+(weak duality); while the Newton decrement delta of -sum(log(1 + lam w))
+in lam is below 1, self-concordance bounds l from above by that bound
+plus 2 (-delta - log(1 - delta)).  A lower bound above the target, or an
+upper bound at or below it, decides, and the Newton step in lam is the
+next warm start.  When the bounds straddle the target, or lam is missing
+or not admissible, a full evaluation of the log-ratio (``core._profile``)
+decides instead.  The first certified step is at the last joint theta.
+If the joint steps converged (a theta step below the stopping tolerance)
+that is the joint root, and the second is half a tolerance beyond it if
+it is covered, or inside it if not, which usually closes the bracket.
+Every other certified step bisects the bracket, or doubles the distance
+from the point estimate (by at least one hull width) while an AEL side's
+outer edge is still infinite.
 
 The search stops once the bracket is narrower than 1e-8 relative and
 returns its inner, covered, edge.  Both kinds of step count against one
@@ -53,13 +60,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import _truncate, chi2_crit
-from .core import Sample, VariantKind, _ael_limit, _joint_step, _profile
+from .core import Sample, VariantKind, _ael_limit, _certify, _joint_step
 from .errors import BracketFailure, ConvexHullViolation, LorenzELError
 from .variants import _tel_inverse
 
 __all__ = ["ConfidenceInterval", "invert"]
 
-# Passes over the data (joint steps and statistic evaluations) allowed per
+# Passes over the data (joint steps and certified steps) allowed per
 # side.  Bisection alone closes any bracket to the stopping tolerance in at
 # most 54 steps.
 _MAX_PASSES = 100
@@ -70,7 +77,7 @@ class ConfidenceInterval:
     """A two-sided confidence interval for the generalized Lorenz ordinate.
 
     ``iterations`` counts the passes over the data of the endpoint
-    search, joint steps plus certified evaluations, over both sides.
+    search, joint steps plus certified steps, over both sides.
     """
 
     lower: float
@@ -117,9 +124,9 @@ def _search_side(v: np.ndarray, adjusted: bool, hull: tuple[float, float], targe
                 probe = moved <= 1e-8 * abs(theta) + 1e-15 * hull_w
                 joint = not probe
             continue
-        # Certified step: a full evaluation, the only kind that moves the bracket
+        # Certified step: the only kind that moves the bracket
         try:
-            val, lam = _profile(v, theta, adjusted, lam)
+            val, lam = _certify(v, theta, adjusted, lam, target, hull)
         except ConvexHullViolation:  # outside the EL hull
             val = math.inf
         if val <= target:

@@ -58,10 +58,12 @@ class TestScaleFactor:
         else:
             assert lz.scale_factor(s, t).sigma_v_sq > 0.0
 
-    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-160])
     def test_overflow_and_underflow_are_nonfinite(self, scale):
         # distinct values, so the variances exist; in floating point they
-        # overflow (1e200) or underflow (1e-200), and no warning escapes
+        # overflow (1e200), underflow to zero (1e-200) or to a subnormal
+        # (1e-160, sigma_v^2 = 1.36e-320, a ratio 1.3e-4 off), and no
+        # warning escapes
         s = lz.Sample([scale * k for k in (1.0, 2.0, 3.0, 4.0, 5.0)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -78,6 +80,12 @@ class TestScaleFactor:
             big = lz.scale_factor(lz.Sample(2.0 ** 510 * TOY.values), 0.8)
         assert big.ratio == base.ratio
         assert big.sigma_v_sq == 2.0 ** 1020 * base.sigma_v_sq
+
+    def test_small_but_normal_variances(self):
+        # sigma_v^2 = 1.36e-300 is still a normal float, so the ratio is
+        # 25/17 to rounding, as at any normal scale
+        sf = lz.scale_factor(lz.Sample([1e-150 * k for k in (1.0, 2.0, 3.0, 4.0, 5.0)]), 0.8)
+        assert sf.ratio == 1.4705882352941175
 
     def test_positive_for_continuous_data(self, rng):
         for _ in range(25):

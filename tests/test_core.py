@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,10 @@ from hypothesis import strategies as st
 
 import lorenzel as lz
 from conftest import random_positive_data
-from lorenzel.core import _joint_step, _profile
+from lorenzel import core, intervals
+from lorenzel.calibration import _truncate
+from lorenzel.core import _certify, _joint_step, _profile
+from lorenzel.variants import _tel_inverse
 
 TOY = lz.Sample([1.0, 2.0, 3.0, 4.0, 5.0])
 
@@ -274,3 +278,123 @@ class TestJointStep:
         assert 0.6 < theta < 2.0 and lam < 0.0 and step > 0.0
         assert _joint_step(v, 0.9, None, False, 3.0, 0.9 - 1e-9, 0.9 + 1e-9,
                            hull) is None
+
+
+class TestCertify:
+    """One pass at a warm multiplier bounds the log-ratio on the side of the
+    target that decides, and falls back to a full evaluation otherwise."""
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5])
+    def test_bounds_agree_with_the_profile_near_the_endpoints(self, alpha):
+        # alpha = 0.5 gives small targets, where log(d) in place of log1p
+        # puts the lower bound 2.5e-12 above the log-ratio (n = 50)
+        pops = [lz.Weibull(1.0, 2.0), lz.ChiSquare(3.0), lz.SkewNormal(1.0, 3.0, 5.0)]
+        crit = lz.chi2_crit(alpha)
+        checked = decided = 0
+        for p, pop in enumerate(pops):
+            for n in (5, 10, 25, 50, 150, 500):
+                for r in range(4):
+                    s = lz.sample(pop, n, lz.SeedSpec(master_seed=71, stream_id=p), r)
+                    for t in (0.1, 0.5, 0.9):
+                        try:
+                            v, theta_hat, scale = _truncate(s, t)
+                        except lz.DegenerateVariance:
+                            continue
+                        hull = (float(v.min()), float(v.max()))
+                        for kind in lz.VariantKind:
+                            try:
+                                ci = lz.invert(kind, s, t, alpha)
+                            except lz.BracketFailure:
+                                continue
+                            target = crit / scale.ratio
+                            if kind.transformed:
+                                target = _tel_inverse(target, n)
+                            for end, edge in ((ci.lower, hull[0]), (ci.upper, hull[1])):
+                                # joint steps from 5% inside the endpoint, as
+                                # in the search; each one's theta and lam are
+                                # certified there, and a tolerance either side
+                                if kind.adjusted:
+                                    edge = math.copysign(math.inf, end - theta_hat)
+                                lo, hi = sorted((theta_hat, edge))
+                                theta, lam = end - 0.05 * (end - theta_hat), None
+                                for _ in range(5):
+                                    step = _joint_step(v, theta, lam, kind.adjusted, target,
+                                                       lo, hi, hull)
+                                    if step is None:
+                                        break
+                                    theta, lam, _ = step
+                                    for th in (theta, theta * (1 - 5e-9), theta * (1 + 5e-9)):
+                                        val, _ = _certify(v, th, kind.adjusted, lam, target, hull)
+                                        exact, _ = _profile(v, th, kind.adjusted)
+                                        if val > target:  # a lower bound
+                                            assert val <= exact * (1 + 1e-12), (n, t, kind)
+                                        else:  # an upper bound
+                                            assert val >= exact * (1 - 1e-12), (n, t, kind)
+                                        checked += 1
+                                        decided += val != exact
+        # the bounds decide nearly every point without a full evaluation
+        assert decided > 0.9 * checked > 0
+
+    def test_falls_back_when_the_curvature_overflows(self, monkeypatch):
+        # near 1e153 the AEL pseudo-deviation's (w / d)^2 overflows, so h is
+        # inf, which would make the Newton decrement 0 and call any point
+        # covered; those points must go to a full evaluation instead
+        x = np.array([-2e153, 1e153, 1e153, 1e153, 2e153, 1e153])
+        v = lz.truncated_values(lz.Sample(x), 0.5)
+        calls = []
+        true_certify = core._certify
+        true_profile = core._profile
+
+        def spy_certify(v, theta, adjusted, lam, target, hull):
+            calls.append([theta, lam, False])
+            return true_certify(v, theta, adjusted, lam, target, hull)
+
+        def spy_profile(*args):
+            calls[-1][2] = True
+            return true_profile(*args)
+
+        monkeypatch.setattr(intervals, "_certify", spy_certify)
+        monkeypatch.setattr(core, "_profile", spy_profile)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lz.invert("ael", lz.Sample(x), 0.5, 0.05)
+        overflowed = 0
+        for theta, lam, fell_back in calls:
+            if lam is None:
+                continue
+            w = v - theta
+            w = np.append(w, -lz.adjustment_factor(w.size) * float(w.mean()))
+            d = 1.0 + lam * w
+            if not np.all(d > 0.0):
+                continue
+            with np.errstate(over="ignore"):
+                h = float((w / d) @ (w / d))
+            if math.isinf(h):
+                overflowed += 1
+                assert fell_back, theta
+        assert overflowed > 0
+
+    def test_coverage_design_rarely_needs_a_full_evaluation(self, monkeypatch):
+        # round 0 of the benchmark's seed-83 coverage design: the certified
+        # steps of the search call _profile in at most 1% of cases
+        certified = [0, 0]
+        true_certify = intervals._certify
+        true_profile = core._profile
+
+        def counted_certify(*args):
+            certified[0] += 1
+            return true_certify(*args)
+
+        def counted_profile(*args):
+            certified[1] += 1
+            return true_profile(*args)
+
+        monkeypatch.setattr(intervals, "_certify", counted_certify)
+        monkeypatch.setattr(core, "_profile", counted_profile)
+        for pop in (lz.Weibull(1.0, 2.0), lz.ChiSquare(3.0), lz.SkewNormal(1.0, 3.0, 5.0)):
+            lz.run_experiment(lz.ExperimentConfig(
+                population=pop, n_grid=(50, 100, 150, 300, 500),
+                t_grid=tuple(k / 10 for k in range(1, 10)), reps=4, alpha=0.05,
+                methods=tuple(lz.VariantKind), seed=lz.SeedSpec(master_seed=83, stream_id=0)))
+        assert certified[0] > 5000
+        assert certified[1] <= 0.01 * certified[0]

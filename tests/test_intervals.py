@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,22 @@ class TestFailureModes:
             ci = lz.invert(kind, s, t, 0.05)
             assert (ci.lower, ci.upper) == (el.lower, el.upper), kind
 
+    def test_overflowing_joint_step_leaves_the_side_to_certified_steps(self):
+        # at 1e153 the AEL pseudo-deviation's squared ratio overflows in the
+        # joint step, which then stalls; certified steps finish the side and
+        # find the interval of the same data scaled by 2^-500, times 2^500
+        x = np.array([-2e153, 1e153, 1e153, 1e153, 2e153, 1e153])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind in lz.VariantKind:
+                big = outcome(kind, x, 0.5)
+                small = outcome(kind, 2.0 ** -500 * x, 0.5)
+                if isinstance(small, tuple):
+                    assert big[0] == pytest.approx(2.0 ** 500 * small[0], rel=1e-8), kind
+                    assert big[1] == pytest.approx(2.0 ** 500 * small[1], rel=1e-8), kind
+                else:
+                    assert big is small, kind
+
     def test_el_never_needs_the_cap(self, rng):
         # the plain ratio is +inf at the hull edge, so even extreme levels
         # give endpoints strictly inside the hull
@@ -286,18 +303,18 @@ class TestEvaluationBudget:
         # at n <= 25 a share of the sides stall in the joint steps and are
         # finished by bisection; their endpoints must be as good
         certified = []
-        true_profile = intervals._profile
+        true_certify = intervals._certify
         true_search = intervals._search_side
 
-        def counted_profile(*args):
+        def counted_certify(*args):
             certified[-1] += 1
-            return true_profile(*args)
+            return true_certify(*args)
 
         def counted_search(*args):
             certified.append(0)
             return true_search(*args)
 
-        monkeypatch.setattr(intervals, "_profile", counted_profile)
+        monkeypatch.setattr(intervals, "_certify", counted_certify)
         monkeypatch.setattr(intervals, "_search_side", counted_search)
         pops = [lz.Weibull(1.0, 2.0), lz.ChiSquare(3.0), lz.SkewNormal(1.0, 3.0, 5.0)]
         crit = lz.chi2_crit(0.05)
