@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -251,55 +252,115 @@ def _profile(v: np.ndarray, theta: float, adjusted: bool,
     return max(2.0 * float(np.log1p(lam * w).sum()), 0.0), lam
 
 
+class _Pass(NamedTuple):
+    """The sums of one pass over the data at (theta, lam).
+
+    With w = v - theta, d = 1 + lam w, q = 1 / d and r = w q over the data;
+    the AEL pseudo-deviation is carried as a scalar.
+    """
+
+    theta: float
+    lam: float
+    n: int
+    a: float  # a_n for AEL, 0 for EL
+    pseudo: float  # -a_n mean(w) for AEL, 0 for EL
+    dmin: float  # the smallest d, at an end of the hull
+    ldata: float  # 2 sum(log1p(lam w))
+    sr: float  # sum(r)
+    sr2: float  # sum(r^2)
+    sq: float  # sum(q)
+    sq2: float  # sum(q^2)
+
+
+def _pass(v: np.ndarray, theta: float, lam: float, adjusted: bool,
+          hull: tuple[float, float]) -> _Pass | None:
+    """The sums of one pass over v at (theta, lam), for either kind of search
+    step; None when some d is not positive or a sum of squares could
+    overflow.  ``hull`` is the (min, max) of v."""
+    n = v.size
+    w = v - theta
+    a = adjustment_factor(n) if adjusted else 0.0
+    pseudo = -a * (float(w.sum()) / n) if adjusted else 0.0
+    e0, e1 = hull[0] - theta, hull[1] - theta
+    d0, d1 = 1.0 + lam * e0, 1.0 + lam * e1
+    # d is linear in w, so d > 0 at the ends of the hull means everywhere
+    if not (d0 > 0.0 and d1 > 0.0 and 1.0 + lam * pseudo > 0.0):
+        return None
+    # w / d increases with w, so its largest size is at an end of the hull,
+    # and 1 / d is at most 1 / dmin; under these bounds r @ r and q @ q can
+    # neither overflow nor warn that they did
+    dmin = min(d0, d1)
+    r_end = max(-e0 / d0, e1 / d1)
+    if n * r_end * r_end > 1e300 or n > 1e300 * dmin * dmin:
+        return None
+    x = lam * w
+    # log1p, not log(d): rounding d costs up to an ulp of 1 per term, more
+    # than a bound on a small target can spare
+    ldata = 2.0 * float(np.log1p(x).sum())
+    x += 1.0
+    q = 1.0 / x
+    r = w * q
+    return _Pass(theta, lam, n, a, pseudo, dmin, ldata,
+                 float(r.sum()), float(r @ r), float(q.sum()), float(q @ q))
+
+
+def _bounds(s: _Pass, theta: float) -> tuple[float, float]:
+    """Lower and upper bounds on the log-ratio at theta, in O(1) from the sums
+    of a pass at s.theta, with the pass's lam; (-inf, inf) when undecided.
+
+    At s.theta: the log-ratio is the supremum of
+    L = 2 sum(log1p(lam w)) + 2 log1p(lam pseudo) over admissible lam (weak
+    duality), so L is a lower bound.  -sum(log d) is standard
+    self-concordant in lam, so while its Newton decrement delta = |g| / sqrt(h),
+    with g = sum(r) + pr, h = sum(r^2) + pr^2 and pr = pseudo / (1 + lam pseudo),
+    is below 1, L - 2 (delta + log1p(-delta)) is an upper bound (Nesterov 2004,
+    sec. 4.1.4).  At theta = s.theta + D each d becomes d (1 + x), with
+    x = -lam D q and |x| <= eps = |lam D| / dmin, and each r becomes
+    (r - D q) / (1 + x).  Then x - x^2 / (1 - eps) <= x / (1 + x) <= log1p(x)
+    <= x bound L, and sum|r| <= sqrt(n sum(r^2)) and
+    ||r - D q|| >= ||r|| - |D| ||q|| bound |g| above and h below.  Undecided
+    when eps is not below 0.01, when lam is not admissible for the
+    pseudo-deviation, or when the bound on h is infinite (pr^2 may overflow,
+    which would make delta 0) or subnormal.
+    """
+    shift = theta - s.theta
+    x = s.lam * shift
+    eps = abs(x) / s.dmin
+    pseudo = s.pseudo + s.a * shift
+    dp = 1.0 + s.lam * pseudo
+    if not (eps < 0.01 and dp > 0.0):
+        return -math.inf, math.inf
+    top = s.ldata - 2.0 * x * s.sq + 2.0 * math.log1p(s.lam * pseudo)
+    low = top - 2.0 * x * x * s.sq2 / (1.0 - eps)
+    pr = pseudo / dp
+    g = (abs(s.sr - shift * s.sq + pr) + eps / (1.0 - eps)
+         * (math.sqrt(s.n) * math.sqrt(s.sr2) + abs(shift) * s.sq))
+    nr = max(math.sqrt(s.sr2) - abs(shift) * math.sqrt(s.sq2), 0.0) / (1.0 + eps)
+    h = nr * nr + pr * pr
+    if not sys.float_info.min <= h < math.inf:
+        return -math.inf, math.inf
+    delta = g / math.sqrt(h)
+    high = top - 2.0 * (delta + math.log1p(-delta)) if delta < 1.0 else math.inf
+    return low, high
+
+
 def _certify(v: np.ndarray, theta: float, adjusted: bool, lam: float | None,
              target: float, hull: tuple[float, float]) -> tuple[float, float]:
     """Bound the log-ratio at theta on the side of ``target``, in one pass at lam.
 
-    With w as in ``_profile`` and d = 1 + lam w, the log-ratio is the
-    supremum of L = 2 sum(log1p(lam w)) over admissible lam (weak duality),
-    so L > target means not covered.  -sum(log d) is standard
-    self-concordant in lam, so while its Newton decrement
-    delta = |g| / sqrt(h), with g = sum(w / d) and h = sum((w / d)^2), is
-    below 1, the log-ratio is at most L - 2 (delta + log1p(-delta))
-    (Nesterov 2004, sec. 4.1.4); at most the target means covered.
-    Returns the bound that decides, and the Newton step lam + g / h as the
-    next warm start.  Falls back to ``_profile``, and returns what it
-    returns, when lam is None or not admissible, when h could overflow
-    (an infinite h would make delta 0) or is subnormal, or when the bounds
-    straddle the target.
+    A lower bound above the target means not covered, an upper bound at or
+    below it covered (``_bounds`` at the pass's own theta).  Returns the
+    bound that decides, and the Newton step lam + g / h as the next warm
+    start.  Falls back to ``_profile``, and returns what it returns, when
+    lam is None, when ``_pass`` refuses it, or when the bounds straddle the
+    target.
     """
-    if lam is None:
-        return _profile(v, theta, adjusted, lam)
-    n = v.size
-    w = v - theta
-    pseudo = -adjustment_factor(n) * (float(w.sum()) / n) if adjusted else 0.0
-    e0, e1 = hull[0] - theta, hull[1] - theta
-    d0, d1, dp = 1.0 + lam * e0, 1.0 + lam * e1, 1.0 + lam * pseudo
-    # d is linear in w, so d > 0 at the ends of the hull means everywhere
-    if not (d0 > 0.0 and d1 > 0.0 and dp > 0.0):
-        return _profile(v, theta, adjusted, lam)
-    # w / d increases with w, so its largest size is at an end of the hull;
-    # under this bound r @ r can neither overflow nor warn that it did
-    r_end = max(-e0 / d0, e1 / d1)
-    if n * r_end * r_end > 1e300:
-        return _profile(v, theta, adjusted, lam)
-    d = lam * w
-    # log1p, not log(d): rounding d costs up to an ulp of 1 per term, more
-    # than a bound on a small target can spare
-    low = 2.0 * (float(np.log1p(d).sum()) + math.log1p(lam * pseudo))
-    d += 1.0
-    r = w / d
-    pr = pseudo / dp
-    g = float(r.sum()) + pr
-    h = float(r @ r) + pr * pr
-    if sys.float_info.min <= h < math.inf:  # pr * pr may overflow
-        if low > target:
-            return low, lam + g / h
-        delta = abs(g) / math.sqrt(h)
-        if delta < 1.0:
-            high = low - 2.0 * (delta + math.log1p(-delta))
-            if high <= target:
-                return high, lam + g / h
+    s = None if lam is None else _pass(v, theta, lam, adjusted, hull)
+    if s is not None:
+        low, high = _bounds(s, theta)
+        if low > target or high <= target:
+            pr = s.pseudo / (1.0 + lam * s.pseudo)
+            return low if low > target else high, lam + (s.sr + pr) / (s.sr2 + pr * pr)
     return _profile(v, theta, adjusted, lam)
 
 
@@ -308,13 +369,14 @@ _MAX_HALVINGS = 8
 
 
 def _joint_step(v: np.ndarray, theta: float, lam: float | None, adjusted: bool,
-                target: float, lo: float, hi: float,
-                hull: tuple[float, float]) -> tuple[float, float, float] | None:
+                target: float, lo: float, hi: float, hull: tuple[float, float],
+                ) -> tuple[float, float, float, _Pass] | None:
     """One damped Newton step on (theta, lam) towards an interval endpoint.
 
     An endpoint solves F1 = sum(w / d) = 0 and F2 = 2 sum(log d) - target = 0
     together, with d = 1 + lam w and w as in ``_profile``, so no inner
-    solve for lam is needed.  One pass over v gives F1, F2 and the Jacobian
+    solve for lam is needed.  One pass over v (``_pass``) gives F1, F2 and
+    the Jacobian
 
         [[-sum(w^2 / d^2), sum(w' / d^2)], [2 F1, 2 lam sum(w' / d)]],
 
@@ -323,17 +385,13 @@ def _joint_step(v: np.ndarray, theta: float, lam: float | None, adjusted: bool,
     from lam = sum(w) / sum(w^2), one Newton step on F1 from zero.  The
     step is halved until theta lies strictly inside (lo, hi) and every d
     stays positive; d is linear in w, so that is checked at the ends of
-    ``hull``, the (min, max) of v.  Returns the new theta and lam with the
-    length of the full theta step, or None when F is not finite or the
-    step needs more than _MAX_HALVINGS halvings.
+    ``hull``, the (min, max) of v.  Returns the new theta and lam, the
+    length of the full theta step and the pass at the old theta and lam,
+    or None when ``_pass`` refuses the old point, the Jacobian is singular
+    or not finite, or the step needs more than _MAX_HALVINGS halvings.
     """
     n = v.size
-    w = v - theta
-    a = 0.0
-    pseudo = 0.0
-    if adjusted:
-        a = adjustment_factor(n)
-        pseudo = -a * (float(w.sum()) / n)
+    a = adjustment_factor(n) if adjusted else 0.0
     vmin, vmax = hull
 
     def admissible(theta: float, lam: float, pseudo: float) -> bool:
@@ -341,39 +399,41 @@ def _joint_step(v: np.ndarray, theta: float, lam: float | None, adjusted: bool,
                 and 1.0 + lam * (vmax - theta) > 0.0 and 1.0 + lam * pseudo > 0.0)
 
     if lam is None:
-        lam = (float(w.sum()) + pseudo) / (float(w @ w) + pseudo * pseudo)
+        # the largest |w| is at an end of the hull; under this bound w @ w
+        # can neither overflow nor warn that it did
+        e = max(abs(vmin - theta), abs(vmax - theta))
+        if n * e * e > 1e300:
+            return None
+        w = v - theta
+        sw = float(w.sum())
+        pseudo = -a * (sw / n)
+        lam = (sw + pseudo) / (float(w @ w) + pseudo * pseudo)
         for _ in range(_MAX_HALVINGS):
             if admissible(theta, lam, pseudo):
                 break
             lam *= 0.5
         else:
             return None
-    dp = 1.0 + lam * pseudo
-    if not dp > 0.0:
+    s = _pass(v, theta, lam, adjusted, hull)
+    if s is None:
         return None
-    # every d is at least the value at an end of the hull, which the
-    # admissibility check computed in the same floating-point operations,
-    # so d > 0 here and 1/d and log(d) are finite
-    d = lam * w
-    d += 1.0
-    q = 1.0 / d
-    r = w * q
-    pr = pseudo / dp
-    f1 = float(r.sum()) + pr
-    f2 = 2.0 * (float(np.log(d).sum()) + math.log(dp)) - target
-    # a product, not ** 2: a float power raises OverflowError where * gives inf
-    a11 = -float(r @ r) - pr * pr
-    a12 = a / (dp * dp) - float(q @ q)
-    a22 = 2.0 * lam * (a / dp - float(q.sum()))
+    dp = 1.0 + lam * s.pseudo
+    pr = s.pseudo / dp
+    f1 = s.sr + pr
+    f2 = s.ldata + 2.0 * math.log1p(lam * s.pseudo) - target
+    # products, not ** 2: a float power raises OverflowError where * gives inf
+    a11 = -s.sr2 - pr * pr
+    a12 = a / (dp * dp) - s.sq2
+    a22 = 2.0 * lam * (a / dp - s.sq)
     det = a11 * a22 - 2.0 * f1 * a12
-    if not (math.isfinite(f2) and math.isfinite(det) and det != 0.0):
+    if not (math.isfinite(det) and det != 0.0):
         return None
     dlam = (a12 * f2 - a22 * f1) / det
     dtheta = (2.0 * f1 * f1 - a11 * f2) / det
     full = abs(dtheta)
     for _ in range(_MAX_HALVINGS + 1):
-        if admissible(theta + dtheta, lam + dlam, pseudo + a * dtheta):
-            return theta + dtheta, lam + dlam, full
+        if admissible(theta + dtheta, lam + dlam, s.pseudo + a * dtheta):
+            return theta + dtheta, lam + dlam, full, s
         dtheta *= 0.5
         dlam *= 0.5
     return None

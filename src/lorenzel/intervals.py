@@ -30,22 +30,31 @@ boundary is infinite.  A joint step has stalled when it needs more than
 ``core._MAX_HALVINGS`` halvings, or is longer than half of each of the
 two joint steps before it.
 
+Bounds.  Any admissible lam gives a lower bound on l (weak duality);
+while the Newton decrement delta of -sum(log(1 + lam w)) in lam is below
+1, self-concordance bounds l from above by that bound plus
+2 (-delta - log(1 - delta)).  A lower bound above the target means not
+covered, an upper bound at or below it covered.  The sums of one pass
+(``core._pass``) give both bounds at the pass's theta, and, in O(1),
+bounds at any theta close enough to it (``core._bounds``).
+
+Closing in the joint passes.  The joint steps have converged when a theta
+step falls below the stopping tolerance.  The sums of that last pass
+then bound l 0.499 of a tolerance inside and beyond the joint root.  If
+the inner point is covered and the outer one is not, the side returns the
+inner point with no further pass; at n >= 50 nearly every side does.
+
 Certified steps.  Only they move the bracket [inner, outer] around the
 crossing.  Each decides whether theta is covered in one pass at the last
-lam (``core._certify``).  Any admissible lam gives a lower bound on l
-(weak duality); while the Newton decrement delta of -sum(log(1 + lam w))
-in lam is below 1, self-concordance bounds l from above by that bound
-plus 2 (-delta - log(1 - delta)).  A lower bound above the target, or an
-upper bound at or below it, decides, and the Newton step in lam is the
-next warm start.  When the bounds straddle the target, or lam is missing
-or not admissible, a full evaluation of the log-ratio (``core._profile``)
+lam (``core._certify``), and the Newton step in lam is the next warm
+start.  When the bounds straddle the target, or lam is missing or not
+admissible, a full evaluation of the log-ratio (``core._profile``)
 decides instead.  The first certified step is at the last joint theta.
-If the joint steps converged (a theta step below the stopping tolerance)
-that is the joint root, and the second is half a tolerance beyond it if
-it is covered, or inside it if not, which usually closes the bracket.
-Every other certified step bisects the bracket, or doubles the distance
-from the point estimate (by at least one hull width) while an AEL side's
-outer edge is still infinite.
+If the joint steps converged that is the joint root, and the second is
+half a tolerance beyond it if it is covered, or inside it if not, which
+usually closes the bracket.  Every other certified step bisects the
+bracket, or doubles the distance from the point estimate (by at least
+one hull width) while an AEL side's outer edge is still infinite.
 
 The search stops once the bracket is narrower than 1e-8 relative and
 returns its inner, covered, edge.  Both kinds of step count against one
@@ -59,8 +68,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import _truncate, chi2_crit
-from .core import Sample, VariantKind, _ael_limit, _certify, _joint_step
+from .calibration import ScaleFactor, _truncate, chi2_crit
+from .core import Sample, VariantKind, _ael_limit, _bounds, _certify, _joint_step
 from .errors import BracketFailure, ConvexHullViolation, LorenzELError
 from .variants import _tel_inverse
 
@@ -96,9 +105,10 @@ def _search_side(v: np.ndarray, adjusted: bool, hull: tuple[float, float], targe
     """Locate the crossing l(theta) = target between theta_hat and bound.
 
     ``bound``, the hull edge (EL) or an infinity (AEL), lies beyond the
-    crossing.  Joint steps run from ``start``, then certified steps finish
-    the side (see the module docstring).  Returns the inner (covered) edge
-    of the final bracket and the passes over the data it took.
+    crossing.  Joint steps run from ``start``; the converged one's bounds,
+    or else certified steps, finish the side (see the module docstring).
+    Returns the inner (covered) edge of the final bracket and the passes
+    over the data it took.
     """
     inner, outer = theta_hat, bound
     hull_w = hull[1] - hull[0]
@@ -118,11 +128,20 @@ def _search_side(v: np.ndarray, adjusted: bool, hull: tuple[float, float], targe
             # than half of each of the two before it, has stalled
             if nxt is None or nxt[2] > 0.5 * max(step, prev_step):
                 joint = False
-            else:
-                theta, lam, moved = nxt
-                prev_step, step = step, moved
-                probe = moved <= 1e-8 * abs(theta) + 1e-15 * hull_w
-                joint = not probe
+                continue
+            theta, lam, moved, sums = nxt
+            prev_step, step = step, moved
+            tol = 1e-8 * abs(theta) + 1e-15 * hull_w
+            probe = moved <= tol
+            joint = not probe
+            if probe:
+                # the converged pass bounds l just inside and just beyond the
+                # joint root; 0.499, not 0.5, keeps the two points within one
+                # stopping tolerance of each other after rounding
+                near, far = theta - out * 0.499 * tol, theta + out * 0.499 * tol
+                if (lo < near < hi and _bounds(sums, near)[1] <= target
+                        and _bounds(sums, far)[0] > target):
+                    return near, passes
             continue
         # Certified step: the only kind that moves the bracket
         try:
@@ -187,25 +206,33 @@ def invert(kind: VariantKind, s: Sample, t: float, alpha: float) -> ConfidenceIn
     kind = VariantKind(kind)
     crit = chi2_crit(alpha)
     v, theta_hat, scale = _truncate(s, t)
-    hull = (float(v.min()), float(v.max()))
+    return _invert(kind, v, theta_hat, scale, (float(v.min()), float(v.max())), crit,
+                   1.0 - float(alpha))
 
+
+def _invert(kind: VariantKind, v: np.ndarray, theta_hat: float, scale: ScaleFactor,
+            hull: tuple[float, float], crit: float, level: float) -> ConfidenceInterval:
+    """``invert`` from the sample's truncation (``calibration._truncate``),
+    its hull, the critical value and the level, which the methods of one
+    replication share."""
+    n = v.size
     # the unscaled log-ratio that r * l (r * T(l) for TEL/TAEL) must not exceed
     target = crit / scale.ratio
     if kind.transformed:
-        target = _tel_inverse(target, s.n)
+        target = _tel_inverse(target, n)
     dom_lo, dom_hi = hull
     if kind.adjusted:
-        limit = _ael_limit(s.n)
+        limit = _ael_limit(n)
         if limit <= target:
             raise BracketFailure(
                 f"{kind.value} log-ratio is bounded by l_inf = {limit:.6g} <= its "
                 f"critical value {target:.6g}: the confidence set is the whole line")
         dom_lo, dom_hi = -math.inf, math.inf
     # Wald half-width, from l(theta) ~ n (theta - theta_hat)^2 / sigma_p^2
-    wald = math.sqrt(target * scale.sigma_p_sq / s.n)
+    wald = math.sqrt(target * scale.sigma_p_sq / n)
     lower, lower_passes = _search_side(v, kind.adjusted, hull, target, theta_hat,
                                        theta_hat - wald, dom_lo)
     upper, upper_passes = _search_side(v, kind.adjusted, hull, target, theta_hat,
                                        theta_hat + wald, dom_hi)
-    return ConfidenceInterval(lower=lower, upper=upper, level=1.0 - float(alpha), kind=kind,
+    return ConfidenceInterval(lower=lower, upper=upper, level=level, kind=kind,
                               iterations=lower_passes + upper_passes)

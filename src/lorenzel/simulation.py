@@ -1,12 +1,12 @@
 """Monte-Carlo harness: bias, MSE, coverage, and interval length.
 
 The cells of one (n, t) pair form a block, the unit of parallel work.
-Replication r of a block is drawn once, from the child stream of (seed,
-r), for its point estimate and every method, so the calibrations are
-compared on identical samples and nest replication by replication.  A
-replication whose interval construction fails is counted in
-``failures`` and left out of the coverage and length denominators, which
-count only the replications that produced an interval.
+Replication r of a block is drawn and truncated once, from the child
+stream of (seed, r), for its point estimate and every method, so the
+calibrations are compared on identical samples and nest replication by
+replication.  A replication whose interval construction fails is counted
+in ``failures`` and left out of the coverage and length denominators,
+which count only the replications that produced an interval.
 """
 from __future__ import annotations
 
@@ -19,10 +19,11 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
+from .calibration import _truncate, chi2_crit
 from .core import VariantKind, point_estimate
 from .errors import BracketFailure, ConvexHullViolation, DegenerateVariance, NonFinite
 from .income import _fmt, _write_table
-from .intervals import invert
+from .intervals import _invert
 from .populations import Population, SeedSpec, sample, true_ordinate
 
 __all__ = [
@@ -86,22 +87,40 @@ class CellResult:
 
 def _block(cfg: ExperimentConfig, n: int, t: float) -> Iterator[CellResult]:
     """The cells of one (n, t) pair, one per method in order (or the
-    estimate-only cell), from one draw and one estimate per replication."""
+    estimate-only cell), from one draw, one truncation and one estimate per
+    replication."""
     theta_true = true_ordinate(cfg.population, t)
     draws = (sample(cfg.population, n, cfg.seed, replication=r) for r in range(cfg.reps))
-    samples = list(draws) if cfg.methods else draws  # held only for the methods
-    estimates = np.array([point_estimate(smp, t) for smp in samples])
+    # per replication, what every method's interval shares: the truncation
+    # and its hull, or None when the scale factor is undefined
+    setups = []
+    estimates = []
+    for smp in draws:  # without methods, each sample is estimated and dropped
+        setup = None
+        if cfg.methods:
+            try:
+                v, theta_hat, scale = _truncate(smp, t)
+                setup = v, theta_hat, scale, (float(v.min()), float(v.max()))
+            except (DegenerateVariance, NonFinite):
+                pass
+            setups.append(setup)
+        estimates.append(point_estimate(smp, t) if setup is None else setup[1])
+    estimates = np.array(estimates)
     bias = float(estimates.mean() - theta_true)
     mse = float(np.mean((estimates - theta_true) ** 2))
     if not cfg.methods:
         yield CellResult(n=n, t=t, method=None, bias=bias, mse=mse,
                          coverage=None, mean_length=None, failures=0)
+    crit, level = chi2_crit(cfg.alpha), 1.0 - float(cfg.alpha)
     for method in cfg.methods:
         covered = failures = 0
         length_sum = 0.0
-        for smp in samples:
+        for setup in setups:
+            if setup is None:
+                failures += 1
+                continue
             try:
-                ci = invert(method, smp, t, cfg.alpha)
+                ci = _invert(method, *setup, crit, level)
             except _CI_FAILURES:
                 failures += 1
                 continue

@@ -13,7 +13,7 @@ import lorenzel as lz
 from conftest import random_positive_data
 from lorenzel import core, intervals
 from lorenzel.calibration import _truncate
-from lorenzel.core import _certify, _joint_step, _profile
+from lorenzel.core import _bounds, _certify, _joint_step, _profile
 from lorenzel.variants import _tel_inverse
 
 TOY = lz.Sample([1.0, 2.0, 3.0, 4.0, 5.0])
@@ -263,8 +263,10 @@ class TestJointStep:
                     lam = _profile(v, theta, adjusted)[1]
                     steps = []
                     for _ in range(4):
-                        theta, lam, step = _joint_step(v, theta, lam, adjusted, target,
-                                                       lo, hi, hull)
+                        before = theta, lam
+                        theta, lam, step, sums = _joint_step(v, theta, lam, adjusted,
+                                                             target, lo, hi, hull)
+                        assert (sums.theta, sums.lam) == before
                         steps.append(step)
                     assert steps[-1] <= 1e-12 * abs(end), (n, t, adjusted, steps)
                     assert theta == pytest.approx(end, rel=2e-8)
@@ -274,8 +276,9 @@ class TestJointStep:
         # stay inside (lo, hi) comes back as None
         v = lz.truncated_values(TOY, 0.4)  # (1, 2, 0, 0, 0), theta_hat 0.6
         hull = (0.0, 2.0)
-        theta, lam, step = _joint_step(v, 0.9, None, False, 3.0, 0.6, 2.0, hull)
+        theta, lam, step, sums = _joint_step(v, 0.9, None, False, 3.0, 0.6, 2.0, hull)
         assert 0.6 < theta < 2.0 and lam < 0.0 and step > 0.0
+        assert sums.theta == 0.9 and sums.lam < 0.0
         assert _joint_step(v, 0.9, None, False, 3.0, 0.9 - 1e-9, 0.9 + 1e-9,
                            hull) is None
 
@@ -291,6 +294,7 @@ class TestCertify:
         pops = [lz.Weibull(1.0, 2.0), lz.ChiSquare(3.0), lz.SkewNormal(1.0, 3.0, 5.0)]
         crit = lz.chi2_crit(alpha)
         checked = decided = 0
+        shifted = [0, 0]  # O(1) bounds checked, and deciding
         for p, pop in enumerate(pops):
             for n in (5, 10, 25, 50, 150, 500):
                 for r in range(4):
@@ -312,7 +316,9 @@ class TestCertify:
                             for end, edge in ((ci.lower, hull[0]), (ci.upper, hull[1])):
                                 # joint steps from 5% inside the endpoint, as
                                 # in the search; each one's theta and lam are
-                                # certified there, and a tolerance either side
+                                # certified there, and a tolerance either side;
+                                # each pass's O(1) bounds are checked at the
+                                # new theta, and 0.499 and 1 tolerance either side
                                 if kind.adjusted:
                                     edge = math.copysign(math.inf, end - theta_hat)
                                 lo, hi = sorted((theta_hat, edge))
@@ -322,7 +328,7 @@ class TestCertify:
                                                        lo, hi, hull)
                                     if step is None:
                                         break
-                                    theta, lam, _ = step
+                                    theta, lam, _, sums = step
                                     for th in (theta, theta * (1 - 5e-9), theta * (1 + 5e-9)):
                                         val, _ = _certify(v, th, kind.adjusted, lam, target, hull)
                                         exact, _ = _profile(v, th, kind.adjusted)
@@ -332,8 +338,19 @@ class TestCertify:
                                             assert val >= exact * (1 - 1e-12), (n, t, kind)
                                         checked += 1
                                         decided += val != exact
+                                    tol = 1e-8 * abs(theta) + 1e-15 * (hull[1] - hull[0])
+                                    for k in (-1.0, -0.499, 0.0, 0.499, 1.0):
+                                        th = theta + k * tol
+                                        low, high = _bounds(sums, th)
+                                        exact, _ = _profile(v, th, kind.adjusted)
+                                        assert low <= exact * (1 + 1e-12), (n, t, kind, k)
+                                        assert high >= exact * (1 - 1e-12), (n, t, kind, k)
+                                        if k and step[2] <= tol:  # near a converged root
+                                            shifted[0] += 1
+                                            shifted[1] += low > target or high <= target
         # the bounds decide nearly every point without a full evaluation
         assert decided > 0.9 * checked > 0
+        assert shifted[1] > 0.9 * shifted[0] > 0
 
     def test_falls_back_when_the_curvature_overflows(self, monkeypatch):
         # near 1e153 the AEL pseudo-deviation's (w / d)^2 overflows, so h is
@@ -375,20 +392,38 @@ class TestCertify:
         assert overflowed > 0
 
     def test_coverage_design_rarely_needs_a_full_evaluation(self, monkeypatch):
-        # round 0 of the benchmark's seed-83 coverage design: the certified
-        # steps of the search call _profile in at most 1% of cases
-        certified = [0, 0]
+        # round 0 of the benchmark's seed-83 coverage design: nearly every
+        # side closes in its joint passes, certified by the converged pass's
+        # O(1) bounds, and _profile runs in at most 1% of the passes
+        counts = {"sides": 0, "closed": 0, "passes": 0, "profile": 0}
+        certified = [0]
+        true_search = intervals._search_side
+        true_joint = intervals._joint_step
         true_certify = intervals._certify
         true_profile = core._profile
 
+        def counted_search(*args):
+            certified[0] = 0
+            out = true_search(*args)
+            counts["sides"] += 1
+            counts["closed"] += certified[0] == 0
+            return out
+
+        def counted_joint(*args):
+            counts["passes"] += 1
+            return true_joint(*args)
+
         def counted_certify(*args):
+            counts["passes"] += 1
             certified[0] += 1
             return true_certify(*args)
 
         def counted_profile(*args):
-            certified[1] += 1
+            counts["profile"] += 1
             return true_profile(*args)
 
+        monkeypatch.setattr(intervals, "_search_side", counted_search)
+        monkeypatch.setattr(intervals, "_joint_step", counted_joint)
         monkeypatch.setattr(intervals, "_certify", counted_certify)
         monkeypatch.setattr(core, "_profile", counted_profile)
         for pop in (lz.Weibull(1.0, 2.0), lz.ChiSquare(3.0), lz.SkewNormal(1.0, 3.0, 5.0)):
@@ -396,5 +431,6 @@ class TestCertify:
                 population=pop, n_grid=(50, 100, 150, 300, 500),
                 t_grid=tuple(k / 10 for k in range(1, 10)), reps=4, alpha=0.05,
                 methods=tuple(lz.VariantKind), seed=lz.SeedSpec(master_seed=83, stream_id=0)))
-        assert certified[0] > 5000
-        assert certified[1] <= 0.01 * certified[0]
+        assert counts["sides"] > 4000
+        assert counts["closed"] >= 0.95 * counts["sides"]
+        assert counts["profile"] <= 0.01 * counts["passes"]

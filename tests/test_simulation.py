@@ -163,13 +163,13 @@ class TestRunExperiment:
     def test_progress_sees_a_cell_before_the_next_method_runs(self, monkeypatch):
         # a block yields its cells lazily, so progress fires per cell
         events = []
-        original = simulation.invert
+        original = simulation._invert
 
         def logged(kind, *args):
             events.append(lz.VariantKind(kind).value)
             return original(kind, *args)
 
-        monkeypatch.setattr(simulation, "invert", logged)
+        monkeypatch.setattr(simulation, "_invert", logged)
         cfg = small_cfg(methods=("el", "ael"), reps=2)
         lz.run_experiment(cfg, progress=lambda d, t, r: events.append(f"cell {d}"))
         assert events == ["el", "el", "cell 1", "ael", "ael", "cell 2"]
