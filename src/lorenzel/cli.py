@@ -12,10 +12,11 @@ import os
 import sys
 from typing import Optional
 
-from .core import VariantKind, point_estimate
+from .calibration import chi2_crit
+from .core import VariantKind
 from .errors import FileError, LorenzELError, SchemaError
 from .income import _fmt, _write_table, curve, load_csv, write_curve_csv
-from .intervals import invert
+from .intervals import _invert, _setup
 from .populations import ChiSquare, SeedSpec, SkewNormal, Weibull
 from .simulation import ExperimentConfig, run_experiment, write_results_csv
 
@@ -155,10 +156,15 @@ def _cmd_ci(args) -> int:
     prec = None if args.raw else 4
 
     def rows():
+        crit, level = chi2_crit(args.alpha), 1.0 - args.alpha
         for t in args.t:
-            est = point_estimate(smp, t)
+            # the estimate is the truncation's theta_hat, bit for bit; the
+            # methods share the truncation and start from each other's
+            # endpoints, as in run_experiment
+            setup = _setup(smp, t)
+            est, seeds = setup[1], {}
             for kind in args.methods:
-                ci = invert(kind, smp, t, args.alpha)
+                ci = _invert(kind, *setup, crit, level, seeds)
                 yield [f"{t:.10g}", _fmt(est, prec), kind.value,
                        _fmt(ci.lower, prec), _fmt(ci.upper, prec), _fmt(ci.length, prec)]
 

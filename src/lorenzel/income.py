@@ -72,27 +72,32 @@ def load_csv(path, value_column: str, group_column: Optional[str] = None) -> Inc
     dropped = 0
     try:
         with open(path, "r", newline="", encoding="utf-8-sig") as fh:
-            reader = csv.DictReader(fh)
-            names = reader.fieldnames or []
-            if value_column not in names:
+            reader = csv.reader(fh)
+            names = next(reader, [])
+            # a repeated name means its last column, as in a csv.DictReader row
+            index = {name: i for i, name in enumerate(names)}
+            if value_column not in index:
                 raise SchemaError(f"column {value_column!r} not found in {path} "
                                   f"(have: {', '.join(names)})")
-            if group_column is not None and group_column not in names:
+            if group_column is not None and group_column not in index:
                 raise SchemaError(f"column {group_column!r} not found in {path} "
                                   f"(have: {', '.join(names)})")
+            col = index[value_column]
+            group_col = index[group_column] if group_column is not None else None
             for row in reader:
-                raw = row.get(value_column)
+                if not row:  # a blank line is no row
+                    continue
                 try:
-                    val = float(raw)
-                except (TypeError, ValueError):
+                    val = float(row[col])
+                except (IndexError, ValueError):  # a short row has no value cell
                     dropped += 1
                     continue
                 if not math.isfinite(val):
                     dropped += 1
                     continue
                 values.append(val)
-                if group_column is not None:
-                    groups.append(row.get(group_column))
+                if group_col is not None:
+                    groups.append(row[group_col] if group_col < len(row) else None)
     except (OSError, UnicodeDecodeError) as exc:
         raise FileError(f"cannot read {path}: {exc}")
     if dropped:

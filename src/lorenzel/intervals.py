@@ -38,11 +38,12 @@ covered, an upper bound at or below it covered.  The sums of one pass
 (``core._pass``) give both bounds at the pass's theta, and, in O(1),
 bounds at any theta close enough to it (``core._bounds``).
 
-Closing in the joint passes.  The joint steps have converged when a theta
-step falls below the stopping tolerance.  The sums of that last pass
-then bound l 0.499 of a tolerance inside and beyond the joint root.  If
+Closing in the joint passes.  After every joint step, the sums of its
+pass bound l 0.499 of a tolerance inside and beyond the new theta.  If
 the inner point is covered and the outer one is not, the side returns the
-inner point with no further pass; at n >= 50 nearly every side does.
+inner point with no further pass; at n >= 50 nearly every side does, one
+pass before its theta step would fall below the stopping tolerance.  The
+joint steps have converged when a theta step falls below it.
 
 Certified steps.  Only they move the bracket [inner, outer] around the
 crossing.  Each decides whether theta is covered in one pass at the last
@@ -59,7 +60,21 @@ one hull width) while an AEL side's outer edge is still infinite.
 The search stops once the bracket is narrower than 1e-8 relative and
 returns its inner, covered, edge.  Both kinds of step count against one
 budget of passes per side; running out raises LorenzELError rather than
-return an unconverged endpoint.
+return an unconverged endpoint.  The search runs on the truncated values
+scaled by a power of two to a largest size in [0.5, 1), so that no sum of
+squares overflows; every tolerance is relative, so the endpoints are
+those of the unscaled search, bit for bit, wherever that one does not
+overflow.
+
+Seeded starts.  ``run_experiment`` and the ``ci`` command invert every
+method on one truncation, and each search starts from the endpoints and
+multipliers of an earlier kind on it (``_SEEDS``): AEL and TEL from EL's,
+TAEL from AEL's.  A TEL (TAEL) target is at least the EL (AEL) one, so
+those endpoints are covered and are also the inner bracket edges; EL's
+endpoints only start the AEL search, as the two intervals are not
+ordered.  A kind whose source kind was not requested, has not run yet or
+failed searches from the Wald point, as ``invert`` always does.  So their
+endpoints may differ from ``invert``'s within the stopping tolerance.
 """
 from __future__ import annotations
 
@@ -101,23 +116,27 @@ class ConfidenceInterval:
 
 
 def _search_side(v: np.ndarray, adjusted: bool, hull: tuple[float, float], target: float,
-                 theta_hat: float, start: float, bound: float) -> tuple[float, int]:
+                 theta_hat: float, start: float, bound: float, lam: float | None = None,
+                 inner: float | None = None) -> tuple[float, int, float | None]:
     """Locate the crossing l(theta) = target between theta_hat and bound.
 
     ``bound``, the hull edge (EL) or an infinity (AEL), lies beyond the
-    crossing.  Joint steps run from ``start``; the converged one's bounds,
-    or else certified steps, finish the side (see the module docstring).
-    Returns the inner (covered) edge of the final bracket and the passes
-    over the data it took.
+    crossing.  Joint steps run from ``start`` and the Lagrange warm start
+    ``lam`` (a cold start when None), which both kinds of step share; a
+    joint pass's bounds, or else certified steps, finish the side (see
+    the module docstring).  ``inner``, a point known to be covered, is the
+    inner edge of the first bracket, theta_hat by default.  Returns the
+    inner (covered) edge of the final bracket, the passes over the data it
+    took, and the last lam, a warm start at that edge.
     """
-    inner, outer = theta_hat, bound
+    inner, outer = theta_hat if inner is None else inner, bound
     hull_w = hull[1] - hull[0]
     out = math.copysign(1.0, bound - theta_hat)
     lo, hi = min(theta_hat, bound), max(theta_hat, bound)
     theta = start
-    if not lo < theta < hi:  # the Wald point is beyond the bound or rounds onto theta_hat
+    if not lo < theta < hi:  # the start is beyond the bound or rounds onto theta_hat
         theta = 0.5 * (theta_hat + bound) if math.isfinite(bound) else theta_hat + out * hull_w
-    lam = None  # the Lagrange warm start, shared by both kinds of step
+        lam = None  # a seeded multiplier belongs to the seeded start
     joint = True  # joint steps until they converge or stall
     probe = False  # the next certified step checks the other side of theta
     step = prev_step = math.inf
@@ -131,32 +150,31 @@ def _search_side(v: np.ndarray, adjusted: bool, hull: tuple[float, float], targe
                 continue
             theta, lam, moved, sums = nxt
             prev_step, step = step, moved
+            # the pass bounds l just inside and just beyond the new theta;
+            # 0.499, not 0.5, keeps the two points within one stopping
+            # tolerance of each other after rounding
             tol = 1e-8 * abs(theta) + 1e-15 * hull_w
+            near, far = theta - out * 0.499 * tol, theta + out * 0.499 * tol
+            if (lo < near < hi and _bounds(sums, near)[1] <= target
+                    and _bounds(sums, far)[0] > target):
+                return near, passes, lam
             probe = moved <= tol
             joint = not probe
-            if probe:
-                # the converged pass bounds l just inside and just beyond the
-                # joint root; 0.499, not 0.5, keeps the two points within one
-                # stopping tolerance of each other after rounding
-                near, far = theta - out * 0.499 * tol, theta + out * 0.499 * tol
-                if (lo < near < hi and _bounds(sums, near)[1] <= target
-                        and _bounds(sums, far)[0] > target):
-                    return near, passes
             continue
         # Certified step: the only kind that moves the bracket
         try:
             val, lam = _certify(v, theta, adjusted, lam, target, hull)
         except ConvexHullViolation:  # outside the EL hull
             val = math.inf
-        if val <= target:
-            inner = theta
-        else:
+        if val > target:
             outer = theta
+        elif (theta - inner) * out > 0.0:  # covered, and not inside a seeded inner edge
+            inner = theta
         # an infinite outer keeps the bracket open but must not make tol infinite
         edge = outer if math.isfinite(outer) else inner
         tol = 1e-8 * max(abs(inner), abs(edge)) + 1e-15 * hull_w
         if abs(outer - inner) <= tol:
-            return inner, passes
+            return inner, passes, lam
         if probe:
             # the joint root is certified by a point just beyond it if it
             # is covered, and just inside it if it is not
@@ -205,34 +223,63 @@ def invert(kind: VariantKind, s: Sample, t: float, alpha: float) -> ConfidenceIn
     """
     kind = VariantKind(kind)
     crit = chi2_crit(alpha)
+    return _invert(kind, *_setup(s, t), crit, 1.0 - float(alpha))
+
+
+def _setup(s: Sample, t: float) -> tuple[np.ndarray, float, ScaleFactor, tuple[float, float]]:
+    """What every kind's interval on (s, t) shares: the truncation
+    (``calibration._truncate``) and the hull of its values."""
     v, theta_hat, scale = _truncate(s, t)
-    return _invert(kind, v, theta_hat, scale, (float(v.min()), float(v.max())), crit,
-                   1.0 - float(alpha))
+    return v, theta_hat, scale, (float(v.min()), float(v.max()))
+
+
+# The kind whose endpoints and multipliers, on the same truncation, start
+# each kind's search; for TEL and TAEL they are also the inner bracket edges
+# (see "Seeded starts" above).
+_SEEDS = {VariantKind.AEL: VariantKind.EL, VariantKind.TEL: VariantKind.EL,
+          VariantKind.TAEL: VariantKind.AEL}
 
 
 def _invert(kind: VariantKind, v: np.ndarray, theta_hat: float, scale: ScaleFactor,
-            hull: tuple[float, float], crit: float, level: float) -> ConfidenceInterval:
-    """``invert`` from the sample's truncation (``calibration._truncate``),
-    its hull, the critical value and the level, which the methods of one
-    replication share."""
+            hull: tuple[float, float], crit: float, level: float,
+            seeds: dict | None = None) -> ConfidenceInterval:
+    """``invert`` from ``_setup``'s result, the critical value and the level,
+    which the methods of one replication share.
+
+    ``seeds`` maps the kinds already inverted on this truncation to their
+    ((endpoint, lam) per side); the search starts from its ``_SEEDS`` kind's
+    when that is there, and this kind's are added to it.
+    """
     n = v.size
     # the unscaled log-ratio that r * l (r * T(l) for TEL/TAEL) must not exceed
     target = crit / scale.ratio
     if kind.transformed:
         target = _tel_inverse(target, n)
-    dom_lo, dom_hi = hull
     if kind.adjusted:
         limit = _ael_limit(n)
         if limit <= target:
             raise BracketFailure(
                 f"{kind.value} log-ratio is bounded by l_inf = {limit:.6g} <= its "
                 f"critical value {target:.6g}: the confidence set is the whole line")
-        dom_lo, dom_hi = -math.inf, math.inf
     # Wald half-width, from l(theta) ~ n (theta - theta_hat)^2 / sigma_p^2
     wald = math.sqrt(target * scale.sigma_p_sq / n)
-    lower, lower_passes = _search_side(v, kind.adjusted, hull, target, theta_hat,
-                                       theta_hat - wald, dom_lo)
-    upper, upper_passes = _search_side(v, kind.adjusted, hull, target, theta_hat,
-                                       theta_hat + wald, dom_hi)
-    return ConfidenceInterval(lower=lower, upper=upper, level=level, kind=kind,
-                              iterations=lower_passes + upper_passes)
+    # the search runs on v / 2^k, whose largest size lies in [0.5, 1); seeds
+    # stay in these units
+    k = math.frexp(max(abs(hull[0]), abs(hull[1])))[1]
+    v, theta_hat, wald = np.ldexp(v, -k), math.ldexp(theta_hat, -k), math.ldexp(wald, -k)
+    hull = (math.ldexp(hull[0], -k), math.ldexp(hull[1], -k))
+    bounds = (-math.inf, math.inf) if kind.adjusted else hull
+    seed = (seeds or {}).get(_SEEDS.get(kind))
+    sides = []
+    for side, out in enumerate((-1.0, 1.0)):
+        start, lam, inner = theta_hat + out * wald, None, None
+        if seed is not None:
+            start, lam = seed[side]
+            inner = start if kind.transformed else None
+        sides.append(_search_side(v, kind.adjusted, hull, target, theta_hat, start,
+                                  bounds[side], lam, inner))
+    if seeds is not None:
+        seeds[kind] = [(end, lam) for end, _, lam in sides]
+    (lower, lower_passes, _), (upper, upper_passes, _) = sides
+    return ConfidenceInterval(lower=math.ldexp(lower, k), upper=math.ldexp(upper, k),
+                              level=level, kind=kind, iterations=lower_passes + upper_passes)

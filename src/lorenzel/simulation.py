@@ -19,11 +19,11 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .calibration import _truncate, chi2_crit
+from .calibration import chi2_crit
 from .core import VariantKind, point_estimate
 from .errors import BracketFailure, ConvexHullViolation, DegenerateVariance, NonFinite
 from .income import _fmt, _write_table
-from .intervals import _invert
+from .intervals import _invert, _setup
 from .populations import Population, SeedSpec, sample, true_ordinate
 
 __all__ = [
@@ -88,7 +88,8 @@ class CellResult:
 def _block(cfg: ExperimentConfig, n: int, t: float) -> Iterator[CellResult]:
     """The cells of one (n, t) pair, one per method in order (or the
     estimate-only cell), from one draw, one truncation and one estimate per
-    replication."""
+    replication; each method's search starts from an earlier method's
+    endpoints on the same replication where ``intervals._SEEDS`` says so."""
     theta_true = true_ordinate(cfg.population, t)
     draws = (sample(cfg.population, n, cfg.seed, replication=r) for r in range(cfg.reps))
     # per replication, what every method's interval shares: the truncation
@@ -99,8 +100,7 @@ def _block(cfg: ExperimentConfig, n: int, t: float) -> Iterator[CellResult]:
         setup = None
         if cfg.methods:
             try:
-                v, theta_hat, scale = _truncate(smp, t)
-                setup = v, theta_hat, scale, (float(v.min()), float(v.max()))
+                setup = _setup(smp, t)
             except (DegenerateVariance, NonFinite):
                 pass
             setups.append(setup)
@@ -112,15 +112,18 @@ def _block(cfg: ExperimentConfig, n: int, t: float) -> Iterator[CellResult]:
         yield CellResult(n=n, t=t, method=None, bias=bias, mse=mse,
                          coverage=None, mean_length=None, failures=0)
     crit, level = chi2_crit(cfg.alpha), 1.0 - float(cfg.alpha)
+    # per replication, the endpoints of the methods inverted so far, which
+    # start the later methods' searches (``intervals._SEEDS``)
+    seeds = [{} for _ in setups]
     for method in cfg.methods:
         covered = failures = 0
         length_sum = 0.0
-        for setup in setups:
+        for setup, seed in zip(setups, seeds):
             if setup is None:
                 failures += 1
                 continue
             try:
-                ci = _invert(method, *setup, crit, level)
+                ci = _invert(method, *setup, crit, level, seed)
             except _CI_FAILURES:
                 failures += 1
                 continue

@@ -355,9 +355,14 @@ class TestCertify:
     def test_falls_back_when_the_curvature_overflows(self, monkeypatch):
         # near 1e153 the AEL pseudo-deviation's (w / d)^2 overflows, so h is
         # inf, which would make the Newton decrement 0 and call any point
-        # covered; those points must go to a full evaluation instead
+        # covered; those points must go to a full evaluation instead.
+        # invert searches data scaled to size 1, so the sides are searched
+        # here on the data as they are
         x = np.array([-2e153, 1e153, 1e153, 1e153, 2e153, 1e153])
-        v = lz.truncated_values(lz.Sample(x), 0.5)
+        v, theta_hat, scale = _truncate(lz.Sample(x), 0.5)
+        hull = (float(v.min()), float(v.max()))
+        target = lz.chi2_crit(0.05) / scale.ratio
+        wald = math.sqrt(target * scale.sigma_p_sq / v.size)
         calls = []
         true_certify = core._certify
         true_profile = core._profile
@@ -374,7 +379,9 @@ class TestCertify:
         monkeypatch.setattr(core, "_profile", spy_profile)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            lz.invert("ael", lz.Sample(x), 0.5, 0.05)
+            for out in (-1.0, 1.0):
+                intervals._search_side(v, True, hull, target, theta_hat,
+                                       theta_hat + out * wald, out * math.inf)
         overflowed = 0
         for theta, lam, fell_back in calls:
             if lam is None:
@@ -393,8 +400,8 @@ class TestCertify:
 
     def test_coverage_design_rarely_needs_a_full_evaluation(self, monkeypatch):
         # round 0 of the benchmark's seed-83 coverage design: nearly every
-        # side closes in its joint passes, certified by the converged pass's
-        # O(1) bounds, and _profile runs in at most 1% of the passes
+        # side closes in its joint passes, certified by a pass's O(1) bounds,
+        # and _profile runs in at most 1% of the passes
         counts = {"sides": 0, "closed": 0, "passes": 0, "profile": 0}
         certified = [0]
         true_search = intervals._search_side

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,25 @@ class TestLoadCsv:
         assert table.values.tolist() == [100.0, 250.0]
         assert table.dropped == 3
         assert table.groups is None
+
+    def test_short_rows(self, tmp_path):
+        # a row that stops before the value cell is dropped; one that stops
+        # before the group cell keeps its value with no label
+        path = write(tmp_path, "county,income,state\na,100,AZ\nb\nc,250\nd,175,CA\n")
+        with pytest.warns(UserWarning, match="dropped 1"):
+            table = lz.load_csv(path, "income", "state")
+        assert table.values.tolist() == [100.0, 250.0, 175.0]
+        assert table.groups == ("AZ", None, "CA")
+        assert table.dropped == 1
+
+    def test_blank_lines_are_not_rows(self, tmp_path):
+        path = write(tmp_path, "income,state\n\n100,AZ\n\n\n250,CA\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = lz.load_csv(path, "income", "state")
+        assert table.values.tolist() == [100.0, 250.0]
+        assert table.groups == ("AZ", "CA")
+        assert table.dropped == 0
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(lz.FileError):

@@ -13,7 +13,7 @@ from scipy.special import ndtr
 import lorenzel as lz
 from conftest import oracle_ci, random_positive_data
 from lorenzel import intervals
-from lorenzel.core import _ael_limit, _profile
+from lorenzel.core import _ael_limit, _pass, _profile
 from lorenzel.variants import _tel_inverse
 
 TOY = lz.Sample([1.0, 2.0, 3.0, 4.0, 5.0])
@@ -169,9 +169,10 @@ class TestFailureModes:
             assert (ci.lower, ci.upper) == (el.lower, el.upper), kind
 
     def test_overflowing_joint_step_leaves_the_side_to_certified_steps(self):
-        # at 1e153 the AEL pseudo-deviation's squared ratio overflows in the
-        # joint step, which then stalls; certified steps finish the side and
-        # find the interval of the same data scaled by 2^-500, times 2^500
+        # at 1e153 the AEL pseudo-deviation's squared ratio would overflow in
+        # the joint step; the search runs on the data scaled by a power of
+        # two, so it finds the interval of the data scaled by 2^-500, times
+        # 2^500, in as many passes
         x = np.array([-2e153, 1e153, 1e153, 1e153, 2e153, 1e153])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -179,8 +180,7 @@ class TestFailureModes:
                 big = outcome(kind, x, 0.5)
                 small = outcome(kind, 2.0 ** -500 * x, 0.5)
                 if isinstance(small, tuple):
-                    assert big[0] == pytest.approx(2.0 ** 500 * small[0], rel=1e-8), kind
-                    assert big[1] == pytest.approx(2.0 ** 500 * small[1], rel=1e-8), kind
+                    assert big == (2.0 ** 500 * small[0], 2.0 ** 500 * small[1], small[2]), kind
                 else:
                     assert big is small, kind
 
@@ -188,7 +188,7 @@ class TestFailureModes:
         # data of size 1e150-1e154, where sums of squares overflow: the
         # search must not leak numpy's overflow warning (an error under
         # -W error), and must find the interval of the data scaled by
-        # 2^-500, times 2^500, or fail the same way
+        # 2^-500, times 2^500, in as many passes, or fail the same way
         rng = np.random.default_rng(5)
         produced = 0
         with warnings.catch_warnings():
@@ -200,8 +200,8 @@ class TestFailureModes:
                     big = outcome(kind, x, 0.5)
                     small = outcome(kind, 2.0 ** -500 * x, 0.5)
                     if isinstance(big, tuple):
-                        assert big[0] == pytest.approx(2.0 ** 500 * small[0], rel=1e-8), kind
-                        assert big[1] == pytest.approx(2.0 ** 500 * small[1], rel=1e-8), kind
+                        assert big == (2.0 ** 500 * small[0], 2.0 ** 500 * small[1],
+                                       small[2]), kind
                         produced += 1
                     else:  # a plug-in variance of the big data may overflow
                         assert big is lz.NonFinite or big is small, kind
@@ -284,8 +284,11 @@ class TestSearchBudget:
         lengths = iter(1e30 * 0.7 ** k for k in range(10**6))
 
         def creeps(v, theta, lam, adjusted, target, lo, hi, hull):
-            # no step converges, so the search never reads the pass's sums
-            return theta, 1.0 if lam is None else lam, next(lengths), None
+            # the pass is 100 hull widths below the data, too far from theta
+            # for its bounds to decide, so no joint pass closes the side
+            width = hull[1] - hull[0]
+            far = _pass(v, hull[0] - 100.0 * width, 1.0 / width, adjusted, hull)
+            return theta, 1.0 if lam is None else lam, next(lengths), far
 
         monkeypatch.setattr(intervals, "_joint_step", creeps)
         s = lz.Sample(random_positive_data(rng, 40))
@@ -324,7 +327,7 @@ class TestEvaluationBudget:
                                 stat = lz.scaled_statistic(base, s, t, beyond)
                                 assert stat > crit, (kind, n, t)
         for kind, counts in evals.items():
-            assert np.mean(counts) <= 10.0, kind
+            assert np.mean(counts) <= 7.75, kind
 
     def test_small_samples_through_the_safeguard(self, monkeypatch):
         # at n <= 25 a share of the sides stall in the joint steps and are

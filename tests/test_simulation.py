@@ -5,6 +5,7 @@ import csv
 import io
 import math
 
+import numpy as np
 import pytest
 
 import lorenzel as lz
@@ -173,6 +174,81 @@ class TestRunExperiment:
         cfg = small_cfg(methods=("el", "ael"), reps=2)
         lz.run_experiment(cfg, progress=lambda d, t, r: events.append(f"cell {d}"))
         assert events == ["el", "el", "cell 1", "ael", "ael", "cell 2"]
+
+
+def recorded_intervals(monkeypatch):
+    """Patch the simulation to record, in call order, each interval it
+    inverts or the class of the failure it raised instead."""
+    seen = []
+    original = simulation._invert
+
+    def recorded(kind, *args):
+        try:
+            ci = original(kind, *args)
+        except lz.LorenzELError as exc:
+            seen.append(type(exc))
+            raise
+        seen.append(ci)
+        return ci
+
+    monkeypatch.setattr(simulation, "_invert", recorded)
+    return seen
+
+
+class TestSeededSearches:
+    """Within a replication, AEL/TEL/TAEL searches start from EL's or AEL's
+    endpoints (``intervals._SEEDS``)."""
+
+    POPS = (lz.Weibull(1.0, 2.0), lz.ChiSquare(3.0), lz.SkewNormal(1.0, 3.0, 5.0))
+
+    def test_agree_with_cold_invert(self, monkeypatch):
+        # the same interval as a search from the Wald point, to within the
+        # stopping tolerance, and the same failures
+        seen = recorded_intervals(monkeypatch)
+        cfgs = [lz.ExperimentConfig(population=pop, n_grid=(10, 25, 50, 300),
+                                    t_grid=tuple(k / 10 for k in range(1, 10)), reps=3,
+                                    seed=lz.SeedSpec(59, p))
+                for p, pop in enumerate(self.POPS)]
+        for cfg in cfgs:
+            lz.run_experiment(cfg)
+        seeded = iter(seen)
+        failed = 0
+        for cfg in cfgs:
+            for n in cfg.n_grid:
+                for t in cfg.t_grid:
+                    samples = [lz.sample(cfg.population, n, cfg.seed, r) for r in range(cfg.reps)]
+                    for kind in cfg.methods:
+                        for s in samples:
+                            try:
+                                cold = lz.invert(kind, s, t, cfg.alpha)
+                            except (lz.DegenerateVariance, lz.NonFinite):
+                                continue  # the simulation inverts nothing
+                            except lz.LorenzELError as exc:
+                                cold = type(exc)
+                            got = next(seeded)
+                            case = (str(cfg.population), n, t, kind.value)
+                            if isinstance(cold, type) or isinstance(got, type):
+                                assert got is cold, case
+                                failed += 1
+                                continue
+                            trunc = lz.truncated_values(s, t)
+                            tol = 1e-15 * float(np.ptp(trunc))
+                            for a, b in ((got.lower, cold.lower), (got.upper, cold.upper)):
+                                assert abs(a - b) <= 1e-8 * max(abs(a), abs(b)) + tol, case
+        assert next(seeded, None) is None
+        assert 0 < failed < 0.1 * len(seen)
+
+    def test_few_passes_on_the_benchmark_design(self, monkeypatch):
+        # round 0 of the benchmark's coverage design (perfbench/workloads.py)
+        seen = recorded_intervals(monkeypatch)
+        for p, pop in enumerate(self.POPS):
+            lz.run_experiment(lz.ExperimentConfig(
+                population=pop, n_grid=(50, 100, 150, 300, 500),
+                t_grid=tuple(k / 10 for k in range(1, 10)), reps=4,
+                seed=lz.SeedSpec(83, 0)))
+        passes = [ci.iterations for ci in seen if not isinstance(ci, type)]
+        assert len(passes) == 3 * 5 * 9 * 4 * 4
+        assert np.mean(passes) <= 5.5
 
 
 class TestCsv:
