@@ -368,55 +368,50 @@ def _certify(v: np.ndarray, theta: float, adjusted: bool, lam: float | None,
 _MAX_HALVINGS = 8
 
 
-def _joint_step(v: np.ndarray, theta: float, lam: float | None, adjusted: bool,
-                target: float, lo: float, hi: float, hull: tuple[float, float],
-                ) -> tuple[float, float, float, _Pass] | None:
-    """One damped Newton step on (theta, lam) towards an interval endpoint.
+def _admissible(theta: float, lam: float, pseudo: float, lo: float, hi: float,
+                hull: tuple[float, float]) -> bool:
+    """Whether theta lies strictly inside (lo, hi) and every d = 1 + lam w stays
+    positive; d is linear in w, so that is checked at the ends of ``hull``,
+    the (min, max) of v, and at the AEL pseudo-deviation."""
+    return (lo < theta < hi and 1.0 + lam * (hull[0] - theta) > 0.0
+            and 1.0 + lam * (hull[1] - theta) > 0.0 and 1.0 + lam * pseudo > 0.0)
+
+
+def _as_kind(s: _Pass, adjusted: bool, mean: float) -> _Pass | None:
+    """The pass s, at the same (theta, lam), for the kind ``adjusted``, in O(1).
+
+    The data sums are the same for EL and AEL; only the pseudo-deviation
+    -a_n (mean - theta) differs, with ``mean`` the mean of v.  None when lam
+    is not admissible for it.
+    """
+    if adjusted == (s.a > 0.0):
+        return s
+    a = adjustment_factor(s.n) if adjusted else 0.0
+    pseudo = -a * (mean - s.theta)
+    if not 1.0 + s.lam * pseudo > 0.0:
+        return None
+    return s._replace(a=a, pseudo=pseudo)
+
+
+def _newton(s: _Pass, target: float, lo: float, hi: float,
+            hull: tuple[float, float]) -> tuple[float, float, float] | None:
+    """One damped Newton step on (theta, lam) towards an interval endpoint,
+    from the sums of a pass at (s.theta, s.lam).
 
     An endpoint solves F1 = sum(w / d) = 0 and F2 = 2 sum(log d) - target = 0
     together, with d = 1 + lam w and w as in ``_profile``, so no inner
-    solve for lam is needed.  One pass over v (``_pass``) gives F1, F2 and
-    the Jacobian
+    solve for lam is needed.  The pass gives F1, F2 and the Jacobian
 
         [[-sum(w^2 / d^2), sum(w' / d^2)], [2 F1, 2 lam sum(w' / d)]],
 
     where w' = dw/dtheta is -1 for the data and +a_n for the AEL
-    pseudo-deviation, which is carried as a scalar.  ``lam=None`` starts
-    from lam = sum(w) / sum(w^2), one Newton step on F1 from zero.  The
-    step is halved until theta lies strictly inside (lo, hi) and every d
-    stays positive; d is linear in w, so that is checked at the ends of
-    ``hull``, the (min, max) of v.  Returns the new theta and lam, the
-    length of the full theta step and the pass at the old theta and lam,
-    or None when ``_pass`` refuses the old point, the Jacobian is singular
-    or not finite, or the step needs more than _MAX_HALVINGS halvings.
+    pseudo-deviation, which is carried as a scalar.  The step is halved
+    until it is admissible (``_admissible``).  Returns the new theta and
+    lam and the length of the full theta step, or None when the Jacobian is
+    singular or not finite, or the step needs more than _MAX_HALVINGS
+    halvings.
     """
-    n = v.size
-    a = adjustment_factor(n) if adjusted else 0.0
-    vmin, vmax = hull
-
-    def admissible(theta: float, lam: float, pseudo: float) -> bool:
-        return (lo < theta < hi and 1.0 + lam * (vmin - theta) > 0.0
-                and 1.0 + lam * (vmax - theta) > 0.0 and 1.0 + lam * pseudo > 0.0)
-
-    if lam is None:
-        # the largest |w| is at an end of the hull; under this bound w @ w
-        # can neither overflow nor warn that it did
-        e = max(abs(vmin - theta), abs(vmax - theta))
-        if n * e * e > 1e300:
-            return None
-        w = v - theta
-        sw = float(w.sum())
-        pseudo = -a * (sw / n)
-        lam = (sw + pseudo) / (float(w @ w) + pseudo * pseudo)
-        for _ in range(_MAX_HALVINGS):
-            if admissible(theta, lam, pseudo):
-                break
-            lam *= 0.5
-        else:
-            return None
-    s = _pass(v, theta, lam, adjusted, hull)
-    if s is None:
-        return None
+    theta, lam, a = s.theta, s.lam, s.a
     dp = 1.0 + lam * s.pseudo
     pr = s.pseudo / dp
     f1 = s.sr + pr
@@ -432,8 +427,45 @@ def _joint_step(v: np.ndarray, theta: float, lam: float | None, adjusted: bool,
     dtheta = (2.0 * f1 * f1 - a11 * f2) / det
     full = abs(dtheta)
     for _ in range(_MAX_HALVINGS + 1):
-        if admissible(theta + dtheta, lam + dlam, s.pseudo + a * dtheta):
-            return theta + dtheta, lam + dlam, full, s
+        if _admissible(theta + dtheta, lam + dlam, s.pseudo + a * dtheta, lo, hi, hull):
+            return theta + dtheta, lam + dlam, full
         dtheta *= 0.5
         dlam *= 0.5
     return None
+
+
+def _joint_step(v: np.ndarray, theta: float, lam: float | None, adjusted: bool,
+                target: float, lo: float, hi: float, hull: tuple[float, float],
+                ) -> tuple[float, float, float, _Pass] | None:
+    """One pass over v at (theta, lam) (``_pass``) and the Newton step on its
+    sums towards an interval endpoint (``_newton``).
+
+    ``lam=None`` starts from lam = sum(w) / sum(w^2), one Newton step on F1
+    from zero, halved until admissible.  Returns the new theta and lam, the
+    length of the full theta step and the pass at the old theta and lam,
+    or None when ``_pass`` refuses the old point or ``_newton`` takes no
+    step.
+    """
+    if lam is None:
+        n = v.size
+        vmin, vmax = hull
+        # the largest |w| is at an end of the hull; under this bound w @ w
+        # can neither overflow nor warn that it did
+        e = max(abs(vmin - theta), abs(vmax - theta))
+        if n * e * e > 1e300:
+            return None
+        w = v - theta
+        sw = float(w.sum())
+        pseudo = -adjustment_factor(n) * (sw / n) if adjusted else 0.0
+        lam = (sw + pseudo) / (float(w @ w) + pseudo * pseudo)
+        for _ in range(_MAX_HALVINGS):
+            if _admissible(theta, lam, pseudo, lo, hi, hull):
+                break
+            lam *= 0.5
+        else:
+            return None
+    s = _pass(v, theta, lam, adjusted, hull)
+    if s is None:
+        return None
+    step = _newton(s, target, lo, hi, hull)
+    return None if step is None else (*step, s)

@@ -67,14 +67,24 @@ those of the unscaled search, bit for bit, wherever that one does not
 overflow.
 
 Seeded starts.  ``run_experiment`` and the ``ci`` command invert every
-method on one truncation, and each search starts from the endpoints and
-multipliers of an earlier kind on it (``_SEEDS``): AEL and TEL from EL's,
-TAEL from AEL's.  A TEL (TAEL) target is at least the EL (AEL) one, so
-those endpoints are covered and are also the inner bracket edges; EL's
-endpoints only start the AEL search, as the two intervals are not
-ordered.  A kind whose source kind was not requested, has not run yet or
-failed searches from the Wald point, as ``invert`` always does.  So their
-endpoints may differ from ``invert``'s within the stopping tolerance.
+method on one truncation, and each search starts from an earlier kind's
+side on it (``_SEEDS``): AEL and TEL from EL's, TAEL from AEL's.  The
+first joint step comes from the seed side's closing pass, the joint pass
+whose bounds closed it: the data sums of a pass are the same for EL and
+AEL, and AEL's pseudo-deviation -a_n (theta_hat - theta) and a larger
+target are scalars, so ``core._newton`` takes that step with this kind's
+target in O(1), halved until it is admissible between the inner bracket
+edge and the search boundary.  The side's own first pass then usually
+closes it; on large samples the bounds of the seed's pass already do,
+and the side takes no pass at all.  A seed side that closed through
+certified steps keeps no pass, and the search starts from its endpoint
+and multiplier instead, as it does when the step is not admissible.  A TEL (TAEL) target is at
+least the EL (AEL) one, so the seed endpoints are covered and are also
+the inner bracket edges; EL's endpoints are not AEL's inner edges, as
+the two intervals are not ordered.  A kind whose source kind was not
+requested, has not run yet or failed searches from the Wald point, as
+``invert`` always does.  So their endpoints may differ from ``invert``'s
+within the stopping tolerance.
 """
 from __future__ import annotations
 
@@ -84,7 +94,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import ScaleFactor, _truncate, chi2_crit
-from .core import Sample, VariantKind, _ael_limit, _bounds, _certify, _joint_step
+from .core import (Sample, VariantKind, _ael_limit, _as_kind, _bounds, _certify, _joint_step,
+                   _newton, _Pass)
 from .errors import BracketFailure, ConvexHullViolation, LorenzELError
 from .variants import _tel_inverse
 
@@ -101,7 +112,8 @@ class ConfidenceInterval:
     """A two-sided confidence interval for the generalized Lorenz ordinate.
 
     ``iterations`` counts the passes over the data of the endpoint
-    search, joint steps plus certified steps, over both sides.
+    search, joint steps plus certified steps, over both sides.  A seeded
+    side that its seed's pass closes takes none (see "Seeded starts").
     """
 
     lower: float
@@ -117,7 +129,8 @@ class ConfidenceInterval:
 
 def _search_side(v: np.ndarray, adjusted: bool, hull: tuple[float, float], target: float,
                  theta_hat: float, start: float, bound: float, lam: float | None = None,
-                 inner: float | None = None) -> tuple[float, int, float | None]:
+                 inner: float | None = None, sums: _Pass | None = None,
+                 ) -> tuple[float, int, float | None, _Pass | None]:
     """Locate the crossing l(theta) = target between theta_hat and bound.
 
     ``bound``, the hull edge (EL) or an infinity (AEL), lies beyond the
@@ -125,9 +138,12 @@ def _search_side(v: np.ndarray, adjusted: bool, hull: tuple[float, float], targe
     ``lam`` (a cold start when None), which both kinds of step share; a
     joint pass's bounds, or else certified steps, finish the side (see
     the module docstring).  ``inner``, a point known to be covered, is the
-    inner edge of the first bracket, theta_hat by default.  Returns the
+    inner edge of the first bracket, theta_hat by default.  ``sums``, the
+    joint pass that closed a seed side, gives the first joint step instead,
+    at no pass over the data, when that step is admissible.  Returns the
     inner (covered) edge of the final bracket, the passes over the data it
-    took, and the last lam, a warm start at that edge.
+    took, the last lam, a warm start at that edge, and the joint pass whose
+    bounds closed the side, or None when certified steps closed it.
     """
     inner, outer = theta_hat if inner is None else inner, bound
     hull_w = hull[1] - hull[0]
@@ -137,19 +153,29 @@ def _search_side(v: np.ndarray, adjusted: bool, hull: tuple[float, float], targe
     if not lo < theta < hi:  # the start is beyond the bound or rounds onto theta_hat
         theta = 0.5 * (theta_hat + bound) if math.isfinite(bound) else theta_hat + out * hull_w
         lam = None  # a seeded multiplier belongs to the seeded start
+    # a seed's pass, as a pass of this kind, gives a first joint step that
+    # needs no pass of its own; its bounds may even close the side
+    free = None
+    sums = None if sums is None else _as_kind(sums, adjusted, theta_hat)
+    if sums is not None:
+        nxt = _newton(sums, target, *sorted((inner, bound)), hull)
+        if nxt is not None:
+            free = (*nxt, sums)
     joint = True  # joint steps until they converge or stall
     probe = False  # the next certified step checks the other side of theta
     step = prev_step = math.inf
-    for passes in range(1, _MAX_PASSES + 1):
+    for passes in range(1 if free is None else 0, _MAX_PASSES + 1):
         if joint:
-            nxt = _joint_step(v, theta, lam, adjusted, target, lo, hi, hull)
+            nxt = free or _joint_step(v, theta, lam, adjusted, target, lo, hi, hull)
+            free = None
             # a joint step that must be halved too often, or that is longer
             # than half of each of the two before it, has stalled
             if nxt is None or nxt[2] > 0.5 * max(step, prev_step):
                 joint = False
                 continue
             theta, lam, moved, sums = nxt
-            prev_step, step = step, moved
+            if passes:  # a step from a seed's pass does not count towards a stall
+                prev_step, step = step, moved
             # the pass bounds l just inside and just beyond the new theta;
             # 0.499, not 0.5, keeps the two points within one stopping
             # tolerance of each other after rounding
@@ -157,7 +183,7 @@ def _search_side(v: np.ndarray, adjusted: bool, hull: tuple[float, float], targe
             near, far = theta - out * 0.499 * tol, theta + out * 0.499 * tol
             if (lo < near < hi and _bounds(sums, near)[1] <= target
                     and _bounds(sums, far)[0] > target):
-                return near, passes, lam
+                return near, passes, lam, sums
             probe = moved <= tol
             joint = not probe
             continue
@@ -174,7 +200,7 @@ def _search_side(v: np.ndarray, adjusted: bool, hull: tuple[float, float], targe
         edge = outer if math.isfinite(outer) else inner
         tol = 1e-8 * max(abs(inner), abs(edge)) + 1e-15 * hull_w
         if abs(outer - inner) <= tol:
-            return inner, passes, lam
+            return inner, passes, lam, None
         if probe:
             # the joint root is certified by a point just beyond it if it
             # is covered, and just inside it if it is not
@@ -247,7 +273,8 @@ def _invert(kind: VariantKind, v: np.ndarray, theta_hat: float, scale: ScaleFact
     which the methods of one replication share.
 
     ``seeds`` maps the kinds already inverted on this truncation to their
-    ((endpoint, lam) per side); the search starts from its ``_SEEDS`` kind's
+    (endpoint, lam, pass) per side, the pass being the joint pass that
+    closed the side or None; the search starts from its ``_SEEDS`` kind's
     when that is there, and this kind's are added to it.
     """
     n = v.size
@@ -272,14 +299,14 @@ def _invert(kind: VariantKind, v: np.ndarray, theta_hat: float, scale: ScaleFact
     seed = (seeds or {}).get(_SEEDS.get(kind))
     sides = []
     for side, out in enumerate((-1.0, 1.0)):
-        start, lam, inner = theta_hat + out * wald, None, None
+        start, lam, inner, sums = theta_hat + out * wald, None, None, None
         if seed is not None:
-            start, lam = seed[side]
+            start, lam, sums = seed[side]
             inner = start if kind.transformed else None
         sides.append(_search_side(v, kind.adjusted, hull, target, theta_hat, start,
-                                  bounds[side], lam, inner))
+                                  bounds[side], lam, inner, sums))
     if seeds is not None:
-        seeds[kind] = [(end, lam) for end, _, lam in sides]
-    (lower, lower_passes, _), (upper, upper_passes, _) = sides
+        seeds[kind] = [(end, lam, sums) for end, _, lam, sums in sides]
+    (lower, lower_passes, *_), (upper, upper_passes, *_) = sides
     return ConfidenceInterval(lower=math.ldexp(lower, k), upper=math.ldexp(upper, k),
                               level=level, kind=kind, iterations=lower_passes + upper_passes)

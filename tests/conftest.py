@@ -1,9 +1,10 @@
 """Shared fixtures and an independent confidence-interval oracle.
 
-The oracle rebuilds every quantity from scratch on top of scipy
-primitives (brentq for the multiplier, chi2.ppf for the critical value,
-a dense grid plus brentq refinement for the endpoints), so it shares no
-algorithmic path with the library's Newton/bisection machinery.
+The oracle rebuilds every quantity from scratch on top of numpy and scipy
+primitives (chi2.ppf for the critical value, a dense grid plus brentq
+refinement for the endpoints), so it shares no algorithmic path with the
+library's Newton/bisection machinery.  The multiplier is found by brentq
+at single points and by bisection, for the whole grid at once, on the grid.
 """
 from __future__ import annotations
 
@@ -41,6 +42,48 @@ def oracle_log_ratio(V: np.ndarray, theta: float, kind: str, n: int) -> float:
     return val
 
 
+def oracle_grid_log_ratios(V: np.ndarray, thetas: np.ndarray, kind: str, n: int) -> np.ndarray:
+    """``oracle_log_ratio`` at every theta of a grid at once.
+
+    The estimating equation mean(w / (1 + lam w)) decreases in lam, so each
+    row's multiplier is bisected on brentq's bracket, all rows together;
+    100 halvings narrow it to 2^-100 of its width.  The log-ratio is
+    stationary in lam at the root, so the bisection's error in lam reaches
+    it only squared.  A row whose bracket ends do not change sign goes to
+    the scalar ``oracle_log_ratio``.
+    """
+    W = V[None, :] - thetas[:, None]
+    if kind in ("ael", "tael"):
+        a = max(1.0, 0.5 * math.log(n))
+        W = np.hstack([W, -a * W.mean(axis=1, keepdims=True)])
+    zero = ~W.any(axis=1)
+    wmin, wmax = W.min(axis=1), W.max(axis=1)
+    inside = ~zero & (wmin < 0.0) & (wmax > 0.0)
+    W = W[inside]
+    lo, hi = -1.0 / wmax[inside], -1.0 / wmin[inside]
+    span = hi - lo
+    lo, hi = lo + 1e-11 * span, hi - 1e-11 * span
+
+    def g(lam: np.ndarray) -> np.ndarray:
+        return np.mean(W / (1.0 + lam[:, None] * W), axis=1)
+
+    bracketed = (g(lo) > 0.0) & (g(hi) < 0.0)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        up = g(mid) > 0.0
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    lam = 0.5 * (lo + hi)
+    val = np.maximum(2.0 * np.sum(np.log1p(lam[:, None] * W), axis=1), 0.0)
+    if kind in ("tel", "tael"):
+        val = val * np.maximum(1.0 - val / n, 0.5)
+    out = np.full(thetas.size, math.inf)
+    out[zero] = 0.0
+    out[inside] = val
+    for i in np.flatnonzero(inside)[~bracketed]:
+        out[i] = oracle_log_ratio(V, float(thetas[i]), kind, n)
+    return out
+
+
 def oracle_ci(values, t: float, alpha: float, kind: str = "el",
               points: int = 4097) -> tuple[float, float]:
     """Endpoints of the scaled-ratio confidence set, grid + brentq."""
@@ -63,7 +106,11 @@ def oracle_ci(values, t: float, alpha: float, kind: str = "el",
         return (ratio * val - crit) if math.isfinite(val) else math.inf
 
     grid = np.linspace(dom[0], dom[1], points)
-    vals = np.array([f(th) for th in grid])
+    vals = ratio * oracle_grid_log_ratios(V, grid, kind, n) - crit
+    # bisection and brentq agree to about 1e-14 relative; where that could
+    # tip a verdict, the scalar brentq value decides
+    for i in np.flatnonzero(np.abs(vals) <= 1e-9 * crit):
+        vals[i] = f(grid[i])
     inside = np.flatnonzero(vals <= 0.0)
     assert inside.size > 0, "oracle grid saw no acceptance region"
     i_lo, i_hi = int(inside[0]), int(inside[-1])

@@ -168,11 +168,11 @@ class TestFailureModes:
             ci = lz.invert(kind, s, t, 0.05)
             assert (ci.lower, ci.upper) == (el.lower, el.upper), kind
 
-    def test_overflowing_joint_step_leaves_the_side_to_certified_steps(self):
+    def test_exact_power_of_two_scale_equivalence_on_a_1e153_sample(self):
         # at 1e153 the AEL pseudo-deviation's squared ratio would overflow in
-        # the joint step; the search runs on the data scaled by a power of
-        # two, so it finds the interval of the data scaled by 2^-500, times
-        # 2^500, in as many passes
+        # a joint step on the data as they are; the search runs on the data
+        # scaled by a power of two, so it finds the interval of the data
+        # scaled by 2^-500, times 2^500, in as many passes, with no warning
         x = np.array([-2e153, 1e153, 1e153, 1e153, 2e153, 1e153])
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -10,6 +10,7 @@ import pytest
 
 import lorenzel as lz
 import lorenzel.simulation as simulation
+from lorenzel import intervals
 
 WEI = lz.Weibull(1.0, 2.0)
 
@@ -239,16 +240,82 @@ class TestSeededSearches:
         assert 0 < failed < 0.1 * len(seen)
 
     def test_few_passes_on_the_benchmark_design(self, monkeypatch):
-        # round 0 of the benchmark's coverage design (perfbench/workloads.py)
+        # round 0 of the benchmark's coverage design (perfbench/workloads.py);
+        # from n = 300 every seeded side starts at a Newton step from its
+        # seed's closing pass and closes in its first pass
         seen = recorded_intervals(monkeypatch)
-        for p, pop in enumerate(self.POPS):
-            lz.run_experiment(lz.ExperimentConfig(
-                population=pop, n_grid=(50, 100, 150, 300, 500),
-                t_grid=tuple(k / 10 for k in range(1, 10)), reps=4,
-                seed=lz.SeedSpec(83, 0)))
-        passes = [ci.iterations for ci in seen if not isinstance(ci, type)]
+        by_n = {}
+        for n in (50, 100, 150, 300, 500):
+            for pop in self.POPS:
+                lz.run_experiment(lz.ExperimentConfig(
+                    population=pop, n_grid=(n,), t_grid=tuple(k / 10 for k in range(1, 10)),
+                    reps=4, seed=lz.SeedSpec(83, 0)))
+            by_n[n] = [ci for ci in seen if not isinstance(ci, type)]
+            seen.clear()
+        passes = [ci.iterations for cis in by_n.values() for ci in cis]
         assert len(passes) == 3 * 5 * 9 * 4 * 4
-        assert np.mean(passes) <= 5.5
+        assert np.mean(passes) <= 3.75
+        for n in (300, 500):
+            for ci in by_n[n]:
+                if ci.kind is not lz.VariantKind.EL:
+                    assert ci.iterations <= 2, (n, ci.kind)
+
+    def test_large_samples_close_in_the_seeds_pass(self):
+        # at n = 3,000 the bounds of the seed's closing pass, at the first
+        # joint step from it, already close most seeded sides, which then
+        # take no pass of their own; the intervals are cold invert's
+        s = lz.Sample(np.random.default_rng(17).lognormal(10.0, 0.3, 3000))
+        crit = lz.chi2_crit(0.05)
+        sides = free = 0
+        for t in (0.1, 0.3, 0.5, 0.7, 0.9):
+            setup = intervals._setup(s, t)
+            tol = 1e-15 * float(np.ptp(setup[0]))
+            seeds = {}
+            for kind in lz.VariantKind:
+                got = intervals._invert(kind, *setup, crit, 0.95, seeds)
+                cold = lz.invert(kind, s, t, 0.05)
+                for a, b in ((got.lower, cold.lower), (got.upper, cold.upper)):
+                    assert abs(a - b) <= 1e-8 * max(abs(a), abs(b)) + tol, (t, kind)
+                if kind is not lz.VariantKind.EL:
+                    sides += 2
+                    free += 2 - got.iterations
+        assert free >= 0.8 * sides
+
+    def test_seed_closed_by_certified_steps_starts_from_its_endpoint(self, monkeypatch):
+        # an EL side that closed through certified steps keeps no joint pass,
+        # so AEL and TEL start from its endpoint and multiplier, with no
+        # Newton step from a pass, and still find cold invert's interval
+        newton = []
+        true_newton = intervals._newton
+        true_joint = intervals._joint_step
+        monkeypatch.setattr(intervals, "_newton",
+                            lambda *args: newton.append(1) or true_newton(*args))
+        crit = lz.chi2_crit(0.05)
+        checked = 0
+        for p, pop in enumerate(self.POPS):
+            for n in (50, 300):
+                s = lz.sample(pop, n, lz.SeedSpec(59, p), 0)
+                for t in (0.1, 0.5, 0.9):
+                    setup = intervals._setup(s, t)
+                    seeds = {}
+                    monkeypatch.setattr(intervals, "_joint_step", lambda *args: None)
+                    intervals._invert(lz.VariantKind.EL, *setup, crit, 0.95, seeds)
+                    monkeypatch.setattr(intervals, "_joint_step", true_joint)
+                    assert [sums for _, _, sums in seeds[lz.VariantKind.EL]] == [None, None]
+                    tol = 1e-15 * float(np.ptp(setup[0]))
+                    for kind in lz.VariantKind:
+                        if kind is lz.VariantKind.EL:
+                            continue
+                        before = len(newton)
+                        got = intervals._invert(kind, *setup, crit, 0.95, seeds)
+                        if kind is not lz.VariantKind.TAEL:  # TAEL is seeded by AEL
+                            assert len(newton) == before, kind
+                        cold = lz.invert(kind, s, t, 0.05)
+                        for a, b in ((got.lower, cold.lower), (got.upper, cold.upper)):
+                            assert abs(a - b) <= 1e-8 * max(abs(a), abs(b)) + tol, (n, t, kind)
+                        checked += 1
+        assert checked == 3 * 2 * 3 * 3
+        assert newton  # from AEL's closing passes
 
 
 class TestCsv:
