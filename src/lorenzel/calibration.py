@@ -4,6 +4,14 @@ The quantile is estimated jointly with the partial mean, so the plain
 ratio is not asymptotically chi-square(1); it must be multiplied by the
 variance ratio sigma_p^2 / sigma_v^2 of two plug-in moments.  The scaled
 statistic is then compared against the chi-square(1) critical value.
+
+``scale_factor`` and ``scaled_statistic`` keep the truncation and the scale
+factor at each t in the sample's memo (see ``core.Sample``), so the four
+kinds' statistics at one (sample, t) truncate once and compute the scale
+factor once, and ``scaled_statistic`` shares ``log_ratio``'s kept EL and
+AEL ratios.  Intervals do not read the memo: ``invert`` truncates once per
+call through ``_truncate``, and ``run_experiment`` and the ``ci`` command
+once per (sample, t) for all their methods (``intervals._setup``).
 """
 from __future__ import annotations
 
@@ -14,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .core import Sample, VariantKind, sample_quantile, truncated_values
+from .core import Sample, VariantKind, _check_t, _memo_truncation, _truncation
 from .errors import DegenerateVariance, DomainError, NonFinite
-from .variants import _log_ratio
+from .variants import _memo_log_ratio
 
 __all__ = [
     "ScaleFactor",
@@ -50,9 +58,14 @@ def chi2_crit(alpha: float) -> float:
 def _truncate(s: Sample, t: float) -> tuple[np.ndarray, float, ScaleFactor]:
     """The truncated values V, their mean theta_hat, and the scale factor,
     from one truncation; see ``scale_factor``."""
-    v = truncated_values(s, t)
-    lo, psi = float(s.values[0]), sample_quantile(s, t)
-    if lo == psi:  # the sample is sorted: every value up to the quantile ties at it
+    v, psi = _truncation(s, t)
+    return (v, *_scale(s, v, psi))
+
+
+def _scale(s: Sample, v: np.ndarray, psi: float) -> tuple[float, ScaleFactor]:
+    """theta_hat and the scale factor from the truncation V of s at the quantile psi."""
+    # the sample is sorted: every value up to the quantile ties at it
+    if float(s.values[0]) == psi:
         raise DegenerateVariance(f"every value at or below the quantile is {psi:g}, so "
                                  "sigma_v^2 = 0 and the scale factor is undefined")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -71,7 +84,12 @@ def _truncate(s: Sample, t: float) -> tuple[np.ndarray, float, ScaleFactor]:
     if not 0.0 < ratio < math.inf:
         raise NonFinite(f"plug-in variances {sigma_p_sq:g} and {sigma_v_sq:g} over- or "
                         "underflow; the scale factor is undefined")
-    return v, theta_hat, ScaleFactor(sigma_p_sq=sigma_p_sq, sigma_v_sq=sigma_v_sq, ratio=ratio)
+    return theta_hat, ScaleFactor(sigma_p_sq=sigma_p_sq, sigma_v_sq=sigma_v_sq, ratio=ratio)
+
+
+def _memo_scale_factor(s: Sample, t: float) -> ScaleFactor:
+    """``scale_factor`` from the memo of s; t is a float in (0, 1)."""
+    return s._recall(("scale", t), lambda: _scale(s, *_memo_truncation(s, t))[1])
 
 
 def scale_factor(s: Sample, t: float) -> ScaleFactor:
@@ -84,10 +102,14 @@ def scale_factor(s: Sample, t: float) -> ScaleFactor:
     no interval exists; raises NonFinite when a variance over- or underflows,
     subnormal values included.
     """
-    return _truncate(s, t)[2]
+    return _memo_scale_factor(s, _check_t(t))
 
 
 def scaled_statistic(kind: VariantKind, s: Sample, t: float, theta: float) -> float:
-    """Variance-ratio-scaled log-likelihood ratio, asymptotically chi2(1)."""
-    v, _, sf = _truncate(s, t)
-    return sf.ratio * _log_ratio(kind, v, s.n, theta)
+    """Variance-ratio-scaled log-likelihood ratio, asymptotically chi2(1).
+
+    The kind is checked before any work, as in ``invert``.
+    """
+    kind = VariantKind(kind)
+    t = _check_t(t)
+    return _memo_scale_factor(s, t).ratio * _memo_log_ratio(kind, s, t, theta)

@@ -50,15 +50,27 @@ class VariantKind(str, Enum):
         return self in (VariantKind.TEL, VariantKind.TAEL)
 
 
+# Entries a Sample's memo holds before it is emptied.
+_MEMO_SIZE = 16
+
+
 class Sample:
     """Immutable, ascending-sorted view of real-valued observations.
 
     Input order is irrelevant; values are copied, sorted, and locked.
     Requires at least two finite observations.  Negative values are
     allowed (e.g. skew-normal populations produce them).
+
+    A Sample stays observably immutable.  ``scale_factor``, ``log_ratio``
+    and ``scaled_statistic`` keep what they derive from it in a private
+    memo: the truncation at each t, and the EL and AEL log-ratios at each
+    (t, theta).  A result read from the memo is bit for bit the one a
+    fresh Sample of the same data gives, so results do not depend on call
+    order.  The memo holds at most _MEMO_SIZE entries and is emptied when
+    full; it never holds an exception, and it dies with the Sample.
     """
 
-    __slots__ = ("_values",)
+    __slots__ = ("_values", "_memo")
 
     def __init__(self, values) -> None:
         arr = np.asarray(values, dtype=float).ravel().copy()
@@ -69,6 +81,25 @@ class Sample:
         arr.sort()
         arr.flags.writeable = False
         self._values = arr
+        self._memo = {}
+
+    def __reduce__(self):
+        # a copy or an unpickled Sample is built afresh: locked, with an empty memo
+        return Sample, (self._values,)
+
+    def _recall(self, key, compute):
+        """``compute()``, kept under ``key`` for the next call with it.  An
+        exception propagates and is not kept; a full memo is emptied first."""
+        memo = self._memo
+        try:
+            return memo[key]
+        except KeyError:
+            pass
+        value = compute()
+        if len(memo) >= _MEMO_SIZE:
+            memo.clear()
+        memo[key] = value
+        return value
 
     @property
     def values(self) -> np.ndarray:
@@ -108,8 +139,23 @@ def sample_quantile(s: Sample, t: float) -> float:
 
 def truncated_values(s: Sample, t: float) -> np.ndarray:
     """V_i = X_i 1(X_i <= quantile); ties at the quantile are all included."""
+    return _truncation(s, t)[0]
+
+
+def _truncation(s: Sample, t: float) -> tuple[np.ndarray, float]:
+    """``truncated_values`` and the quantile it truncates at."""
     psi = sample_quantile(s, t)
-    return np.where(s.values <= psi, s.values, 0.0)
+    return np.where(s.values <= psi, s.values, 0.0), psi
+
+
+def _memo_truncation(s: Sample, t: float) -> tuple[np.ndarray, float]:
+    """``_truncation`` from the memo of s, with V read-only; t is a float
+    in (0, 1)."""
+    def compute():
+        v, psi = _truncation(s, t)
+        v.flags.writeable = False
+        return v, psi
+    return s._recall(("truncation", t), compute)
 
 
 def point_estimate(s: Sample, t: float) -> float:

@@ -14,12 +14,18 @@ A kind's ``adjusted`` and ``transformed`` properties say which of the two
 modifications it applies.  The EL and AEL ratios both come from the
 profile kernel in ``core``; ``log_ratio`` returns any kind's ratio as a
 float.
+
+The sample's memo (see ``core.Sample``) keeps the truncation at each t and
+the EL and AEL ratios at each (t, theta) for a float theta.  So on one
+sample, EL and TEL at the same (t, theta) share one profile, AEL and TAEL
+another, and all four kinds share the truncation at t; TEL (TAEL) is then
+one O(1) transform of the kept ratio.
 """
 from __future__ import annotations
 
 import math
 
-from .core import Sample, VariantKind, _profile, truncated_values
+from .core import Sample, VariantKind, _check_t, _memo_truncation, _profile
 from .errors import DomainError
 
 __all__ = ["tel_transform", "log_ratio"]
@@ -63,11 +69,23 @@ def log_ratio(kind: VariantKind, s: Sample, t: float, theta: float) -> float:
     raises ConvexHullViolation when theta lies outside the open hull of
     the truncated values; AEL and TAEL are finite for every finite theta.
     """
-    return _log_ratio(kind, truncated_values(s, t), s.n, theta)
+    t = _check_t(t)
+    return _memo_log_ratio(VariantKind(kind), s, t, theta)
 
 
-def _log_ratio(kind: VariantKind, v, n: int, theta: float) -> float:
-    """``log_ratio`` from the truncated values V of a sample of size n."""
-    kind = VariantKind(kind)
-    val, _ = _profile(v, theta, kind.adjusted)
-    return tel_transform(val, n) if kind.transformed else val
+def _memo_log_ratio(kind: VariantKind, s: Sample, t: float, theta) -> float:
+    """``log_ratio`` for a valid kind and a float t in (0, 1), with the EL
+    (AEL) ratio, which TEL (TAEL) maps, kept in the memo of s.
+
+    Only a float theta (np.float64 included) is kept: an equal theta of
+    another type, a Fraction say, need not give the same V - theta.  -0.0
+    shares the entry of 0.0, as V - theta then differs only in the sign of
+    zeros, which no finite ratio depends on.
+    """
+    v = _memo_truncation(s, t)[0]
+    adjusted = kind.adjusted
+    if isinstance(theta, float):
+        val = s._recall(("ratio", t, theta, adjusted), lambda: _profile(v, theta, adjusted)[0])
+    else:
+        val = _profile(v, theta, adjusted)[0]
+    return tel_transform(val, s.n) if kind.transformed else val

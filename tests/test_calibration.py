@@ -1,6 +1,8 @@
 """Variance-ratio scale factor and chi-square critical values."""
 from __future__ import annotations
 
+import math
+import random
 import warnings
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 import lorenzel as lz
+from lorenzel import core
 
 TOY = lz.Sample([1.0, 2.0, 3.0, 4.0, 5.0])
 
@@ -157,8 +160,100 @@ class TestScaledStatistic:
                 assert lz.scaled_statistic(kind, s, t, theta) == (
                     lz.scale_factor(s, t).ratio * lz.log_ratio(kind, s, t, theta))
 
+    def test_kind_is_checked_before_any_work(self):
+        # the sample is degenerate at t = 0.5, and t = 1.5 is outside (0, 1);
+        # the bad kind is still what is reported, as invert does
+        for t in (0.5, 1.5):
+            with pytest.raises(ValueError, match="bogus") as info:
+                lz.scaled_statistic("bogus", lz.Sample([4, 4, 4, 4]), t, 4.0)
+            assert info.type is ValueError
+
     def test_tel_never_above_el(self):
         for theta in (0.2, 0.9, 1.5):
             el = lz.scaled_statistic("el", TOY, 0.4, theta)
             tel = lz.scaled_statistic("tel", TOY, 0.4, theta)
             assert tel <= el
+
+
+def _outcome(fn, *args):
+    """A call's float result, bit for bit, or its exception's class and message."""
+    try:
+        value = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(value, lz.ScaleFactor):
+        return tuple(x.hex() for x in (value.sigma_p_sq, value.sigma_v_sq, value.ratio))
+    return type(value), value.hex()
+
+
+class TestSampleMemo:
+    """The truncation and the EL/AEL ratios a Sample keeps change no result."""
+
+    @staticmethod
+    def _calls(s):
+        calls = []
+        for t in (0.3, 0.5, np.float64(0.9)):
+            calls.append((lz.scale_factor, s, t))
+            theta_hat = lz.point_estimate(s, t)
+            hull_top = float(lz.truncated_values(s, t).max())
+            for theta in (0.0, -0.0, theta_hat, np.float64(theta_hat), 1, 0,
+                          0.5 * (theta_hat + hull_top), 2.0 * hull_top + 1.0):
+                for kind in lz.VariantKind:
+                    calls.append((lz.scaled_statistic, kind.value, s, t, theta))
+                    calls.append((lz.log_ratio, kind, s, t, theta))
+        return calls
+
+    @pytest.mark.parametrize("data", [
+        [-0.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0],  # a -0.0 among the truncated values
+        [2.0, 2.0, 2.0, 5.0, 7.0, 8.0, 9.0, 11.0],  # degenerate at t = 0.3
+        "skew",
+    ])
+    def test_bit_identical_to_a_fresh_sample_in_any_call_order(self, data, rng):
+        if data == "skew":
+            data = lz.SkewNormal(0.0, 1.0, 4.0).draw(rng, 25)
+        shared = lz.Sample(data)
+        calls = self._calls(shared)
+        want = [_outcome(fn, *(lz.Sample(data) if a is shared else a for a in args))
+                for fn, *args in calls]
+        order = list(range(len(calls)))
+        shuffle = random.Random(3).shuffle
+        for attempt in range(5):
+            if attempt == 1:
+                order.reverse()
+            elif attempt > 1:
+                shuffle(order)
+            for i in order:
+                fn, *args = calls[i]
+                assert _outcome(fn, *args) == want[i], (attempt, calls[i])
+
+    def test_hull_violation_is_not_kept(self):
+        # V = (1, 2, 0, 0, 0) at t = 0.4, so theta = 5 is outside the EL hull
+        s = lz.Sample(TOY.values)
+        for _ in range(2):
+            with pytest.raises(lz.ConvexHullViolation):
+                lz.scaled_statistic("el", s, 0.4, 5.0)
+            with pytest.raises(lz.ConvexHullViolation):
+                lz.log_ratio("tel", s, 0.4, 5.0)
+            ael = lz.scaled_statistic("ael", s, 0.4, 5.0)
+            assert math.isfinite(ael) and ael > 0.0
+            assert lz.log_ratio("tael", s, 0.4, 5.0) <= lz.log_ratio("ael", s, 0.4, 5.0)
+
+    def test_degenerate_variance_is_raised_again(self):
+        s = lz.Sample([4.0, 4.0, 4.0, 4.0])
+        messages = set()
+        for call in (lambda: lz.scale_factor(s, 0.5),
+                     lambda: lz.scaled_statistic("el", s, 0.5, 4.0),
+                     lambda: lz.scale_factor(s, 0.5),
+                     lambda: lz.scaled_statistic("tael", s, 0.5, 4.0)):
+            with pytest.raises(lz.DegenerateVariance) as info:
+                call()
+            messages.add(str(info.value))
+        assert len(messages) == 1
+        # the ratio itself exists: theta at the sample's value is its estimate
+        assert lz.log_ratio("ael", s, 0.5, 4.0) == 0.0
+
+    def test_stays_bounded(self, rng):
+        s = lz.Sample(rng.chisquare(3.0, 40))
+        for theta in np.linspace(0.5, 1.5, 1000):
+            lz.scaled_statistic("ael", s, 0.5, float(theta))
+            assert len(s._memo) <= core._MEMO_SIZE

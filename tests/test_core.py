@@ -1,7 +1,9 @@
 """Core EL machinery: quantiles, point estimates, the multiplier solver."""
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -49,6 +51,16 @@ class TestSample:
         assert s.values.tolist() == [1.0, 2.0, 3.0]
         assert not s.values.flags.writeable
         assert s.n == 3 and len(s) == 3
+
+    @pytest.mark.parametrize("copy_of", [copy.copy, copy.deepcopy,
+                                         lambda s: pickle.loads(pickle.dumps(s))])
+    def test_copies_stay_locked(self, copy_of):
+        s = lz.Sample([3.0, 1.0, 2.0])
+        lz.scaled_statistic("el", s, 0.5, 1.5)
+        c = copy_of(s)
+        assert c.values.tolist() == [1.0, 2.0, 3.0]
+        assert not c.values.flags.writeable
+        assert lz.scaled_statistic("el", c, 0.5, 1.5) == lz.scaled_statistic("el", s, 0.5, 1.5)
 
     def test_rejects_too_small(self):
         with pytest.raises(ValueError):
