@@ -12,15 +12,18 @@ factor once, and ``scaled_statistic`` shares ``log_ratio``'s kept EL and
 AEL ratios.  Intervals do not read the memo: ``invert`` truncates once per
 call through ``_truncate``, and ``run_experiment`` and the ``ci`` command
 once per (sample, t) for all their methods (``intervals._setup``).
+
+The critical value comes from the standard library's ``NormalDist``, so
+this module, and the ``ci`` and ``curve`` commands, need no SciPy.
 """
 from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .core import Sample, VariantKind, _check_t, _memo_truncation, _truncation
 from .errors import DegenerateVariance, DomainError, NonFinite
@@ -46,13 +49,16 @@ class ScaleFactor:
 def chi2_crit(alpha: float) -> float:
     """Upper-alpha critical value of chi-square with one degree of freedom.
 
-    Computed as the square of the standard-normal quantile at 1 - alpha/2,
-    which is exact for one degree of freedom.
+    Computed as the square of the standard-normal quantile at alpha/2,
+    which is exact for one degree of freedom.  The lower tail keeps its
+    relative precision for any alpha; 1 - alpha/2 would round to 1.0 near
+    alpha = 1e-16.  Infinite when alpha/2 underflows to zero.
     """
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    return float(ndtri(1.0 - 0.5 * alpha)) ** 2
+    half = 0.5 * alpha
+    return NormalDist().inv_cdf(half) ** 2 if half > 0.0 else math.inf
 
 
 def _truncate(s: Sample, t: float) -> tuple[np.ndarray, float, ScaleFactor]:

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import Sample, point_estimate
+from .core import Sample, sample_quantile
 from .errors import DomainError, FileError, SchemaError
 
 __all__ = [
@@ -50,9 +50,13 @@ class IncomeTable:
         """Rows whose group label equals ``group`` (case-sensitive)."""
         if self.groups is None:
             raise SchemaError("table was loaded without a group column")
-        mask = np.array([g == group for g in self.groups])
-        return IncomeTable(values=self.values[mask],
-                           groups=tuple(g for g in self.groups if g == group),
+        # one elementwise == over the labels; a 0-d key is compared whole,
+        # whatever its type
+        labels = np.fromiter(self.groups, dtype=object, count=len(self.groups))
+        key = np.empty((), dtype=object)
+        key[()] = group
+        mask = labels == key
+        return IncomeTable(values=self.values[mask], groups=tuple(labels[mask].tolist()),
                            dropped=self.dropped)
 
     def sample(self) -> Sample:
@@ -129,10 +133,14 @@ def curve(s: Sample, grid: Sequence[float]) -> CurvePoints:
     relative Lorenz curve divides by it.
     """
     grid = np.asarray([float(t) for t in grid])
-    mu_hat = float(s.values.sum() / s.n)
+    # one running sum of the sorted values gives every ordinate and the mean
+    totals = np.cumsum(s.values)
+    mu_hat = float(totals[-1] / s.n)
     if not mu_hat > 0.0:
         raise DomainError(f"the Lorenz curve needs a positive mean, got {mu_hat:g}")
-    gen = np.array([point_estimate(s, t) for t in grid])
+    # m values lie at or below each quantile, ties at it included
+    m = np.searchsorted(s.values, [sample_quantile(s, t) for t in grid], side="right")
+    gen = totals[m - 1] / s.n
     return CurvePoints(grid=grid, generalized=gen, lorenz=gen / mu_hat, mu_hat=mu_hat)
 
 

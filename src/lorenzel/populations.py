@@ -12,6 +12,10 @@ incomplete gamma function and Phi, phi the standard normal cdf and pdf:
 * skew-normal(xi, omega, alpha): xi t + omega [2 delta phi(0)
   Phi(z / sqrt(1 - delta^2)) - 2 phi(z) Phi(alpha z)], with
   z = (psi - xi) / omega and delta = alpha / sqrt(1 + alpha^2).
+
+P, Phi and Owen's T come from ``scipy.special``, which each method that
+needs one imports on first use.  So importing the package, and the ``ci``
+and ``curve`` commands, load no SciPy; the first population call does.
 """
 from __future__ import annotations
 
@@ -20,8 +24,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
-from scipy.special import gammainc, gammaincinv, ndtr, owens_t
 
 from .core import Sample, _check_t
 from .errors import DomainError, NonFinite
@@ -61,14 +63,17 @@ class Weibull:
 
     @property
     def mean(self) -> float:
+        from scipy.special import gamma as gamma_fn
         return self.scale * gamma_fn(1.0 + 1.0 / self.shape)
 
     def _ordinate(self, t: float) -> float:
+        from scipy.special import gamma as gamma_fn, gammainc
         s = 1.0 + 1.0 / self.shape
         return self.scale * gamma_fn(s) * gammainc(s, -math.log1p(-t))
 
     @property
     def variance(self) -> float:
+        from scipy.special import gamma as gamma_fn
         g1 = gamma_fn(1.0 + 1.0 / self.shape)
         return self.scale ** 2 * (gamma_fn(1.0 + 2.0 / self.shape) - g1 ** 2)
 
@@ -92,11 +97,13 @@ class ChiSquare:
             raise DomainError("degrees of freedom must be positive")
 
     def cdf(self, x):
+        from scipy.special import gammainc
         x = np.asarray(x, dtype=float)
         out = np.where(x > 0.0, gammainc(0.5 * self.df, 0.5 * x), 0.0)
         return out if out.ndim else float(out)
 
     def quantile(self, t: float) -> float:
+        from scipy.special import gammaincinv
         t = _check_t(t)
         return 2.0 * float(gammaincinv(0.5 * self.df, t))
 
@@ -105,6 +112,7 @@ class ChiSquare:
         return self.df
 
     def _ordinate(self, t: float) -> float:
+        from scipy.special import gammainc
         return self.df * gammainc(0.5 * self.df + 1.0, 0.5 * self.quantile(t))
 
     @property
@@ -135,6 +143,7 @@ class SkewNormal:
         return self.shape / math.sqrt(1.0 + self.shape ** 2)
 
     def cdf(self, x):
+        from scipy.special import ndtr, owens_t
         x = np.asarray(x, dtype=float)
         z = (x - self.location) / self.scale
         out = ndtr(z) - 2.0 * owens_t(z, self.shape)
@@ -150,6 +159,7 @@ class SkewNormal:
 
     def _ordinate(self, t: float) -> float:
         # E[Z 1(Z <= z)] for the standard skew-normal, by parts on z phi(z)
+        from scipy.special import ndtr
         d = self._delta
         z = (self.quantile(t) - self.location) / self.scale
         phi_z = math.exp(-0.5 * z * z) / _SQRT_2PI

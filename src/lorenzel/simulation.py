@@ -11,7 +11,6 @@ which count only the replications that produced an interval.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import chain, repeat
@@ -157,6 +156,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
     ns, ts = zip(*[(n, t) for n in cfg.n_grid for t in cfg.t_grid])
     total = len(ns) * max(len(cfg.methods), 1)
     results: list[CellResult] = []
+    if workers > 1:
+        # imported here, so that a sequential run and the other commands
+        # never load the process pool
+        from concurrent.futures import ProcessPoolExecutor
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
         blocks = (pool.map(_block_list, repeat(cfg), ns, ts) if pool
                   else map(_block, repeat(cfg), ns, ts))

@@ -141,6 +141,17 @@ class TestChi2Crit:
             lz.chi2_crit(alpha)
 
 
+class TestChi2CritTails:
+    def test_against_scipy_isf_down_to_tiny_alpha(self):
+        # from the lower normal tail: 1 - alpha/2 would round and lose the
+        # precision of a small alpha, and reach 1.0 near alpha = 1e-16
+        for alpha in np.geomspace(1e-300, 0.999):
+            assert lz.chi2_crit(float(alpha)) == pytest.approx(chi2.isf(alpha, 1), rel=1e-13)
+
+    def test_underflowing_half_alpha_is_infinite(self):
+        assert lz.chi2_crit(5e-324) == math.inf
+
+
 class TestScaledStatistic:
     def test_zero_at_point_estimate(self):
         theta_hat = lz.point_estimate(TOY, 0.4)

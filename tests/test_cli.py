@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import lorenzel as lz
 from lorenzel import cli
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -91,6 +92,16 @@ class TestCi:
         code, _, err = run(["ci", "--input", str(p), "--value-column", "income",
                             "--t", "0.5", "--methods", "el"], capsys)
         assert code == 4 and "DegenerateVariance" in err
+
+    def test_tiny_alpha_stays_inside_the_hull(self, tmp_path, capsys):
+        # chi2_crit(1e-17) is 73.5, a finite value, so the interval lies
+        # strictly inside the hull [0, 23]
+        p = tmp_path / "ten.csv"
+        p.write_text("income\n12\n31\n7\n45\n23\n18\n52\n9\n27\n36\n")
+        code, out, _ = run(["ci", "--input", str(p), "--value-column", "income", "--t", "0.5",
+                            "--methods", "el", "--alpha", "1e-17"], capsys)
+        assert code == 0
+        assert out.splitlines()[1] == "0.5,6.9000,el,0.0401,21.9888,21.9487"
 
     def test_unknown_method_is_exit_2(self, income_csv, capsys):
         with pytest.raises(SystemExit) as e:
@@ -263,6 +274,32 @@ def test_closed_stdout_is_exit_141(argv, income_csv):
         os.close(write_end)
     assert proc.returncode == 141
     assert proc.stderr == b""
+
+
+def test_ci_and_curve_load_no_scipy(tmp_path):
+    # in a fresh interpreter the package, ci and curve need only numpy; the
+    # first population call loads SciPy and gives the same ordinate
+    path = tmp_path / "ten.csv"
+    path.write_text("income\n12\n31\n7\n45\n23\n18\n52\n9\n27\n36\n")
+    base = ["--input", str(path), "--value-column", "income"]
+    ci = ["ci", *base, "--t", "0.3..0.7", "--output", str(tmp_path / "ci.csv")]
+    curve = ["curve", *base, "--output-dir", str(tmp_path)]
+    script = "\n".join([
+        "import sys",
+        "import lorenzel as lz",
+        "import lorenzel.cli",
+        f"assert lorenzel.cli.main({ci}) == 0",
+        f"assert lorenzel.cli.main({curve}) == 0",
+        "loaded = [m for m in ('scipy', 'concurrent.futures.process') if m in sys.modules]",
+        "assert not loaded, loaded",
+        "print(repr(lz.true_ordinate(lz.ChiSquare(3.0), 0.5)))",
+        "assert 'scipy' in sys.modules",
+    ])
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout.split()[-1]) == lz.true_ordinate(lz.ChiSquare(3.0), 0.5)
 
 
 class TestParser:

@@ -71,6 +71,19 @@ class TestLoadCsv:
         with pytest.raises(lz.SchemaError):
             lz.load_csv(path, "income").filter("AZ")
 
+    def test_filter_matches_the_label_loop(self):
+        # None stands for a short row's missing label
+        labels = ("AZ", None, "CA", "AZ", None, "az", "AZ")
+        table = lz.IncomeTable(values=np.arange(7.0), groups=labels, dropped=2)
+        for group in ("AZ", None, "CA", "az", "NV"):
+            got = table.filter(group)
+            keep = [g == group for g in labels]
+            assert got.values.tolist() == [v for v, k in zip(range(7), keep) if k]
+            assert got.groups == tuple(g for g, k in zip(labels, keep) if k)
+            assert got.dropped == 2
+        empty = lz.IncomeTable(values=np.empty(0), groups=(), dropped=0).filter("AZ")
+        assert empty.n == 0 and empty.groups == ()
+
     def test_sample_roundtrip(self, tmp_path):
         path = write(tmp_path, "income\n3\n1\n2\n")
         s = lz.load_csv(path, "income").sample()
@@ -128,6 +141,22 @@ class TestCurve:
         pa = lz.curve(lz.load_csv(a, "v").sample(), grid)
         pb = lz.curve(lz.load_csv(b, "v").sample(), grid)
         assert pa.generalized.tolist() == pb.generalized.tolist()
+
+
+@pytest.mark.parametrize("whole", [True, False], ids=["whole-dollar", "lognormal"])
+def test_curve_matches_point_estimate(whole):
+    # curve sums once, in order; point_estimate sums each truncation
+    # pairwise.  Whole numbers sum exactly either way; otherwise each sum
+    # is within (n - 1) eps of the exact one, the values being positive
+    x = np.random.default_rng(5).lognormal(10.0, 0.5, 1000)
+    s = lz.Sample(np.round(x) if whole else x)
+    grid = [i / 100 for i in range(1, 100)]
+    want = [lz.point_estimate(s, t) for t in grid]
+    got = lz.curve(s, grid).generalized.tolist()
+    if whole:
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=2 * s.n * np.finfo(float).eps)
 
 
 class TestWriteCurveCsv:
