@@ -8,6 +8,7 @@ pipe, as in ``lorenzel ci ... | head -1``).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Optional
@@ -22,6 +23,23 @@ from .simulation import ExperimentConfig, run_experiment, write_results_csv
 
 _METHOD_NAMES = [k.value for k in VariantKind]
 
+# Points a stepped grid may hold; a finer step is refused before any is built.
+_MAX_GRID_POINTS = 10**6
+
+
+def _stepped_grid(a: float, b: float, step: float) -> list[float]:
+    """round(a + i * step, 12) for i = 0 .. round((b - a) / step), which
+    may end just beyond b.  The point count is worked out first: a step
+    that is not finite and positive, or more than _MAX_GRID_POINTS points,
+    raise ValueError."""
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"the grid step must be finite and positive, got {step}")
+    span = (b - a) / step
+    if not (math.isfinite(span) and round(span) < _MAX_GRID_POINTS):
+        raise ValueError(f"a grid step of {step} from {a} to {b} gives more than "
+                         f"{_MAX_GRID_POINTS} points")
+    return [round(a + i * step, 12) for i in range(int(round(span)) + 1)]
+
 
 def _parse_t_spec(spec: str) -> list[float]:
     """Grid spec: 'a..b:step' (step optional, default 0.1) or 'a,b,c'."""
@@ -32,15 +50,14 @@ def _parse_t_spec(spec: str) -> list[float]:
             a_s, _, b_s = rng.partition("..")
             a, b = float(a_s), float(b_s)
             step = float(step_s) if step_s else 0.1
-            if step <= 0 or b < a:
+            if b < a:
                 raise ValueError
-            count = int(round((b - a) / step)) + 1
-            ts = [round(a + i * step, 12) for i in range(count)]
-            ts = [t for t in ts if t <= b + 1e-12]
+            ts = [t for t in _stepped_grid(a, b, step) if t <= b + 1e-12]
         else:
             ts = [round(float(p), 12) for p in spec.split(",") if p.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad t spec {spec!r}")
+    except ValueError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        raise argparse.ArgumentTypeError(f"bad t spec {spec!r}{detail}")
     if not ts or not all(0.0 < t < 1.0 for t in ts):
         raise argparse.ArgumentTypeError(f"t values must lie strictly in (0, 1): {spec!r}")
     return ts
@@ -206,11 +223,7 @@ def _cmd_curve(args) -> int:
     if not 0.0 < step < 1.0:
         print("lorenzel curve: --grid-step must lie in (0, 1)", file=sys.stderr)
         return 2
-    grid = []
-    k = 1
-    while (t := round(k * step, 12)) < 1.0:
-        grid.append(t)
-        k += 1
+    grid = [t for t in _stepped_grid(0.0, 1.0, step)[1:] if t < 1.0]
     groups = []
     if args.groups is not None:
         if args.group_column is None:

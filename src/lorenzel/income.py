@@ -68,8 +68,8 @@ def load_csv(path, value_column: str, group_column: Optional[str] = None) -> Inc
 
     Rows whose value cell is missing, non-numeric, or non-finite are
     dropped; the count is recorded on the table and reported once via
-    ``warnings.warn``.  Raises FileError when the file cannot be read and
-    SchemaError when a requested column is absent.
+    ``warnings.warn``.  Raises FileError when the file cannot be read or
+    parsed as CSV and SchemaError when a requested column is absent.
     """
     values: list[float] = []
     groups: list = []
@@ -104,6 +104,8 @@ def load_csv(path, value_column: str, group_column: Optional[str] = None) -> Inc
                     groups.append(row[group_col] if group_col < len(row) else None)
     except (OSError, UnicodeDecodeError) as exc:
         raise FileError(f"cannot read {path}: {exc}")
+    except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
+        raise FileError(f"cannot parse {path}, line {reader.line_num}: {exc}")
     if dropped:
         warnings.warn(f"dropped {dropped} unusable row(s) from {path}")
     return IncomeTable(values=np.asarray(values, dtype=float),

@@ -146,12 +146,13 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
                    ) -> list[CellResult]:
     """Run every cell of the design, in deterministic (n, t, method) order.
 
-    ``workers`` > 1 distributes the (n, t) pairs over processes; results
-    are identical to the sequential schedule because streams depend only
-    on (seed, replication).  ``progress(done, total, result)`` is called
-    for each cell in design order, as soon as it and every cell before it
-    are done.  Memory is O(reps * n) per process, one block's samples
-    (40 MB at n = 500, 10**4 reps); O(n) for an estimate-only design.
+    ``workers`` > 1 distributes the (n, t) pairs over processes, never
+    more processes than pairs; results are identical to the sequential
+    schedule because streams depend only on (seed, replication).
+    ``progress(done, total, result)`` is called for each cell in design
+    order, as soon as it and every cell before it are done.  Memory is
+    O(reps * n) per process, one block's samples (40 MB at n = 500,
+    10**4 reps); O(n) for an estimate-only design.
     """
     ns, ts = zip(*[(n, t) for n in cfg.n_grid for t in cfg.t_grid])
     total = len(ns) * max(len(cfg.methods), 1)
@@ -160,7 +161,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
         # imported here, so that a sequential run and the other commands
         # never load the process pool
         from concurrent.futures import ProcessPoolExecutor
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
+    # a pool may start all its processes at the first submit
+    with (ProcessPoolExecutor(max_workers=min(workers, len(ns))) if workers > 1
+          else nullcontext()) as pool:
         blocks = (pool.map(_block_list, repeat(cfg), ns, ts) if pool
                   else map(_block, repeat(cfg), ns, ts))
         for done, res in enumerate(chain.from_iterable(blocks), 1):

@@ -103,6 +103,13 @@ class TestCi:
         assert code == 0
         assert out.splitlines()[1] == "0.5,6.9000,el,0.0401,21.9888,21.9487"
 
+    def test_overlong_cell_is_exit_3(self, tmp_path, capsys):
+        p = tmp_path / "long.csv"
+        p.write_text("income\n12\n31\n" + "7" * 200_000 + "\n45\n")
+        code, out, err = run(["ci", "--input", str(p), "--value-column", "income",
+                              "--t", "0.5", "--methods", "el"], capsys)
+        assert code == 3 and "line 4" in err and out == ""
+
     def test_unknown_method_is_exit_2(self, income_csv, capsys):
         with pytest.raises(SystemExit) as e:
             cli.main(["ci", "--input", income_csv, "--value-column", "income",
@@ -300,6 +307,40 @@ def test_ci_and_curve_load_no_scipy(tmp_path):
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout.split()[-1]) == lz.true_ordinate(lz.ChiSquare(3.0), 0.5)
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "--grid-step", "1e-13", "--output-dir", "curves"],
+    ["ci", "--t", "0.1..0.9:1e-300"],
+    ["ci", "--t", "0.1..0.9:1e-320"],
+])
+def test_too_fine_grid_is_exit_2(argv, tmp_path):
+    # the point count is worked out before the grid is built, so these
+    # neither hang nor overflow; a fresh interpreter, so a hang can be cut
+    path = tmp_path / "ten.csv"
+    path.write_text("income\n12\n31\n7\n45\n23\n18\n52\n9\n27\n36\n")
+    argv = [argv[0], "--input", str(path), "--value-column", "income", *argv[1:]]
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-m", "lorenzel.cli", *argv], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=20)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and "1000000 points" in proc.stderr
+    assert not (tmp_path / "curves").exists()
+
+
+def test_default_grids_are_unchanged(income_csv, tmp_path, monkeypatch, capsys):
+    nine = [round(0.1 + i * 0.1, 12) for i in range(9)]
+    for command in ("ci", "simulate"):
+        argv = [command] + (["--input", "x", "--value-column", "v"] if command == "ci" else [])
+        assert cli.build_parser().parse_args(argv).t == nine
+    assert nine == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+    grids = []
+    true_curve = cli.curve
+    monkeypatch.setattr(cli, "curve", lambda s, grid: grids.append(grid) or true_curve(s, grid))
+    code, _, _ = run(["curve", "--input", income_csv, "--value-column", "income",
+                      "--output-dir", str(tmp_path)], capsys)
+    assert code == 0
+    assert grids == [[round(k * 0.01, 12) for k in range(1, 100)]]
 
 
 class TestParser:

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 import lorenzel as lz
 from conftest import random_positive_data
-from lorenzel import core, intervals
+from lorenzel import intervals
 from lorenzel.calibration import _truncate
-from lorenzel.core import _bounds, _certify, _joint_step, _profile
+from lorenzel.core import _profile
+from lorenzel.intervals import _bounds, _certify, _joint_step
 from lorenzel.variants import _tel_inverse
 
 TOY = lz.Sample([1.0, 2.0, 3.0, 4.0, 5.0])
@@ -376,8 +377,8 @@ class TestCertify:
         target = lz.chi2_crit(0.05) / scale.ratio
         wald = math.sqrt(target * scale.sigma_p_sq / v.size)
         calls = []
-        true_certify = core._certify
-        true_profile = core._profile
+        true_certify = intervals._certify
+        true_profile = intervals._profile
 
         def spy_certify(v, theta, adjusted, lam, target, hull):
             calls.append([theta, lam, False])
@@ -388,7 +389,7 @@ class TestCertify:
             return true_profile(*args)
 
         monkeypatch.setattr(intervals, "_certify", spy_certify)
-        monkeypatch.setattr(core, "_profile", spy_profile)
+        monkeypatch.setattr(intervals, "_profile", spy_profile)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for out in (-1.0, 1.0):
@@ -419,7 +420,7 @@ class TestCertify:
         true_search = intervals._search_side
         true_joint = intervals._joint_step
         true_certify = intervals._certify
-        true_profile = core._profile
+        true_profile = intervals._profile
 
         def counted_search(*args):
             certified[0] = 0
@@ -444,7 +445,7 @@ class TestCertify:
         monkeypatch.setattr(intervals, "_search_side", counted_search)
         monkeypatch.setattr(intervals, "_joint_step", counted_joint)
         monkeypatch.setattr(intervals, "_certify", counted_certify)
-        monkeypatch.setattr(core, "_profile", counted_profile)
+        monkeypatch.setattr(intervals, "_profile", counted_profile)
         for pop in (lz.Weibull(1.0, 2.0), lz.ChiSquare(3.0), lz.SkewNormal(1.0, 3.0, 5.0)):
             lz.run_experiment(lz.ExperimentConfig(
                 population=pop, n_grid=(50, 100, 150, 300, 500),

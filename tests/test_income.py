@@ -56,6 +56,12 @@ class TestLoadCsv:
         with pytest.raises(lz.FileError):
             lz.load_csv(str(tmp_path / "nope.csv"), "income")
 
+    def test_overlong_cell_is_a_file_error(self, tmp_path):
+        # the csv module refuses a cell longer than its field size limit
+        path = write(tmp_path, "income,note\n100,a\n250," + "x" * 200_000 + "\n175,b\n")
+        with pytest.raises(lz.FileError, match=r"incomes\.csv, line 3"):
+            lz.load_csv(path, "income")
+
     def test_missing_columns(self, tmp_path):
         path = write(tmp_path, "a,b\n1,2\n")
         with pytest.raises(lz.SchemaError):

@@ -13,7 +13,8 @@ from scipy.special import ndtr
 import lorenzel as lz
 from conftest import oracle_ci, random_positive_data
 from lorenzel import intervals
-from lorenzel.core import _ael_limit, _pass, _profile
+from lorenzel.core import _profile
+from lorenzel.intervals import _ael_limit, _pass
 from lorenzel.variants import _tel_inverse
 
 TOY = lz.Sample([1.0, 2.0, 3.0, 4.0, 5.0])
@@ -382,9 +383,14 @@ class TestEvaluationBudget:
         assert unbounded > 0
         assert 0.02 * len(certified) < safeguarded < 0.2 * len(certified)
 
-    def test_bisection_alone_finds_the_same_endpoints(self, monkeypatch):
+    @pytest.mark.parametrize("forced", ["no_joint", "no_bounds"])
+    def test_bisection_alone_finds_the_same_endpoints(self, monkeypatch, forced):
         # with every joint step stalled at once, certified steps alone must
-        # find the same endpoints, fail the same way, and stay in budget
+        # find the same endpoints, fail the same way, and stay in budget.
+        # With every bound undecided, no joint pass closes a side and every
+        # certified step is a full evaluation; the probe beyond a converged
+        # joint root then keeps the passes low (14.4 per interval; 65.6
+        # without the probe)
         pops = [lz.Weibull(1.0, 2.0), lz.ChiSquare(3.0), lz.SkewNormal(1.0, 3.0, 5.0)]
         cases = []
         for p, pop in enumerate(pops):
@@ -403,7 +409,10 @@ class TestEvaluationBudget:
             return out
 
         joint = run_all()
-        monkeypatch.setattr(intervals, "_joint_step", lambda *args: None)
+        if forced == "no_joint":
+            monkeypatch.setattr(intervals, "_joint_step", lambda *args: None)
+        else:
+            monkeypatch.setattr(intervals, "_bounds", lambda *args: (-math.inf, math.inf))
         bisected = run_all()
         assert sum(isinstance(ci, type) for ci in joint) < len(cases)
         for case, a, b in zip(cases, joint, bisected):
@@ -412,3 +421,5 @@ class TestEvaluationBudget:
                 continue
             assert b.lower == pytest.approx(a.lower, rel=2e-8), case[1:]
             assert b.upper == pytest.approx(a.upper, rel=2e-8), case[1:]
+        if forced == "no_bounds":
+            assert np.mean([ci.iterations for ci in bisected if not isinstance(ci, type)]) <= 20

@@ -1,6 +1,7 @@
 """Monte-Carlo harness: determinism, accounting, CSV output."""
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import io
 import math
@@ -129,6 +130,34 @@ class TestRunExperiment:
         assert seq == par
         # progress reports cells in design order under either schedule
         assert calls[1] == calls[2] == [(i + 1, 8, res) for i, res in enumerate(seq)]
+
+    @pytest.mark.parametrize("n_grid,workers,started", [((10, 20), 3, 3), ((10, 20), 500, 4),
+                                                         ((10,), 64, 2)])
+    def test_pool_has_no_more_processes_than_blocks(self, monkeypatch, n_grid, workers,
+                                                    started):
+        # a pool may start every process at its first submit, so it must not
+        # ask for more than there are (n, t) blocks; a stub pool records its
+        # size and maps in this process, so no process is started here
+        sizes = []
+
+        class StubPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
+        cfg = small_cfg(n_grid=n_grid, t_grid=(0.3, 0.6), methods=("el", "tael"), reps=4)
+        par = lz.run_experiment(cfg, workers=workers)
+        assert sizes == [started]
+        assert par == lz.run_experiment(cfg, workers=1)
 
     @pytest.mark.parametrize("methods", [(), ("el", "ael", "tel", "tael")])
     def test_each_replication_is_drawn_once(self, monkeypatch, methods):
@@ -284,12 +313,25 @@ class TestSeededSearches:
     def test_seed_closed_by_certified_steps_starts_from_its_endpoint(self, monkeypatch):
         # an EL side that closed through certified steps keeps no joint pass,
         # so AEL and TEL start from its endpoint and multiplier, with no
-        # Newton step from a pass, and still find cold invert's interval
-        newton = []
+        # Newton step from a pass, and still find cold invert's interval;
+        # a Newton step counts here only when it is taken from a seed's
+        # pass, converted to this kind by _as_kind
+        newton, converted = [], []
         true_newton = intervals._newton
+        true_as_kind = intervals._as_kind
         true_joint = intervals._joint_step
-        monkeypatch.setattr(intervals, "_newton",
-                            lambda *args: newton.append(1) or true_newton(*args))
+
+        def as_kind(*args):
+            converted.append(true_as_kind(*args))
+            return converted[-1]
+
+        def counted_newton(sums, *args):
+            if any(sums is c for c in converted):
+                newton.append(1)
+            return true_newton(sums, *args)
+
+        monkeypatch.setattr(intervals, "_as_kind", as_kind)
+        monkeypatch.setattr(intervals, "_newton", counted_newton)
         crit = lz.chi2_crit(0.05)
         checked = 0
         for p, pop in enumerate(self.POPS):
