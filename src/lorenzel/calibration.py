@@ -5,13 +5,12 @@ ratio is not asymptotically chi-square(1); it must be multiplied by the
 variance ratio sigma_p^2 / sigma_v^2 of two plug-in moments.  The scaled
 statistic is then compared against the chi-square(1) critical value.
 
-``scale_factor`` and ``scaled_statistic`` keep the truncation and the scale
-factor at each t in the sample's memo (see ``core.Sample``), so the four
-kinds' statistics at one (sample, t) truncate once and compute the scale
-factor once, and ``scaled_statistic`` shares ``log_ratio``'s kept EL and
-AEL ratios.  Intervals do not read the memo: ``invert`` truncates once per
-call through ``_truncate``, and ``run_experiment`` and the ``ci`` command
-once per (sample, t) for all their methods (``intervals._setup``).
+What every kind's statistic and interval at one (sample, t) share, the
+truncation, the point estimate, the scale factor and the hull, is built
+once and kept in the sample's memo (``_setup``; see ``core.Sample``).
+``scale_factor``, ``scaled_statistic``, ``invert``, ``run_experiment`` and
+the ``ci`` command all read it there, and ``scaled_statistic`` shares
+``log_ratio``'s kept EL and AEL ratios.
 
 The critical value comes from the standard library's ``NormalDist``, so
 this module, and the ``ci`` and ``curve`` commands, need no SciPy.
@@ -25,7 +24,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .core import Sample, VariantKind, _check_t, _memo_truncation, _truncation
+from .core import Sample, VariantKind, _check_t, _truncation
 from .errors import DegenerateVariance, DomainError, NonFinite
 from .variants import _memo_log_ratio
 
@@ -61,41 +60,35 @@ def chi2_crit(alpha: float) -> float:
     return NormalDist().inv_cdf(half) ** 2 if half > 0.0 else math.inf
 
 
-def _truncate(s: Sample, t: float) -> tuple[np.ndarray, float, ScaleFactor]:
-    """The truncated values V, their mean theta_hat, and the scale factor,
-    from one truncation; see ``scale_factor``."""
-    v, psi = _truncation(s, t)
-    return (v, *_scale(s, v, psi))
-
-
-def _scale(s: Sample, v: np.ndarray, psi: float) -> tuple[float, ScaleFactor]:
-    """theta_hat and the scale factor from the truncation V of s at the quantile psi."""
-    # the sample is sorted: every value up to the quantile ties at it
-    if float(s.values[0]) == psi:
-        raise DegenerateVariance(f"every value at or below the quantile is {psi:g}, so "
-                                 "sigma_v^2 = 0 and the scale factor is undefined")
-    with np.errstate(over="ignore", invalid="ignore"):
-        # x - psi_hat is +0.0 only at x = psi_hat, so this equals
-        # (x - psi_hat) 1(x <= psi_hat) bit for bit
-        shifted = np.minimum(s.values - psi, 0.0)
-        theta_hat = float(v.sum() / s.n)
-        # numpy's own two-pass variance, bit for bit, without ndarray.var's wrapper
-        d = v - theta_hat
-        sigma_p_sq = float((d * d).sum() / s.n)
-        d = shifted - shifted.sum() / s.n
-        sigma_v_sq = float((d * d).sum() / s.n)
-    # a subnormal variance has lost its relative precision, and so has the ratio
-    tiny = sys.float_info.min
-    ratio = sigma_p_sq / sigma_v_sq if sigma_p_sq >= tiny and sigma_v_sq >= tiny else 0.0
-    if not 0.0 < ratio < math.inf:
-        raise NonFinite(f"plug-in variances {sigma_p_sq:g} and {sigma_v_sq:g} over- or "
-                        "underflow; the scale factor is undefined")
-    return theta_hat, ScaleFactor(sigma_p_sq=sigma_p_sq, sigma_v_sq=sigma_v_sq, ratio=ratio)
-
-
-def _memo_scale_factor(s: Sample, t: float) -> ScaleFactor:
-    """``scale_factor`` from the memo of s; t is a float in (0, 1)."""
-    return s._recall(("scale", t), lambda: _scale(s, *_memo_truncation(s, t))[1])
+def _setup(s: Sample, t: float) -> tuple[np.ndarray, float, ScaleFactor, tuple[float, float]]:
+    """The truncated values V, their mean theta_hat, the scale factor and the
+    hull of V, kept in the memo of s; t is a float in (0, 1).  See
+    ``scale_factor``."""
+    def compute():
+        v, psi = _truncation(s, t)
+        # the sample is sorted: every value up to the quantile ties at it
+        if float(s.values[0]) == psi:
+            raise DegenerateVariance(f"every value at or below the quantile is {psi:g}, so "
+                                     "sigma_v^2 = 0 and the scale factor is undefined")
+        with np.errstate(over="ignore", invalid="ignore"):
+            # x - psi_hat is +0.0 only at x = psi_hat, so this equals
+            # (x - psi_hat) 1(x <= psi_hat) bit for bit
+            shifted = np.minimum(s.values - psi, 0.0)
+            theta_hat = float(v.sum() / s.n)
+            # numpy's own two-pass variance, bit for bit, without ndarray.var's wrapper
+            d = v - theta_hat
+            sigma_p_sq = float((d * d).sum() / s.n)
+            d = shifted - shifted.sum() / s.n
+            sigma_v_sq = float((d * d).sum() / s.n)
+        # a subnormal variance has lost its relative precision, and so has the ratio
+        tiny = sys.float_info.min
+        ratio = sigma_p_sq / sigma_v_sq if sigma_p_sq >= tiny and sigma_v_sq >= tiny else 0.0
+        if not 0.0 < ratio < math.inf:
+            raise NonFinite(f"plug-in variances {sigma_p_sq:g} and {sigma_v_sq:g} over- or "
+                            "underflow; the scale factor is undefined")
+        scale = ScaleFactor(sigma_p_sq=sigma_p_sq, sigma_v_sq=sigma_v_sq, ratio=ratio)
+        return v, theta_hat, scale, (float(v.min()), float(v.max()))
+    return s._recall(("setup", t), compute)
 
 
 def scale_factor(s: Sample, t: float) -> ScaleFactor:
@@ -108,7 +101,7 @@ def scale_factor(s: Sample, t: float) -> ScaleFactor:
     no interval exists; raises NonFinite when a variance over- or underflows,
     subnormal values included.
     """
-    return _memo_scale_factor(s, _check_t(t))
+    return _setup(s, _check_t(t))[2]
 
 
 def scaled_statistic(kind: VariantKind, s: Sample, t: float, theta: float) -> float:
@@ -118,4 +111,4 @@ def scaled_statistic(kind: VariantKind, s: Sample, t: float, theta: float) -> fl
     """
     kind = VariantKind(kind)
     t = _check_t(t)
-    return _memo_scale_factor(s, t).ratio * _memo_log_ratio(kind, s, t, theta)
+    return _setup(s, t)[2].ratio * _memo_log_ratio(kind, s, t, theta)

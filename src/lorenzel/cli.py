@@ -13,11 +13,11 @@ import os
 import sys
 from typing import Optional
 
-from .calibration import chi2_crit
+from .calibration import _setup, chi2_crit
 from .core import VariantKind
 from .errors import FileError, LorenzELError, SchemaError
 from .income import _fmt, _write_table, curve, load_csv, write_curve_csv
-from .intervals import _invert, _setup
+from .intervals import _invert
 from .populations import ChiSquare, SeedSpec, SkewNormal, Weibull
 from .simulation import ExperimentConfig, run_experiment, write_results_csv
 
@@ -158,14 +158,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_ci(args) -> int:
-    table = load_csv(args.input, args.value_column, args.group_column)
     if not args.methods:
         print("lorenzel ci: at least one method is required", file=sys.stderr)
         return 2
+    if args.group is not None and args.group_column is None:
+        print("lorenzel ci: --group requires --group-column", file=sys.stderr)
+        return 2
+    table = load_csv(args.input, args.value_column, args.group_column)
     if args.group is not None:
-        if args.group_column is None:
-            print("lorenzel ci: --group requires --group-column", file=sys.stderr)
-            return 2
         table = table.filter(args.group)
     if table.n < 2:
         raise FileError(f"{args.input}: need at least 2 usable rows, got {table.n}")
@@ -218,7 +218,6 @@ def _sanitize(label: str) -> str:
 
 
 def _cmd_curve(args) -> int:
-    table = load_csv(args.input, args.value_column, args.group_column)
     step = args.grid_step
     if not 0.0 < step < 1.0:
         print("lorenzel curve: --grid-step must lie in (0, 1)", file=sys.stderr)
@@ -238,6 +237,7 @@ def _cmd_curve(args) -> int:
             print(f"lorenzel curve: {labels[names.index(name)]} and {labels[i]} "
                   f"would both be written to {name}", file=sys.stderr)
             return 2
+    table = load_csv(args.input, args.value_column, args.group_column)
     subs = [table] + [table.filter(label) for label in groups]
     prec = None if args.raw else 4
     # every group is computed before any file is written, so a failing

@@ -57,13 +57,16 @@ class Sample:
     Requires at least two finite observations.  Negative values are
     allowed (e.g. skew-normal populations produce them).
 
-    A Sample stays observably immutable.  ``scale_factor``, ``log_ratio``
-    and ``scaled_statistic`` keep what they derive from it in a private
-    memo: the truncation at each t, and the EL and AEL log-ratios at each
-    (t, theta).  A result read from the memo is bit for bit the one a
-    fresh Sample of the same data gives, so results do not depend on call
-    order.  The memo holds at most _MEMO_SIZE entries and is emptied when
-    full; it never holds an exception, and it dies with the Sample.
+    A Sample stays observably immutable.  The functions that truncate it
+    (``truncated_values``, ``point_estimate``, ``scale_factor``,
+    ``log_ratio``, ``scaled_statistic`` and ``invert``) keep what they
+    derive from it in a private memo: the truncation at each t, the set-up
+    every kind shares at each t (``calibration._setup``), and the EL and
+    AEL log-ratios at each (t, theta).  A result read from the memo is bit
+    for bit the one a fresh Sample of the same data gives, so results do
+    not depend on call order.  The memo holds at most _MEMO_SIZE entries
+    and is emptied when full; it never holds an exception, and it dies with
+    the Sample.
     """
 
     __slots__ = ("_values", "_memo")
@@ -134,21 +137,17 @@ def sample_quantile(s: Sample, t: float) -> float:
 
 
 def truncated_values(s: Sample, t: float) -> np.ndarray:
-    """V_i = X_i 1(X_i <= quantile); ties at the quantile are all included."""
-    return _truncation(s, t)[0]
+    """Read-only V_i = X_i 1(X_i <= quantile); ties at the quantile are all
+    included."""
+    return _truncation(s, _check_t(t))[0]
 
 
 def _truncation(s: Sample, t: float) -> tuple[np.ndarray, float]:
-    """``truncated_values`` and the quantile it truncates at."""
-    psi = sample_quantile(s, t)
-    return np.where(s.values <= psi, s.values, 0.0), psi
-
-
-def _memo_truncation(s: Sample, t: float) -> tuple[np.ndarray, float]:
-    """``_truncation`` from the memo of s, with V read-only; t is a float
-    in (0, 1)."""
+    """``truncated_values`` and the quantile it truncates at, kept in the
+    memo of s; t is a float in (0, 1)."""
     def compute():
-        v, psi = _truncation(s, t)
+        psi = sample_quantile(s, t)
+        v = np.where(s.values <= psi, s.values, 0.0)
         v.flags.writeable = False
         return v, psi
     return s._recall(("truncation", t), compute)

@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .core import Sample, sample_quantile
-from .errors import DomainError, FileError, SchemaError
+from .errors import DomainError, FileError, NonFinite, SchemaError
 
 __all__ = [
     "IncomeTable",
@@ -132,12 +132,17 @@ def curve(s: Sample, grid: Sequence[float]) -> CurvePoints:
     """Evaluate the empirical curves at each abscissa in ``grid``.
 
     Raises DomainError when the sample mean is not positive, since the
-    relative Lorenz curve divides by it.
+    relative Lorenz curve divides by it, and NonFinite when the sum of the
+    values overflows.
     """
     grid = np.asarray([float(t) for t in grid])
-    # one running sum of the sorted values gives every ordinate and the mean
-    totals = np.cumsum(s.values)
+    # one running sum of the sorted values gives every ordinate and the mean;
+    # it overflows only if its total does, which the mean then shows
+    with np.errstate(over="ignore"):
+        totals = np.cumsum(s.values)
     mu_hat = float(totals[-1] / s.n)
+    if not math.isfinite(mu_hat):
+        raise NonFinite(f"the running sum of the values overflows, so the mean is {mu_hat:g}")
     if not mu_hat > 0.0:
         raise DomainError(f"the Lorenz curve needs a positive mean, got {mu_hat:g}")
     # m values lie at or below each quantile, ties at it included

@@ -95,8 +95,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .calibration import ScaleFactor, _truncate, chi2_crit
-from .core import Sample, VariantKind, _profile, adjustment_factor
+from .calibration import ScaleFactor, _setup, chi2_crit
+from .core import Sample, VariantKind, _check_t, _profile, adjustment_factor
 from .errors import BracketFailure, ConvexHullViolation, LorenzELError
 from .variants import _tel_inverse
 
@@ -476,14 +476,7 @@ def invert(kind: VariantKind, s: Sample, t: float, alpha: float) -> ConfidenceIn
     """
     kind = VariantKind(kind)
     crit = chi2_crit(alpha)
-    return _invert(kind, *_setup(s, t), crit, 1.0 - float(alpha))
-
-
-def _setup(s: Sample, t: float) -> tuple[np.ndarray, float, ScaleFactor, tuple[float, float]]:
-    """What every kind's interval on (s, t) shares: the truncation
-    (``calibration._truncate``) and the hull of its values."""
-    v, theta_hat, scale = _truncate(s, t)
-    return v, theta_hat, scale, (float(v.min()), float(v.max()))
+    return _invert(kind, *_setup(s, _check_t(t)), crit, 1.0 - float(alpha))
 
 
 # The kind whose endpoints and multipliers, on the same truncation, start
@@ -496,8 +489,8 @@ _SEEDS = {VariantKind.AEL: VariantKind.EL, VariantKind.TEL: VariantKind.EL,
 def _invert(kind: VariantKind, v: np.ndarray, theta_hat: float, scale: ScaleFactor,
             hull: tuple[float, float], crit: float, level: float,
             seeds: dict | None = None) -> ConfidenceInterval:
-    """``invert`` from ``_setup``'s result, the critical value and the level,
-    which the methods of one replication share.
+    """``invert`` from ``calibration._setup``'s result, the critical value
+    and the level, which the methods of one replication share.
 
     ``seeds`` maps the kinds already inverted on this truncation to their
     (endpoint, lam, pass) per side, the pass being the joint pass that

@@ -18,11 +18,11 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .calibration import chi2_crit
+from .calibration import _setup, chi2_crit
 from .core import VariantKind, point_estimate
 from .errors import BracketFailure, ConvexHullViolation, DegenerateVariance, NonFinite
 from .income import _fmt, _write_table
-from .intervals import _invert, _setup
+from .intervals import _invert
 from .populations import Population, SeedSpec, sample, true_ordinate
 
 __all__ = [

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 
-from .core import Sample, VariantKind, _check_t, _memo_truncation, _profile
+from .core import Sample, VariantKind, _check_t, _profile, _truncation
 from .errors import DomainError
 
 __all__ = ["tel_transform", "log_ratio"]
@@ -82,7 +82,7 @@ def _memo_log_ratio(kind: VariantKind, s: Sample, t: float, theta) -> float:
     shares the entry of 0.0, as V - theta then differs only in the sign of
     zeros, which no finite ratio depends on.
     """
-    v = _memo_truncation(s, t)[0]
+    v = _truncation(s, t)[0]
     adjusted = kind.adjusted
     if isinstance(theta, float):
         val = s._recall(("ratio", t, theta, adjusted), lambda: _profile(v, theta, adjusted)[0])

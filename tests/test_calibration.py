@@ -194,17 +194,25 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
     if isinstance(value, lz.ScaleFactor):
         return tuple(x.hex() for x in (value.sigma_p_sq, value.sigma_v_sq, value.ratio))
+    if isinstance(value, lz.ConfidenceInterval):
+        return value.lower.hex(), value.upper.hex(), value.iterations
+    if isinstance(value, np.ndarray):
+        return value.tobytes()
     return type(value), value.hex()
 
 
 class TestSampleMemo:
-    """The truncation and the EL/AEL ratios a Sample keeps change no result."""
+    """The truncation, the set-up and the EL/AEL ratios a Sample keeps
+    change no result."""
 
     @staticmethod
     def _calls(s):
         calls = []
         for t in (0.3, 0.5, np.float64(0.9)):
             calls.append((lz.scale_factor, s, t))
+            calls.append((lz.truncated_values, s, t))
+            calls.append((lz.point_estimate, s, t))
+            calls += [(lz.invert, kind, s, t, 0.05) for kind in lz.VariantKind]
             theta_hat = lz.point_estimate(s, t)
             hull_top = float(lz.truncated_values(s, t).max())
             for theta in (0.0, -0.0, theta_hat, np.float64(theta_hat), 1, 0,
@@ -236,6 +244,27 @@ class TestSampleMemo:
             for i in order:
                 fn, *args = calls[i]
                 assert _outcome(fn, *args) == want[i], (attempt, calls[i])
+
+    def test_four_kinds_truncate_once(self, monkeypatch):
+        found = []
+        true_quantile = core.sample_quantile
+
+        def spy(s, t):
+            found.append(t)
+            return true_quantile(s, t)
+
+        monkeypatch.setattr(core, "sample_quantile", spy)
+        s = lz.Sample(TOY.values)
+        for kind in lz.VariantKind:
+            lz.invert(kind, s, 0.4, 0.05)
+        assert found == [0.4]
+
+    def test_truncated_values_are_read_only(self):
+        v = lz.truncated_values(lz.Sample(TOY.values), 0.4)
+        assert v.tolist() == [1.0, 2.0, 0.0, 0.0, 0.0]
+        assert not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0] = 7.0
 
     def test_hull_violation_is_not_kept(self):
         # V = (1, 2, 0, 0, 0) at t = 0.4, so theta = 5 is outside the EL hull

@@ -243,6 +243,29 @@ class TestCurve:
                             "--output-dir", str(tmp_path)], capsys)
         assert code == 2
 
+    def test_overflowing_sum_is_exit_4(self, tmp_path, capsys):
+        # finite values whose running sum overflows
+        p = tmp_path / "huge.csv"
+        p.write_text("v\n1e308\n1.5e308\n1.7e308\n1.2e308\n")
+        outdir = tmp_path / "curves"
+        code, out, err = run(["curve", "--input", str(p), "--value-column", "v",
+                              "--output-dir", str(outdir)], capsys)
+        assert code == 4 and "NonFinite" in err
+        assert out == "" and not outdir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["ci", "--group", "CA"],
+    ["ci", "--methods", "none"],
+    ["curve", "--groups", "CA"],
+    ["curve", "--grid-step", "2"],
+], ids=["ci-group", "ci-no-methods", "curve-groups", "curve-grid-step"])
+def test_usage_errors_come_before_the_input(argv, tmp_path, capsys):
+    # the input does not exist, which would be exit 3 once read
+    code, out, err = run([*argv, "--input", str(tmp_path / "missing.csv"),
+                          "--value-column", "income"], capsys)
+    assert code == 2 and "missing.csv" not in err and out == ""
+
 
 @pytest.mark.parametrize("command", ["ci", "simulate", "curve"])
 def test_unwritable_output_is_exit_3(command, income_csv, tmp_path, capsys):

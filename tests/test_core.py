@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import lorenzel as lz
 from conftest import random_positive_data
 from lorenzel import intervals
-from lorenzel.calibration import _truncate
+from lorenzel.calibration import _setup
 from lorenzel.core import _profile
 from lorenzel.intervals import _bounds, _certify, _joint_step
 from lorenzel.variants import _tel_inverse
@@ -314,10 +314,9 @@ class TestCertify:
                     s = lz.sample(pop, n, lz.SeedSpec(master_seed=71, stream_id=p), r)
                     for t in (0.1, 0.5, 0.9):
                         try:
-                            v, theta_hat, scale = _truncate(s, t)
+                            v, theta_hat, scale, hull = _setup(s, t)
                         except lz.DegenerateVariance:
                             continue
-                        hull = (float(v.min()), float(v.max()))
                         for kind in lz.VariantKind:
                             try:
                                 ci = lz.invert(kind, s, t, alpha)
@@ -372,8 +371,7 @@ class TestCertify:
         # invert searches data scaled to size 1, so the sides are searched
         # here on the data as they are
         x = np.array([-2e153, 1e153, 1e153, 1e153, 2e153, 1e153])
-        v, theta_hat, scale = _truncate(lz.Sample(x), 0.5)
-        hull = (float(v.min()), float(v.max()))
+        v, theta_hat, scale, hull = _setup(lz.Sample(x), 0.5)
         target = lz.chi2_crit(0.05) / scale.ratio
         wald = math.sqrt(target * scale.sigma_p_sq / v.size)
         calls = []

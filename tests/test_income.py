@@ -140,6 +140,13 @@ class TestCurve:
         with pytest.raises(lz.DomainError, match="positive mean"):
             lz.curve(lz.Sample(values), [0.25, 0.5, 0.75])
 
+    def test_overflowing_sum_raises(self):
+        # every value is finite, but their running sum is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(lz.NonFinite, match="overflows"):
+                lz.curve(lz.Sample([1e308, 1.5e308, 1.7e308, 1.2e308]), [0.25, 0.5, 0.75])
+
     def test_row_order_irrelevant(self, tmp_path):
         a = write(tmp_path, "v\n5\n1\n3\n2\n4\n", "a.csv")
         b = write(tmp_path, "v\n1\n2\n3\n4\n5\n", "b.csv")

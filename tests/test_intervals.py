@@ -128,6 +128,41 @@ class TestRandomInstances:
             else:
                 assert b is a, kind
 
+    @settings(max_examples=300, deadline=None)
+    @given(signed_data(), st.sampled_from([k / 10 for k in range(1, 10)]),
+           st.sampled_from([0.01, 0.05, 0.2]))
+    def test_estimate_nesting_and_whole_line(self, x, t, alpha):
+        # theta_hat lies inside every bounded interval, TEL (TAEL) contains
+        # EL (AEL) within the stopping tolerance, and an AEL (TAEL) set is
+        # the whole line exactly when its limit is at or below its target
+        s = lz.Sample(x)
+        try:
+            ratio = lz.scale_factor(s, t).ratio
+        except lz.DegenerateVariance:
+            for kind in lz.VariantKind:
+                with pytest.raises(lz.DegenerateVariance):
+                    lz.invert(kind, s, t, alpha)
+            return
+        theta_hat = lz.point_estimate(s, t)
+        target = lz.chi2_crit(alpha) / ratio
+        cis = {}
+        for kind in lz.VariantKind:
+            whole = kind.adjusted and _ael_limit(s.n) <= (
+                _tel_inverse(target, s.n) if kind.transformed else target)
+            try:
+                cis[kind.value] = ci = lz.invert(kind, s, t, alpha)
+            except lz.BracketFailure:
+                assert whole, kind
+                continue
+            assert not whole, kind
+            assert ci.lower <= theta_hat <= ci.upper, kind
+        for plain, damped in (("el", "tel"), ("ael", "tael")):
+            inner, outer = cis.get(plain), cis.get(damped)
+            if inner and outer:
+                slack = 2e-8 * max(abs(inner.lower), abs(inner.upper))
+                assert outer.lower <= inner.lower + slack, plain
+                assert outer.upper >= inner.upper - slack, plain
+
     def test_estimate_always_inside(self, rng):
         cases = [(random_positive_data(rng, int(rng.integers(10, 50))),
                   float(rng.uniform(0.15, 0.9))) for _ in range(20)]

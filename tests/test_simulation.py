@@ -12,6 +12,7 @@ import pytest
 import lorenzel as lz
 import lorenzel.simulation as simulation
 from lorenzel import intervals
+from lorenzel.calibration import _setup
 
 WEI = lz.Weibull(1.0, 2.0)
 
@@ -297,7 +298,7 @@ class TestSeededSearches:
         crit = lz.chi2_crit(0.05)
         sides = free = 0
         for t in (0.1, 0.3, 0.5, 0.7, 0.9):
-            setup = intervals._setup(s, t)
+            setup = _setup(s, t)
             tol = 1e-15 * float(np.ptp(setup[0]))
             seeds = {}
             for kind in lz.VariantKind:
@@ -338,7 +339,7 @@ class TestSeededSearches:
             for n in (50, 300):
                 s = lz.sample(pop, n, lz.SeedSpec(59, p), 0)
                 for t in (0.1, 0.5, 0.9):
-                    setup = intervals._setup(s, t)
+                    setup = _setup(s, t)
                     seeds = {}
                     monkeypatch.setattr(intervals, "_joint_step", lambda *args: None)
                     intervals._invert(lz.VariantKind.EL, *setup, crit, 0.95, seeds)
