@@ -7,10 +7,12 @@ statistic is then compared against the chi-square(1) critical value.
 
 What every kind's statistic and interval at one (sample, t) share, the
 truncation, the point estimate, the scale factor and the hull, is built
-once and kept in the sample's memo (``_setup``; see ``core.Sample``).
-``scale_factor``, ``scaled_statistic``, ``invert``, ``run_experiment`` and
-the ``ci`` command all read it there, and ``scaled_statistic`` shares
-``log_ratio``'s kept EL and AEL ratios.
+by one function, ``_setup_from``.  ``_setup`` keeps its result in the
+sample's memo (see ``core.Sample``), where ``scale_factor``,
+``scaled_statistic``, ``invert`` and the ``ci`` command read it, and
+``scaled_statistic`` shares ``log_ratio``'s kept EL and AEL ratios.
+``run_experiment`` calls ``_setup_from`` on each replication's values,
+with no memo, since each set-up is used once.
 
 The critical value comes from the standard library's ``NormalDist``, so
 this module, and the ``ci`` and ``curve`` commands, need no SciPy.
@@ -60,35 +62,39 @@ def chi2_crit(alpha: float) -> float:
     return NormalDist().inv_cdf(half) ** 2 if half > 0.0 else math.inf
 
 
-def _setup(s: Sample, t: float) -> tuple[np.ndarray, float, ScaleFactor, tuple[float, float]]:
+def _setup_from(x: np.ndarray, v: np.ndarray, psi: float,
+                ) -> tuple[np.ndarray, float, ScaleFactor, tuple[float, float]]:
     """The truncated values V, their mean theta_hat, the scale factor and the
-    hull of V, kept in the memo of s; t is a float in (0, 1).  See
-    ``scale_factor``."""
-    def compute():
-        v, psi = _truncation(s, t)
-        # the sample is sorted: every value up to the quantile ties at it
-        if float(s.values[0]) == psi:
-            raise DegenerateVariance(f"every value at or below the quantile is {psi:g}, so "
-                                     "sigma_v^2 = 0 and the scale factor is undefined")
-        with np.errstate(over="ignore", invalid="ignore"):
-            # x - psi_hat is +0.0 only at x = psi_hat, so this equals
-            # (x - psi_hat) 1(x <= psi_hat) bit for bit
-            shifted = np.minimum(s.values - psi, 0.0)
-            theta_hat = float(v.sum() / s.n)
-            # numpy's own two-pass variance, bit for bit, without ndarray.var's wrapper
-            d = v - theta_hat
-            sigma_p_sq = float((d * d).sum() / s.n)
-            d = shifted - shifted.sum() / s.n
-            sigma_v_sq = float((d * d).sum() / s.n)
-        # a subnormal variance has lost its relative precision, and so has the ratio
-        tiny = sys.float_info.min
-        ratio = sigma_p_sq / sigma_v_sq if sigma_p_sq >= tiny and sigma_v_sq >= tiny else 0.0
-        if not 0.0 < ratio < math.inf:
-            raise NonFinite(f"plug-in variances {sigma_p_sq:g} and {sigma_v_sq:g} over- or "
-                            "underflow; the scale factor is undefined")
-        scale = ScaleFactor(sigma_p_sq=sigma_p_sq, sigma_v_sq=sigma_v_sq, ratio=ratio)
-        return v, theta_hat, scale, (float(v.min()), float(v.max()))
-    return s._recall(("setup", t), compute)
+    hull of V, from the sorted values x and their truncation (V, psi); no
+    memo.  See ``scale_factor``."""
+    n = x.size
+    # x is sorted: every value up to the quantile ties at it
+    if float(x[0]) == psi:
+        raise DegenerateVariance(f"every value at or below the quantile is {psi:g}, so "
+                                 "sigma_v^2 = 0 and the scale factor is undefined")
+    with np.errstate(over="ignore", invalid="ignore"):
+        # x - psi_hat is +0.0 only at x = psi_hat, so this equals
+        # (x - psi_hat) 1(x <= psi_hat) bit for bit
+        shifted = np.minimum(x - psi, 0.0)
+        theta_hat = float(v.sum() / n)
+        # numpy's own two-pass variance, bit for bit, without ndarray.var's wrapper
+        d = v - theta_hat
+        sigma_p_sq = float((d * d).sum() / n)
+        d = shifted - shifted.sum() / n
+        sigma_v_sq = float((d * d).sum() / n)
+    # a subnormal variance has lost its relative precision, and so has the ratio
+    tiny = sys.float_info.min
+    ratio = sigma_p_sq / sigma_v_sq if sigma_p_sq >= tiny and sigma_v_sq >= tiny else 0.0
+    if not 0.0 < ratio < math.inf:
+        raise NonFinite(f"plug-in variances {sigma_p_sq:g} and {sigma_v_sq:g} over- or "
+                        "underflow; the scale factor is undefined")
+    scale = ScaleFactor(sigma_p_sq=sigma_p_sq, sigma_v_sq=sigma_v_sq, ratio=ratio)
+    return v, theta_hat, scale, (float(v.min()), float(v.max()))
+
+
+def _setup(s: Sample, t: float) -> tuple[np.ndarray, float, ScaleFactor, tuple[float, float]]:
+    """``_setup_from`` of s at t, kept in the memo of s; t is a float in (0, 1)."""
+    return s._recall(("setup", t), lambda: _setup_from(s.values, *_truncation(s, t)))
 
 
 def scale_factor(s: Sample, t: float) -> ScaleFactor:

@@ -10,6 +10,7 @@ one-dimensional root-find for the Lagrange multiplier lambda.
 from __future__ import annotations
 
 import math
+import operator
 from enum import Enum
 
 import numpy as np
@@ -123,17 +124,29 @@ def _check_t(t: float) -> float:
     return t
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int; ValueError naming ``name`` when it is not
+    an integer (a float such as 10.7 or 2.0 included)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _quantile_index(n: int, t: float) -> int:
+    """Index of the t-th sample quantile in n sorted values; t is a float in
+    (0, 1).  See ``sample_quantile``."""
+    # round kills float dust in n*t so exact multiples land on their integer
+    return min(max(math.ceil(round(n * t, 9)), 1), n) - 1
+
+
 def sample_quantile(s: Sample, t: float) -> float:
     """t-th sample quantile: the smallest x with empirical CDF(x) >= t.
 
     Left-continuous (type 1) definition: the ceil(n*t)-th order statistic.
     No interpolation.
     """
-    t = _check_t(t)
-    # round kills float dust in n*t so exact multiples land on their integer
-    k = math.ceil(round(s.n * t, 9))
-    k = min(max(k, 1), s.n)
-    return float(s.values[k - 1])
+    return float(s.values[_quantile_index(s.n, _check_t(t))])
 
 
 def truncated_values(s: Sample, t: float) -> np.ndarray:
@@ -142,15 +155,17 @@ def truncated_values(s: Sample, t: float) -> np.ndarray:
     return _truncation(s, _check_t(t))[0]
 
 
+def _truncate(x: np.ndarray, psi: float) -> tuple[np.ndarray, float]:
+    """Read-only V = x 1(x <= psi) of the values x, and psi; no memo."""
+    v = np.where(x <= psi, x, 0.0)
+    v.flags.writeable = False
+    return v, psi
+
+
 def _truncation(s: Sample, t: float) -> tuple[np.ndarray, float]:
     """``truncated_values`` and the quantile it truncates at, kept in the
     memo of s; t is a float in (0, 1)."""
-    def compute():
-        psi = sample_quantile(s, t)
-        v = np.where(s.values <= psi, s.values, 0.0)
-        v.flags.writeable = False
-        return v, psi
-    return s._recall(("truncation", t), compute)
+    return s._recall(("truncation", t), lambda: _truncate(s.values, sample_quantile(s, t)))
 
 
 def point_estimate(s: Sample, t: float) -> float:

@@ -25,7 +25,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import Sample, _check_t
+from .core import Sample, _check_t, _integer
 from .errors import DomainError, NonFinite
 
 __all__ = [
@@ -213,6 +213,13 @@ class SeedSpec:
 
     master_seed: int = 0
     stream_id: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("master_seed", "stream_id"):
+            value = _integer(getattr(self, name), name)
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
+            object.__setattr__(self, name, value)
 
     def generator(self, replication: int = 0) -> np.random.Generator:
         ss = np.random.SeedSequence(

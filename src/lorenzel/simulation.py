@@ -1,10 +1,14 @@
 """Monte-Carlo harness: bias, MSE, coverage, and interval length.
 
-The cells of one (n, t) pair form a block, the unit of parallel work.
-Replication r of a block is drawn and truncated once, from the child
-stream of (seed, r), for its point estimate and every method, so the
-calibrations are compared on identical samples and nest replication by
-replication.  A replication whose interval construction fails is counted
+The cells of one n form a block, the unit of parallel work.  Replication
+r of a block is drawn once, from the child stream of (seed, r), and set
+up once per t, without the Sample's memo, for its point estimate and
+every method, so the calibrations and abscissae are compared on identical
+samples and the calibrations nest replication by replication.  A block
+draws its replications in chunks of at most ``_CHUNK``, so its memory is
+O(_CHUNK * n) with methods, however many replications there are, and
+O(n) for an estimate-only design, which estimates each sample at every t
+and drops it.  A replication whose interval construction fails is counted
 in ``failures`` and left out of the coverage and length denominators,
 which count only the replications that produced an interval.
 """
@@ -18,8 +22,8 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .calibration import _setup, chi2_crit
-from .core import VariantKind, point_estimate
+from .calibration import _setup_from, chi2_crit
+from .core import VariantKind, _integer, _quantile_index, _truncate, point_estimate
 from .errors import BracketFailure, ConvexHullViolation, DegenerateVariance, NonFinite
 from .income import _fmt, _write_table
 from .intervals import _invert
@@ -57,7 +61,9 @@ class ExperimentConfig:
     seed: SeedSpec = field(default_factory=SeedSpec)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        n_grid = tuple(_integer(n, "each n in n_grid") for n in self.n_grid)
+        object.__setattr__(self, "n_grid", n_grid)
+        object.__setattr__(self, "reps", _integer(self.reps, "reps"))
         object.__setattr__(self, "t_grid", tuple(float(t) for t in self.t_grid))
         object.__setattr__(self, "methods", tuple(VariantKind(m) for m in self.methods))
         if not self.n_grid or min(self.n_grid) < 2:
@@ -84,61 +90,92 @@ class CellResult:
     failures: int
 
 
-def _block(cfg: ExperimentConfig, n: int, t: float) -> Iterator[CellResult]:
-    """The cells of one (n, t) pair, one per method in order (or the
-    estimate-only cell), from one draw, one truncation and one estimate per
-    replication; each method's search starts from an earlier method's
-    endpoints on the same replication where ``intervals._SEEDS`` says so."""
-    theta_true = true_ordinate(cfg.population, t)
-    draws = (sample(cfg.population, n, cfg.seed, replication=r) for r in range(cfg.reps))
-    # per replication, what every method's interval shares: the truncation
-    # and its hull, or None when the scale factor is undefined
-    setups = []
-    estimates = []
-    for smp in draws:  # without methods, each sample is estimated and dropped
-        setup = None
-        if cfg.methods:
-            try:
-                setup = _setup(smp, t)
-            except (DegenerateVariance, NonFinite):
-                pass
-            setups.append(setup)
-        estimates.append(point_estimate(smp, t) if setup is None else setup[1])
-    estimates = np.array(estimates)
-    bias = float(estimates.mean() - theta_true)
-    mse = float(np.mean((estimates - theta_true) ** 2))
-    if not cfg.methods:
-        yield CellResult(n=n, t=t, method=None, bias=bias, mse=mse,
-                         coverage=None, mean_length=None, failures=0)
+# Replications a block draws and holds at once, which bounds its memory
+# however large reps is: at n = 500 the chunk's samples and one t's
+# truncations take about 8 MB, where the paper's 10**4 replications would
+# take 80 MB.
+_CHUNK = 1024
+
+
+def _block(cfg: ExperimentConfig, n: int, thetas: tuple) -> Iterator[CellResult]:
+    """The cells of one n, in (t, method) order (or the estimate-only cells),
+    with ``thetas`` the true ordinates at ``cfg.t_grid``.
+
+    Each replication is drawn once, and set up once per t for its point
+    estimate and every method, in chunks of at most ``_CHUNK`` replications.
+    Each method's search starts from an earlier method's endpoints on the
+    same replication and t where ``intervals._SEEDS`` says so.  A cell is
+    yielded as soon as its last chunk is done.
+    """
+    reps, ts = cfg.reps, cfg.t_grid
+    estimates = [np.empty(reps) for _ in ts]
+    if not cfg.methods:  # each sample is estimated at every t and dropped
+        for r in range(reps):
+            smp = sample(cfg.population, n, cfg.seed, replication=r)
+            for est, t in zip(estimates, ts):
+                est[r] = point_estimate(smp, t)
+        for t, theta_true, est in zip(ts, thetas, estimates):
+            bias, mse = _errors(est, theta_true)
+            yield CellResult(n=n, t=t, method=None, bias=bias, mse=mse,
+                             coverage=None, mean_length=None, failures=0)
+        return
     crit, level = chi2_crit(cfg.alpha), 1.0 - float(cfg.alpha)
-    # per replication, the endpoints of the methods inverted so far, which
-    # start the later methods' searches (``intervals._SEEDS``)
-    seeds = [{} for _ in setups]
-    for method in cfg.methods:
-        covered = failures = 0
-        length_sum = 0.0
-        for setup, seed in zip(setups, seeds):
-            if setup is None:
-                failures += 1
-                continue
-            try:
-                ci = _invert(method, *setup, crit, level, seed)
-            except _CI_FAILURES:
-                failures += 1
-                continue
-            if ci.lower <= theta_true <= ci.upper:
-                covered += 1
-            length_sum += ci.length
-        produced = cfg.reps - failures
-        yield CellResult(n=n, t=t, method=method, bias=bias, mse=mse,
-                         coverage=covered / produced if produced else math.nan,
-                         mean_length=length_sum / produced if produced else math.nan,
-                         failures=failures)
+    # per t and method: replications covered, failures and the sum of lengths
+    tallies = [[[0, 0, 0.0] for _ in cfg.methods] for _ in ts]
+    for first in range(0, reps, _CHUNK):
+        rows = [sample(cfg.population, n, cfg.seed, replication=r)
+                for r in range(first, min(first + _CHUNK, reps))]
+        last = first + len(rows) == reps
+        for t, theta_true, est, tally in zip(ts, thetas, estimates, tallies):
+            # per replication, what every method's interval shares: the
+            # truncation and its hull, or None when the scale factor is undefined
+            setups = []
+            k = _quantile_index(n, t)
+            for r, smp in enumerate(rows, first):
+                x = smp.values
+                try:
+                    setup = _setup_from(x, *_truncate(x, float(x[k])))
+                except (DegenerateVariance, NonFinite):
+                    setup = None
+                est[r] = point_estimate(smp, t) if setup is None else setup[1]
+                setups.append(setup)
+            if last:
+                bias, mse = _errors(est, theta_true)
+            # per replication, the endpoints of the methods inverted so far,
+            # which start the later methods' searches (``intervals._SEEDS``)
+            seeds = [{} for _ in rows]
+            for method, counts in zip(cfg.methods, tally):
+                for setup, seed in zip(setups, seeds):
+                    if setup is None:
+                        counts[1] += 1
+                        continue
+                    try:
+                        ci = _invert(method, *setup, crit, level, seed)
+                    except _CI_FAILURES:
+                        counts[1] += 1
+                        continue
+                    if ci.lower <= theta_true <= ci.upper:
+                        counts[0] += 1
+                    counts[2] += ci.length
+                if last:
+                    covered, failures, length_sum = counts
+                    produced = reps - failures
+                    yield CellResult(n=n, t=t, method=method, bias=bias, mse=mse,
+                                     coverage=covered / produced if produced else math.nan,
+                                     mean_length=length_sum / produced if produced else math.nan,
+                                     failures=failures)
+        del rows, setups, seeds  # so that the next chunk is drawn with this one freed
 
 
-def _block_list(cfg: ExperimentConfig, n: int, t: float) -> list[CellResult]:
+def _errors(estimates: np.ndarray, theta_true: float) -> tuple[float, float]:
+    """Bias and mean squared error of the point estimates."""
+    return (float(estimates.mean() - theta_true),
+            float(np.mean((estimates - theta_true) ** 2)))
+
+
+def _block_list(cfg: ExperimentConfig, n: int, thetas: tuple) -> list[CellResult]:
     """``_block`` as a list, which a worker process can send back."""
-    return list(_block(cfg, n, t))
+    return list(_block(cfg, n, thetas))
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1,
@@ -146,26 +183,29 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
                    ) -> list[CellResult]:
     """Run every cell of the design, in deterministic (n, t, method) order.
 
-    ``workers`` > 1 distributes the (n, t) pairs over processes, never
-    more processes than pairs; results are identical to the sequential
+    The cells of one entry of ``n_grid`` form a block.  ``workers`` > 1
+    distributes the blocks over processes, never more processes than
+    blocks (at most one per n); results are identical to the sequential
     schedule because streams depend only on (seed, replication).
     ``progress(done, total, result)`` is called for each cell in design
-    order, as soon as it and every cell before it are done.  Memory is
-    O(reps * n) per process, one block's samples (40 MB at n = 500,
-    10**4 reps); O(n) for an estimate-only design.
+    order, as soon as it and every cell before it are done.  Memory per
+    process is O(min(reps, 1024) * n) with methods (about 8 MB at n = 500)
+    and O(n) for an estimate-only design.  ``true_ordinate`` is evaluated
+    once per t.
     """
-    ns, ts = zip(*[(n, t) for n in cfg.n_grid for t in cfg.t_grid])
-    total = len(ns) * max(len(cfg.methods), 1)
+    ordinate = {t: true_ordinate(cfg.population, t) for t in dict.fromkeys(cfg.t_grid)}
+    thetas = tuple(ordinate[t] for t in cfg.t_grid)
+    total = len(cfg.n_grid) * len(cfg.t_grid) * max(len(cfg.methods), 1)
     results: list[CellResult] = []
     if workers > 1:
         # imported here, so that a sequential run and the other commands
         # never load the process pool
         from concurrent.futures import ProcessPoolExecutor
     # a pool may start all its processes at the first submit
-    with (ProcessPoolExecutor(max_workers=min(workers, len(ns))) if workers > 1
+    with (ProcessPoolExecutor(max_workers=min(workers, len(cfg.n_grid))) if workers > 1
           else nullcontext()) as pool:
-        blocks = (pool.map(_block_list, repeat(cfg), ns, ts) if pool
-                  else map(_block, repeat(cfg), ns, ts))
+        blocks = (pool.map(_block_list, repeat(cfg), cfg.n_grid, repeat(thetas)) if pool
+                  else map(_block, repeat(cfg), cfg.n_grid, repeat(thetas)))
         for done, res in enumerate(chain.from_iterable(blocks), 1):
             results.append(res)
             if progress is not None:

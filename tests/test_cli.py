@@ -169,6 +169,14 @@ class TestSimulate:
         rows = list(csv.reader(io.StringIO(out)))[1:]
         assert [r[2] for r in rows] == ["0.2", "0.4", "0.6"]
 
+    def test_negative_seed_is_exit_2_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        code, _, err = run(["simulate", "--n", "10", "--t", "0.5", "--reps", "2", "--seed", "-1",
+                            "--quiet", "--output", str(out)], capsys)
+        assert code == 2
+        assert "master_seed" in err
+        assert not out.exists()
+
     def test_bad_population_is_exit_2(self, capsys):
         with pytest.raises(SystemExit) as e:
             cli.main(["simulate", "--population", "cauchy:0,1"])

@@ -110,6 +110,14 @@ class TestSampling:
         with pytest.raises(lz.DomainError):
             lz.sample(WEI, 1, lz.SeedSpec(0))
 
+    @pytest.mark.parametrize("args", [(-1,), (0, -2), (1.5,)])
+    def test_seeds_are_non_negative_integers(self, args):
+        # a plain ValueError, not a LorenzELError, so the CLI exits 2
+        with pytest.raises(ValueError) as info:
+            lz.SeedSpec(*args)
+        assert not isinstance(info.value, lz.LorenzELError)
+        assert ("stream_id" if len(args) == 2 else "master_seed") in str(info.value)
+
     def test_replication_streams(self):
         a = lz.sample(WEI, 20, lz.SeedSpec(42), replication=3)
         b = lz.sample(WEI, 20, lz.SeedSpec(42), replication=3)

@@ -5,6 +5,7 @@ import concurrent.futures
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import lorenzel as lz
 import lorenzel.simulation as simulation
 from lorenzel import intervals
 from lorenzel.calibration import _setup
+from lorenzel.core import _quantile_index, _truncate
 
 WEI = lz.Weibull(1.0, 2.0)
 
@@ -42,6 +44,7 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("kw", [
         dict(n_grid=()), dict(n_grid=(1,)), dict(t_grid=(0.0,)),
         dict(t_grid=()), dict(reps=0), dict(alpha=0.0), dict(alpha=1.0),
+        dict(n_grid=(10.7,)), dict(reps=2.5),
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
@@ -132,13 +135,13 @@ class TestRunExperiment:
         # progress reports cells in design order under either schedule
         assert calls[1] == calls[2] == [(i + 1, 8, res) for i, res in enumerate(seq)]
 
-    @pytest.mark.parametrize("n_grid,workers,started", [((10, 20), 3, 3), ((10, 20), 500, 4),
-                                                         ((10,), 64, 2)])
+    @pytest.mark.parametrize("n_grid,workers,started", [((10, 20), 3, 2), ((10, 20), 500, 2),
+                                                         ((10,), 64, 1)])
     def test_pool_has_no_more_processes_than_blocks(self, monkeypatch, n_grid, workers,
                                                     started):
         # a pool may start every process at its first submit, so it must not
-        # ask for more than there are (n, t) blocks; a stub pool records its
-        # size and maps in this process, so no process is started here
+        # ask for more than there are blocks, one per n; a stub pool records
+        # its size and maps in this process, so no process is started here
         sizes = []
 
         class StubPool:
@@ -162,8 +165,8 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("methods", [(), ("el", "ael", "tel", "tael")])
     def test_each_replication_is_drawn_once(self, monkeypatch, methods):
-        # one draw per (n, t, replication) and one ordinate per (n, t),
-        # however many methods share them
+        # one draw per (n, replication) and one ordinate per t, however
+        # many abscissae and methods share them
         calls = {"sample": 0, "true_ordinate": 0}
 
         def counting(name):
@@ -179,7 +182,7 @@ class TestRunExperiment:
         cfg = small_cfg(n_grid=(10, 20), t_grid=(0.3, 0.6, 0.9), methods=methods, reps=3)
         res = lz.run_experiment(cfg)
         assert len(res) == 2 * 3 * max(len(methods), 1)
-        assert calls == {"sample": 2 * 3 * 3, "true_ordinate": 2 * 3}
+        assert calls == {"sample": 2 * 3, "true_ordinate": 3}
 
     def test_estimate_only_keeps_no_samples(self, monkeypatch):
         # without methods each sample is estimated as soon as it is drawn
@@ -205,6 +208,68 @@ class TestRunExperiment:
         cfg = small_cfg(methods=("el", "ael"), reps=2)
         lz.run_experiment(cfg, progress=lambda d, t, r: events.append(f"cell {d}"))
         assert events == ["el", "el", "cell 1", "ael", "ael", "cell 2"]
+
+
+class TestChunks:
+    """A block draws its replications in chunks of ``simulation._CHUNK``."""
+
+    def test_chunk_boundaries_change_nothing(self, monkeypatch):
+        # reps = 7 in chunks of 3: two full chunks and a partial one
+        cfg = small_cfg(n_grid=(10, 25), t_grid=(0.1, 0.5, 0.9), methods=tuple(lz.VariantKind),
+                        reps=7)
+        calls = {"whole": [], "chunked": []}
+        whole = lz.run_experiment(cfg, progress=lambda *a: calls["whole"].append(a))
+        monkeypatch.setattr(simulation, "_CHUNK", 3)
+        chunked = lz.run_experiment(cfg, progress=lambda *a: calls["chunked"].append(a))
+        assert chunked == whole
+        assert calls["chunked"] == calls["whole"]
+        assert len(whole) == 2 * 3 * 4
+
+    def test_memory_is_bounded_by_the_chunk(self, monkeypatch):
+        monkeypatch.setattr(simulation, "_CHUNK", 64)
+        peaks = {}
+        for reps in (64, 64, 512):  # the first run fills import and first-call caches
+            tracemalloc.start()
+            try:
+                lz.run_experiment(small_cfg(n_grid=(400,), t_grid=(0.5,), reps=reps))
+                peaks[reps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[512] < 2 * peaks[64], peaks
+
+    @staticmethod
+    def _outcome(fn):
+        try:
+            v, theta_hat, scale, hull = fn()
+        except lz.LorenzELError as exc:
+            return type(exc)
+        assert not v.flags.writeable
+        return (v.tobytes(), theta_hat.hex(), scale.sigma_p_sq.hex(), scale.sigma_v_sq.hex(),
+                scale.ratio.hex(), hull[0].hex(), hull[1].hex())
+
+    @pytest.mark.parametrize("data,raised", [
+        ([3, 1, 2, 2, 2, 5, 7, 2, 2, 9], {lz.DegenerateVariance}),  # integers tied at psi
+        ([4.0, 4.0, 4.0, 9.0, 10.0], {lz.DegenerateVariance}),  # the first value is psi
+        ([1e-160 * k for k in range(1, 6)], {lz.DegenerateVariance, lz.NonFinite}),  # underflow
+        ([1e200 * k for k in range(1, 6)], {lz.DegenerateVariance, lz.NonFinite}),  # overflow
+        ([-3.0, -1.0, 0.5, 2.0, -7.0, 4.0, -0.0], {lz.DegenerateVariance}),  # negative values
+        ([1.0, 2.0], {lz.DegenerateVariance}),  # n = 2
+        ("skew", set()),
+    ])
+    def test_row_setup_is_the_memo_setup(self, data, raised, rng):
+        # the simulation's memo-free set-up of one row, bit for bit or the
+        # same exception class as the Sample's memoized one
+        if data == "skew":
+            data = lz.SkewNormal(0.0, 1.0, 4.0).draw(rng, 25)
+        x = lz.Sample(data).values
+        seen = set()
+        for t in (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95):
+            k = _quantile_index(x.size, t)
+            row = self._outcome(lambda: simulation._setup_from(x, *_truncate(x, float(x[k]))))
+            assert row == self._outcome(lambda: _setup(lz.Sample(data), t)), t
+            if isinstance(row, type):
+                seen.add(row)
+        assert seen == raised
 
 
 def recorded_intervals(monkeypatch):
