@@ -76,12 +76,14 @@ def _setup_from(x: np.ndarray, v: np.ndarray, psi: float,
         # x - psi_hat is +0.0 only at x = psi_hat, so this equals
         # (x - psi_hat) 1(x <= psi_hat) bit for bit
         shifted = np.minimum(x - psi, 0.0)
-        theta_hat = float(v.sum() / n)
-        # numpy's own two-pass variance, bit for bit, without ndarray.var's wrapper
+        # np.add.reduce is ndarray.sum's own reduction, bit for bit, without
+        # its wrapper; the variances are numpy's own two-pass ones, bit for
+        # bit, without ndarray.var's wrapper
+        theta_hat = float(np.add.reduce(v) / n)
         d = v - theta_hat
-        sigma_p_sq = float((d * d).sum() / n)
-        d = shifted - shifted.sum() / n
-        sigma_v_sq = float((d * d).sum() / n)
+        sigma_p_sq = float(np.add.reduce(d * d) / n)
+        d = shifted - np.add.reduce(shifted) / n
+        sigma_v_sq = float(np.add.reduce(d * d) / n)
     # a subnormal variance has lost its relative precision, and so has the ratio
     tiny = sys.float_info.min
     ratio = sigma_p_sq / sigma_v_sq if sigma_p_sq >= tiny and sigma_v_sq >= tiny else 0.0
@@ -89,7 +91,7 @@ def _setup_from(x: np.ndarray, v: np.ndarray, psi: float,
         raise NonFinite(f"plug-in variances {sigma_p_sq:g} and {sigma_v_sq:g} over- or "
                         "underflow; the scale factor is undefined")
     scale = ScaleFactor(sigma_p_sq=sigma_p_sq, sigma_v_sq=sigma_v_sq, ratio=ratio)
-    return v, theta_hat, scale, (float(v.min()), float(v.max()))
+    return v, theta_hat, scale, (float(np.minimum.reduce(v)), float(np.maximum.reduce(v)))
 
 
 def _setup(s: Sample, t: float) -> tuple[np.ndarray, float, ScaleFactor, tuple[float, float]]:

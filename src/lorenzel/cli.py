@@ -8,6 +8,7 @@ pipe, as in ``lorenzel ci ... | head -1``).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -107,7 +108,12 @@ def _parse_methods(spec: str) -> tuple:
     return tuple(dict.fromkeys(out))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``lorenzel`` parser, built once per process and shared by every
+    ``main`` call.  Its defaults are strings or immutable, so that no call
+    can change what a later one reads: argparse converts a string default
+    afresh on every parse."""
     parser = argparse.ArgumentParser(
         prog="lorenzel",
         description="Empirical-likelihood confidence intervals for generalized "
@@ -120,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     ci.add_argument("--value-column", required=True)
     ci.add_argument("--group-column", default=None)
     ci.add_argument("--group", default=None, help="keep only rows with this label")
-    ci.add_argument("--t", type=_parse_t_spec, default=_parse_t_spec("0.1..0.9:0.1"),
+    ci.add_argument("--t", type=_parse_t_spec, default="0.1..0.9:0.1",
                     help="abscissae: 'a..b:step' or comma list (default 0.1..0.9:0.1)")
     ci.add_argument("--methods", type=_parse_methods, default=tuple(VariantKind),
                     help="comma list of el,ael,tel,tael | all | none (default all)")
@@ -134,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="weibull:a,b | chisquare:k | skewnormal:loc,scale,shape")
     sim.add_argument("--n", default="25,50,100,150,300,500",
                      help="comma list of sample sizes")
-    sim.add_argument("--t", type=_parse_t_spec, default=_parse_t_spec("0.1..0.9:0.1"))
+    sim.add_argument("--t", type=_parse_t_spec, default="0.1..0.9:0.1")
     sim.add_argument("--reps", type=int, default=10_000)
     sim.add_argument("--alpha", type=_parse_alpha, default=0.05)
     sim.add_argument("--methods", type=_parse_methods, default=tuple(VariantKind))

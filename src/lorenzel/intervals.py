@@ -39,11 +39,14 @@ covered, an upper bound at or below it covered.  The sums of one pass
 bounds at any theta close enough to it (``_bounds``).
 
 Closing in the joint passes.  After every joint step, the sums of its
-pass bound l 0.499 of a tolerance inside and beyond the new theta.  If
-the inner point is covered and the outer one is not, the side returns the
-inner point with no further pass; at n >= 50 nearly every side does, one
-pass before its theta step would fall below the stopping tolerance.  The
-joint steps have converged when a theta step falls below it.
+pass bound l 0.499 of a tolerance inside and beyond the new theta.  Only
+two of the four bounds decide: first the lower bound at the outer point,
+the cheaper one, which needs no Newton decrement, then the upper bound at
+the inner point.  If the outer point is not covered and the inner one is,
+the side returns the inner point with no further pass; at n >= 50 nearly
+every side does, one pass before its theta step would fall below the
+stopping tolerance.  The joint steps have converged when a theta step
+falls below it.
 
 Certified steps.  Only they move the bracket [inner, outer] around the
 crossing.  Each decides whether theta is covered in one pass at the last
@@ -64,7 +67,8 @@ return an unconverged endpoint.  The search runs on the truncated values
 scaled by a power of two to a largest size in [0.5, 1), so that no sum of
 squares overflows; every tolerance is relative, so the endpoints are
 those of the unscaled search, bit for bit, wherever that one does not
-overflow.
+overflow.  The values are scaled once per set-up: the kinds inverted on
+one truncation share the scaled copy (see ``_invert``).
 
 Seeded starts.  ``run_experiment`` and the ``ci`` command invert every
 method on one truncation, and each search starts from an earlier kind's
@@ -88,6 +92,7 @@ within the stopping tolerance.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -128,6 +133,7 @@ class ConfidenceInterval:
         return self.upper - self.lower
 
 
+@functools.lru_cache(maxsize=256)
 def _ael_limit(n: int) -> float:
     """Limit of the AEL log-ratio as theta -> +-inf: the deviations over |theta|
     tend to n copies of -+1 and the pseudo-point +-a_n, whatever the data."""
@@ -156,14 +162,17 @@ class _Pass(NamedTuple):
 
 
 def _pass(v: np.ndarray, theta: float, lam: float, adjusted: bool,
-          hull: tuple[float, float]) -> _Pass | None:
+          hull: tuple[float, float], w: np.ndarray | None = None) -> _Pass | None:
     """The sums of one pass over v at (theta, lam), for either kind of search
     step; None when some d is not positive or a sum of squares could
-    overflow.  ``hull`` is the (min, max) of v."""
+    overflow.  ``hull`` is the (min, max) of v; ``w``, when given, is
+    v - theta."""
     n = v.size
-    w = v - theta
+    if w is None:
+        w = v - theta
     a = adjustment_factor(n) if adjusted else 0.0
-    pseudo = -a * (float(w.sum()) / n) if adjusted else 0.0
+    # np.add.reduce is ndarray.sum's own reduction, bit for bit, without its wrapper
+    pseudo = -a * (float(np.add.reduce(w)) / n) if adjusted else 0.0
     e0, e1 = hull[0] - theta, hull[1] - theta
     d0, d1 = 1.0 + lam * e0, 1.0 + lam * e1
     # d is linear in w, so d > 0 at the ends of the hull means everywhere
@@ -179,17 +188,23 @@ def _pass(v: np.ndarray, theta: float, lam: float, adjusted: bool,
     x = lam * w
     # log1p, not log(d): rounding d costs up to an ulp of 1 per term, more
     # than a bound on a small target can spare
-    ldata = 2.0 * float(np.log1p(x).sum())
+    ldata = 2.0 * float(np.add.reduce(np.log1p(x)))
     x += 1.0
     q = 1.0 / x
     r = w * q
-    return _Pass(theta, lam, n, a, pseudo, dmin, ldata,
-                 float(r.sum()), float(r @ r), float(q.sum()), float(q @ q))
+    return _Pass(theta, lam, n, a, pseudo, dmin, ldata, float(np.add.reduce(r)),
+                 float(r @ r), float(np.add.reduce(q)), float(q @ q))
 
 
-def _bounds(s: _Pass, theta: float) -> tuple[float, float]:
+# The smallest normal float: a smaller bound on h has lost its precision.
+_TINY = sys.float_info.min
+
+
+def _bounds(s: _Pass, theta: float, upper: bool = True) -> tuple[float, float]:
     """Lower and upper bounds on the log-ratio at theta, in O(1) from the sums
     of a pass at s.theta, with the pass's lam; (-inf, inf) when undecided.
+    With ``upper=False`` the upper bound reads inf, uncomputed, and the
+    lower bound is the same as with it.
 
     At s.theta: the log-ratio is the supremum of
     L = 2 sum(log1p(lam w)) + 2 log1p(lam pseudo) over admissible lam (weak
@@ -206,22 +221,25 @@ def _bounds(s: _Pass, theta: float) -> tuple[float, float]:
     pseudo-deviation, or when the bound on h is infinite (pr^2 may overflow,
     which would make delta 0) or subnormal.
     """
-    shift = theta - s.theta
-    x = s.lam * shift
-    eps = abs(x) / s.dmin
-    pseudo = s.pseudo + s.a * shift
-    dp = 1.0 + s.lam * pseudo
+    theta0, lam, n, a, pseudo, dmin, ldata, sr, sr2, sq, sq2 = s
+    shift = theta - theta0
+    x = lam * shift
+    eps = abs(x) / dmin
+    pseudo += a * shift
+    dp = 1.0 + lam * pseudo
     if not (eps < 0.01 and dp > 0.0):
         return -math.inf, math.inf
-    top = s.ldata - 2.0 * x * s.sq + 2.0 * math.log1p(s.lam * pseudo)
-    low = top - 2.0 * x * x * s.sq2 / (1.0 - eps)
+    top = ldata - 2.0 * x * sq + 2.0 * math.log1p(lam * pseudo)
     pr = pseudo / dp
-    g = (abs(s.sr - shift * s.sq + pr) + eps / (1.0 - eps)
-         * (math.sqrt(s.n) * math.sqrt(s.sr2) + abs(shift) * s.sq))
-    nr = max(math.sqrt(s.sr2) - abs(shift) * math.sqrt(s.sq2), 0.0) / (1.0 + eps)
+    nr = max(math.sqrt(sr2) - abs(shift) * math.sqrt(sq2), 0.0) / (1.0 + eps)
     h = nr * nr + pr * pr
-    if not sys.float_info.min <= h < math.inf:
+    if not _TINY <= h < math.inf:
         return -math.inf, math.inf
+    low = top - 2.0 * x * x * sq2 / (1.0 - eps)
+    if not upper:
+        return low, math.inf
+    g = (abs(sr - shift * sq + pr) + eps / (1.0 - eps)
+         * (math.sqrt(n) * math.sqrt(sr2) + abs(shift) * sq))
     delta = g / math.sqrt(h)
     high = top - 2.0 * (delta + math.log1p(-delta)) if delta < 1.0 else math.inf
     return low, high
@@ -269,11 +287,12 @@ def _as_kind(s: _Pass, adjusted: bool, mean: float) -> _Pass | None:
     """
     if adjusted == (s.a > 0.0):
         return s
-    a = adjustment_factor(s.n) if adjusted else 0.0
-    pseudo = -a * (mean - s.theta)
-    if not 1.0 + s.lam * pseudo > 0.0:
+    theta, lam, n = s[:3]
+    a = adjustment_factor(n) if adjusted else 0.0
+    pseudo = -a * (mean - theta)
+    if not 1.0 + lam * pseudo > 0.0:
         return None
-    return s._replace(a=a, pseudo=pseudo)
+    return _Pass(theta, lam, n, a, pseudo, *s[5:])  # s[5:]: dmin and the data sums
 
 
 def _newton(s: _Pass, target: float, lo: float, hi: float,
@@ -289,29 +308,32 @@ def _newton(s: _Pass, target: float, lo: float, hi: float,
 
     where w' = dw/dtheta is -1 for the data and +a_n for the AEL
     pseudo-deviation, which is carried as a scalar.  The step is halved
-    until it is admissible (``_admissible``).  Returns the new theta and
-    lam and the length of the full theta step, or None when the Jacobian is
-    singular or not finite, or the step needs more than _MAX_HALVINGS
-    halvings.
+    until it is admissible (as ``_admissible`` decides).  Returns the new
+    theta and lam and the length of the full theta step, or None when the
+    Jacobian is singular or not finite, or the step needs more than
+    _MAX_HALVINGS halvings.
     """
-    theta, lam, a = s.theta, s.lam, s.a
-    dp = 1.0 + lam * s.pseudo
-    pr = s.pseudo / dp
-    f1 = s.sr + pr
-    f2 = s.ldata + 2.0 * math.log1p(lam * s.pseudo) - target
+    theta, lam, _, a, pseudo, _, ldata, sr, sr2, sq, sq2 = s
+    dp = 1.0 + lam * pseudo
+    pr = pseudo / dp
+    f1 = sr + pr
+    f2 = ldata + 2.0 * math.log1p(lam * pseudo) - target
     # products, not ** 2: a float power raises OverflowError where * gives inf
-    a11 = -s.sr2 - pr * pr
-    a12 = a / (dp * dp) - s.sq2
-    a22 = 2.0 * lam * (a / dp - s.sq)
+    a11 = -sr2 - pr * pr
+    a12 = a / (dp * dp) - sq2
+    a22 = 2.0 * lam * (a / dp - sq)
     det = a11 * a22 - 2.0 * f1 * a12
     if not (math.isfinite(det) and det != 0.0):
         return None
     dlam = (a12 * f2 - a22 * f1) / det
     dtheta = (2.0 * f1 * f1 - a11 * f2) / det
     full = abs(dtheta)
+    h0, h1 = hull
     for _ in range(_MAX_HALVINGS + 1):
-        if _admissible(theta + dtheta, lam + dlam, s.pseudo + a * dtheta, lo, hi, hull):
-            return theta + dtheta, lam + dlam, full
+        th, lm = theta + dtheta, lam + dlam
+        if (lo < th < hi and 1.0 + lm * (h0 - th) > 0.0 and 1.0 + lm * (h1 - th) > 0.0
+                and 1.0 + lm * (pseudo + a * dtheta) > 0.0):
+            return th, lm, full
         dtheta *= 0.5
         dlam *= 0.5
     return None
@@ -329,6 +351,7 @@ def _joint_step(v: np.ndarray, theta: float, lam: float | None, adjusted: bool,
     or None when ``_pass`` refuses the old point or ``_newton`` takes no
     step.
     """
+    w = None
     if lam is None:
         n = v.size
         vmin, vmax = hull
@@ -338,7 +361,7 @@ def _joint_step(v: np.ndarray, theta: float, lam: float | None, adjusted: bool,
         if n * e * e > 1e300:
             return None
         w = v - theta
-        sw = float(w.sum())
+        sw = float(np.add.reduce(w))
         pseudo = -adjustment_factor(n) * (sw / n) if adjusted else 0.0
         lam = (sw + pseudo) / (float(w @ w) + pseudo * pseudo)
         for _ in range(_MAX_HALVINGS):
@@ -347,7 +370,7 @@ def _joint_step(v: np.ndarray, theta: float, lam: float | None, adjusted: bool,
             lam *= 0.5
         else:
             return None
-    s = _pass(v, theta, lam, adjusted, hull)
+    s = _pass(v, theta, lam, adjusted, hull, w)
     if s is None:
         return None
     step = _newton(s, target, lo, hi, hull)
@@ -374,7 +397,9 @@ def _search_side(v: np.ndarray, adjusted: bool, hull: tuple[float, float], targe
     """
     inner, outer = theta_hat if inner is None else inner, bound
     hull_w = hull[1] - hull[0]
+    slack = 1e-15 * hull_w  # the absolute part of every stopping tolerance
     out = math.copysign(1.0, bound - theta_hat)
+    half = out * 0.499
     lo, hi = min(theta_hat, bound), max(theta_hat, bound)
     theta = start
     if not lo < theta < hi:  # the start is beyond the bound or rounds onto theta_hat
@@ -385,7 +410,7 @@ def _search_side(v: np.ndarray, adjusted: bool, hull: tuple[float, float], targe
     free = None
     sums = None if sums is None else _as_kind(sums, adjusted, theta_hat)
     if sums is not None:
-        nxt = _newton(sums, target, *sorted((inner, bound)), hull)
+        nxt = _newton(sums, target, *((bound, inner) if bound < inner else (inner, bound)), hull)
         if nxt is not None:
             free = (*nxt, sums)
     joint = True  # joint steps until they converge or stall
@@ -405,11 +430,12 @@ def _search_side(v: np.ndarray, adjusted: bool, hull: tuple[float, float], targe
                 prev_step, step = step, moved
             # the pass bounds l just inside and just beyond the new theta;
             # 0.499, not 0.5, keeps the two points within one stopping
-            # tolerance of each other after rounding
-            tol = 1e-8 * abs(theta) + 1e-15 * hull_w
-            near, far = theta - out * 0.499 * tol, theta + out * 0.499 * tol
-            if (lo < near < hi and _bounds(sums, near)[1] <= target
-                    and _bounds(sums, far)[0] > target):
+            # tolerance of each other after rounding.  Only the lower bound
+            # beyond and the upper bound inside decide, the cheaper first
+            tol = 1e-8 * abs(theta) + slack
+            near, far = theta - half * tol, theta + half * tol
+            if (lo < near < hi and _bounds(sums, far, False)[0] > target
+                    and _bounds(sums, near)[1] <= target):
                 return near, passes, lam, sums
             probe = moved <= tol
             joint = not probe
@@ -425,15 +451,15 @@ def _search_side(v: np.ndarray, adjusted: bool, hull: tuple[float, float], targe
             inner = theta
         # an infinite outer keeps the bracket open but must not make tol infinite
         edge = outer if math.isfinite(outer) else inner
-        tol = 1e-8 * max(abs(inner), abs(edge)) + 1e-15 * hull_w
+        tol = 1e-8 * max(abs(inner), abs(edge)) + slack
         if abs(outer - inner) <= tol:
             return inner, passes, lam, None
         if probe:
             # the joint root is certified by a point just beyond it if it
             # is covered, and just inside it if it is not
             probe = False
-            half = 0.5 * (1e-8 * abs(theta) + 1e-15 * hull_w)
-            theta += out * half if val <= target else -out * half
+            gap = 0.5 * (1e-8 * abs(theta) + slack)
+            theta += out * gap if val <= target else -out * gap
             if (theta - inner) * (outer - theta) > 0.0:
                 continue
         if math.isfinite(outer):
@@ -485,6 +511,9 @@ def invert(kind: VariantKind, s: Sample, t: float, alpha: float) -> ConfidenceIn
 _SEEDS = {VariantKind.AEL: VariantKind.EL, VariantKind.TEL: VariantKind.EL,
           VariantKind.TAEL: VariantKind.AEL}
 
+# The key under which ``seeds`` keeps (k, v / 2^k, theta_hat / 2^k, hull / 2^k).
+_SCALED = "scaled"
+
 
 def _invert(kind: VariantKind, v: np.ndarray, theta_hat: float, scale: ScaleFactor,
             hull: tuple[float, float], crit: float, level: float,
@@ -495,14 +524,17 @@ def _invert(kind: VariantKind, v: np.ndarray, theta_hat: float, scale: ScaleFact
     ``seeds`` maps the kinds already inverted on this truncation to their
     (endpoint, lam, pass) per side, the pass being the joint pass that
     closed the side or None; the search starts from its ``_SEEDS`` kind's
-    when that is there, and this kind's are added to it.
+    when that is there, and this kind's are added to it.  Under
+    ``_SCALED`` it keeps the truncation in search units, which the kinds
+    share.
     """
+    adjusted, transformed = kind.adjusted, kind.transformed
     n = v.size
     # the unscaled log-ratio that r * l (r * T(l) for TEL/TAEL) must not exceed
     target = crit / scale.ratio
-    if kind.transformed:
+    if transformed:
         target = _tel_inverse(target, n)
-    if kind.adjusted:
+    if adjusted:
         limit = _ael_limit(n)
         if limit <= target:
             raise BracketFailure(
@@ -512,18 +544,24 @@ def _invert(kind: VariantKind, v: np.ndarray, theta_hat: float, scale: ScaleFact
     wald = math.sqrt(target * scale.sigma_p_sq / n)
     # the search runs on v / 2^k, whose largest size lies in [0.5, 1); seeds
     # stay in these units
-    k = math.frexp(max(abs(hull[0]), abs(hull[1])))[1]
-    v, theta_hat, wald = np.ldexp(v, -k), math.ldexp(theta_hat, -k), math.ldexp(wald, -k)
-    hull = (math.ldexp(hull[0], -k), math.ldexp(hull[1], -k))
-    bounds = (-math.inf, math.inf) if kind.adjusted else hull
-    seed = (seeds or {}).get(_SEEDS.get(kind))
+    scaled = None if seeds is None else seeds.get(_SCALED)
+    if scaled is None:
+        k = math.frexp(max(abs(hull[0]), abs(hull[1])))[1]
+        scaled = (k, np.ldexp(v, -k), math.ldexp(theta_hat, -k),
+                  (math.ldexp(hull[0], -k), math.ldexp(hull[1], -k)))
+        if seeds is not None:
+            seeds[_SCALED] = scaled
+    k, v, theta_hat, hull = scaled
+    wald = math.ldexp(wald, -k)
+    bounds = (-math.inf, math.inf) if adjusted else hull
+    seed = None if seeds is None else seeds.get(_SEEDS.get(kind))
     sides = []
     for side, out in enumerate((-1.0, 1.0)):
         start, lam, inner, sums = theta_hat + out * wald, None, None, None
         if seed is not None:
             start, lam, sums = seed[side]
-            inner = start if kind.transformed else None
-        sides.append(_search_side(v, kind.adjusted, hull, target, theta_hat, start,
+            inner = start if transformed else None
+        sides.append(_search_side(v, adjusted, hull, target, theta_hat, start,
                                   bounds[side], lam, inner, sums))
     if seeds is not None:
         seeds[kind] = [(end, lam, sums) for end, _, lam, sums in sides]

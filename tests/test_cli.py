@@ -390,3 +390,24 @@ class TestParser:
         assert cli._parse_population("weibull:1,2") == cli.Weibull(1.0, 2.0)
         assert cli._parse_population("chisq:3") == cli.ChiSquare(3.0)
         assert cli._parse_population("skewnormal:1,3,5") == cli.SkewNormal(1, 3, 5)
+
+
+def test_one_parser_per_process(income_csv, tmp_path):
+    # main builds the parser once and reuses it; a call with --t and
+    # --methods leaves nothing behind for a later default call, so each
+    # writes the bytes that a fresh process writes
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["ci", "--input", income_csv, "--value-column", "income"]
+    first, second = (cli.build_parser().parse_args(argv).t for _ in range(2))
+    assert first == second and first is not second
+    calls = [["--t", "0.5", "--methods", "el"], []]
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    for i, extra in enumerate(calls):
+        assert cli.main(argv + extra + ["--output", str(tmp_path / f"same{i}.csv")]) == 0
+    for i, extra in enumerate(calls):
+        alone = tmp_path / f"alone{i}.csv"
+        proc = subprocess.run([sys.executable, "-m", "lorenzel.cli", *argv, *extra,
+                               "--output", str(alone)], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / f"same{i}.csv").read_bytes() == alone.read_bytes(), extra

@@ -1,7 +1,9 @@
 """Confidence-interval inversion against an independent oracle."""
 from __future__ import annotations
 
+import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -11,8 +13,10 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 import lorenzel as lz
+import lorenzel.simulation as simulation
 from conftest import oracle_ci, random_positive_data
 from lorenzel import intervals
+from lorenzel.calibration import _setup
 from lorenzel.core import _profile
 from lorenzel.intervals import _ael_limit, _pass
 from lorenzel.variants import _tel_inverse
@@ -456,5 +460,75 @@ class TestEvaluationBudget:
                 continue
             assert b.lower == pytest.approx(a.lower, rel=2e-8), case[1:]
             assert b.upper == pytest.approx(a.upper, rel=2e-8), case[1:]
+        # the forcing took effect: certified steps alone take far more
+        # passes than the joint passes do (8.73 per interval unforced; 14.4
+        # with every bound undecided, 59.6 with every joint step stalled)
+        unforced = np.mean([ci.iterations for ci in joint if not isinstance(ci, type)])
+        forced_mean = np.mean([ci.iterations for ci in bisected if not isinstance(ci, type)])
+        assert forced_mean > (1.3 if forced == "no_bounds" else 3.0) * unforced
         if forced == "no_bounds":
-            assert np.mean([ci.iterations for ci in bisected if not isinstance(ci, type)]) <= 20
+            assert forced_mean <= 20
+
+
+# Intervals of the pinned design, made by ``pinned_search`` on the code
+# before the scalar search's interpreter work was cut; that change kept every
+# pass and every bit, and so must any change that claims to.
+PINS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "search_pins.json")
+
+
+def pinned_search(monkeypatch) -> dict:
+    """The intervals of the pinned design, in call order, each as [kind,
+    lower, upper, passes] or [kind, failure class]: ``run_experiment`` on 3
+    populations x n {10, 50, 300} x t {0.1, 0.5, 0.9} x 2 reps, and the four
+    kinds at t {0.1, 0.5, 0.9} on one 3,000-value sample, inverted as the
+    ``ci`` command does, from one set-up per t and each other's seeds."""
+    experiment = []
+    original = simulation._invert
+
+    def recorded(kind, *args):
+        try:
+            ci = original(kind, *args)
+        except lz.LorenzELError as exc:
+            experiment.append([kind.value, type(exc).__name__])
+            raise
+        experiment.append([kind.value, ci.lower, ci.upper, ci.iterations])
+        return ci
+
+    monkeypatch.setattr(simulation, "_invert", recorded)
+    for p, pop in enumerate([lz.Weibull(1.0, 2.0), lz.ChiSquare(3.0), lz.SkewNormal(1.0, 3.0, 5.0)]):
+        lz.run_experiment(lz.ExperimentConfig(population=pop, n_grid=(10, 50, 300),
+                                              t_grid=(0.1, 0.5, 0.9), reps=2,
+                                              seed=lz.SeedSpec(83, p)))
+    monkeypatch.setattr(simulation, "_invert", original)
+    s = lz.Sample(np.random.default_rng(29).lognormal(10.0, 0.5, 3000))
+    crit = lz.chi2_crit(0.05)
+    table = []
+    for t in (0.1, 0.5, 0.9):
+        setup, seeds = _setup(s, t), {}
+        for kind in lz.VariantKind:
+            ci = intervals._invert(kind, *setup, crit, 0.95, seeds)
+            table.append([kind.value, ci.lower, ci.upper, ci.iterations])
+    return {"experiment": experiment, "ci": table}
+
+
+class TestPinnedSearch:
+    def test_same_passes_and_endpoints(self, monkeypatch):
+        # the pinned work is the exact number of passes per kind; an
+        # endpoint may move by 1e-10 relative, far inside the stopping
+        # tolerance, and a failure must stay the same failure
+        with open(PINS, encoding="utf-8") as fh:
+            pins = json.load(fh)
+        got = pinned_search(monkeypatch)
+        for part in ("experiment", "ci"):
+            want, have = pins[part], got[part]
+            assert [r[0] for r in have] == [r[0] for r in want], part
+            passes = dict.fromkeys(pins["passes"][part], 0)
+            for a, b in zip(have, want):
+                if len(b) == 2:
+                    assert a == b, part
+                    continue
+                assert len(a) == 4, (part, b)
+                assert a[1] == pytest.approx(b[1], rel=1e-10, abs=0), (part, b)
+                assert a[2] == pytest.approx(b[2], rel=1e-10, abs=0), (part, b)
+                passes[a[0]] += a[3]
+            assert passes == pins["passes"][part], part
