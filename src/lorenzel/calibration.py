@@ -12,7 +12,9 @@ sample's memo (see ``core.Sample``), where ``scale_factor``,
 ``scaled_statistic``, ``invert`` and the ``ci`` command read it, and
 ``scaled_statistic`` shares ``log_ratio``'s kept EL and AEL ratios.
 ``run_experiment`` calls ``_setup_from`` on each replication's values,
-with no memo, since each set-up is used once.
+with no memo, since each set-up is used once.  Every interval is
+inverted from a set-up by ``intervals._intervals``, which takes the kinds
+asked of it in turn; ``invert`` is its one-kind case.
 
 The critical value comes from the standard library's ``NormalDist``, so
 this module, and the ``ci`` and ``curve`` commands, need no SciPy.

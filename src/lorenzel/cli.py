@@ -18,9 +18,9 @@ from .calibration import _setup, chi2_crit
 from .core import VariantKind
 from .errors import FileError, LorenzELError, SchemaError
 from .income import _fmt, _write_table, curve, load_csv, write_curve_csv
-from .intervals import _invert
+from .intervals import _intervals
 from .populations import ChiSquare, SeedSpec, SkewNormal, Weibull
-from .simulation import ExperimentConfig, run_experiment, write_results_csv
+from .simulation import ExperimentConfig, _workers, run_experiment, write_results_csv
 
 _METHOD_NAMES = [k.value for k in VariantKind]
 
@@ -185,10 +185,10 @@ def _cmd_ci(args) -> int:
             # methods share the truncation and start from each other's
             # endpoints, as in run_experiment
             setup = _setup(smp, t)
-            est, seeds = setup[1], {}
-            for kind in args.methods:
-                ci = _invert(kind, *setup, crit, level, seeds)
-                yield [f"{t:.10g}", _fmt(est, prec), kind.value,
+            for kind, ci in zip(args.methods, _intervals(args.methods, *setup, crit, level)):
+                if isinstance(ci, Exception):
+                    raise ci
+                yield [f"{t:.10g}", _fmt(setup[1], prec), kind.value,
                        _fmt(ci.lower, prec), _fmt(ci.upper, prec), _fmt(ci.length, prec)]
 
     _write_table(args.output, ["t", "estimate", "method", "lower", "upper", "length"], rows())
@@ -205,6 +205,7 @@ def _cmd_simulate(args) -> int:
         methods=args.methods,
         seed=SeedSpec(master_seed=args.seed),
     )
+    workers = _workers(args.workers)  # refused before the output is opened
     progress = None
     if not args.quiet:
         def progress(done, total, res):
@@ -213,7 +214,7 @@ def _cmd_simulate(args) -> int:
                   file=sys.stderr, flush=True)
 
     def results():  # drawn lazily, so the output is opened before the study runs
-        yield from run_experiment(cfg, workers=args.workers, progress=progress)
+        yield from run_experiment(cfg, workers=workers, progress=progress)
 
     write_results_csv(results(), cfg, args.output, precision=None if args.raw else 4)
     return 0

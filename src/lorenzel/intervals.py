@@ -67,12 +67,13 @@ return an unconverged endpoint.  The search runs on the truncated values
 scaled by a power of two to a largest size in [0.5, 1), so that no sum of
 squares overflows; every tolerance is relative, so the endpoints are
 those of the unscaled search, bit for bit, wherever that one does not
-overflow.  The values are scaled once per set-up: the kinds inverted on
-one truncation share the scaled copy (see ``_invert``).
+overflow.  The values are scaled once per set-up, by ``_intervals``,
+which inverts every kind asked of one truncation on that one copy.
 
-Seeded starts.  ``run_experiment`` and the ``ci`` command invert every
-method on one truncation, and each search starts from an earlier kind's
-side on it (``_SEEDS``): AEL and TEL from EL's, TAEL from AEL's.  The
+Seeded starts.  ``_intervals`` inverts the kinds of one truncation in
+turn, lazily, for ``run_experiment`` and the ``ci`` command, and each
+search starts from an earlier kind's side on it (``_SEEDS``): AEL and TEL
+from EL's, TAEL from AEL's.  ``invert`` is its one-kind case.  The
 first joint step comes from the seed side's closing pass, the joint pass
 whose bounds closed it: the data sums of a pass are the same for EL and
 AEL, and AEL's pseudo-deviation -a_n (theta_hat - theta) and a larger
@@ -96,13 +97,14 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .calibration import ScaleFactor, _setup, chi2_crit
 from .core import Sample, VariantKind, _check_t, _profile, adjustment_factor
-from .errors import BracketFailure, ConvexHullViolation, LorenzELError
+from .errors import (BracketFailure, ConvexHullViolation, DegenerateVariance,
+                     LorenzELError, NonFinite)
 from .variants import _tel_inverse
 
 __all__ = ["ConfidenceInterval", "invert"]
@@ -502,7 +504,10 @@ def invert(kind: VariantKind, s: Sample, t: float, alpha: float) -> ConfidenceIn
     """
     kind = VariantKind(kind)
     crit = chi2_crit(alpha)
-    return _invert(kind, *_setup(s, _check_t(t)), crit, 1.0 - float(alpha))
+    (ci,) = _intervals((kind,), *_setup(s, _check_t(t)), crit, 1.0 - float(alpha))
+    if isinstance(ci, Exception):
+        raise ci
+    return ci
 
 
 # The kind whose endpoints and multipliers, on the same truncation, start
@@ -511,60 +516,59 @@ def invert(kind: VariantKind, s: Sample, t: float, alpha: float) -> ConfidenceIn
 _SEEDS = {VariantKind.AEL: VariantKind.EL, VariantKind.TEL: VariantKind.EL,
           VariantKind.TAEL: VariantKind.AEL}
 
-# The key under which ``seeds`` keeps (k, v / 2^k, theta_hat / 2^k, hull / 2^k).
-_SCALED = "scaled"
+# The failures of one kind's interval that the next kind and set-up survive.
+_FAILURES = (ConvexHullViolation, DegenerateVariance, BracketFailure, NonFinite)
 
 
-def _invert(kind: VariantKind, v: np.ndarray, theta_hat: float, scale: ScaleFactor,
-            hull: tuple[float, float], crit: float, level: float,
-            seeds: dict | None = None) -> ConfidenceInterval:
-    """``invert`` from ``calibration._setup``'s result, the critical value
-    and the level, which the methods of one replication share.
+def _intervals(kinds: tuple, v: np.ndarray, theta_hat: float, scale: ScaleFactor,
+               hull: tuple[float, float], crit: float, level: float,
+               ) -> Iterator[ConfidenceInterval | LorenzELError]:
+    """The interval of each kind in ``kinds``, in turn, from
+    ``calibration._setup``'s result, the critical value and the level; in
+    place of an interval, the ``_FAILURES`` exception that ruled it out.
 
-    ``seeds`` maps the kinds already inverted on this truncation to their
-    (endpoint, lam, pass) per side, the pass being the joint pass that
-    closed the side or None; the search starts from its ``_SEEDS`` kind's
-    when that is there, and this kind's are added to it.  Under
-    ``_SCALED`` it keeps the truncation in search units, which the kinds
-    share.
+    Lazy: a kind is searched when its interval is asked for.  Each search
+    starts from its ``_SEEDS`` kind's sides when that kind came earlier in
+    ``kinds`` and produced an interval.  ``invert`` is the one-kind case.
     """
-    adjusted, transformed = kind.adjusted, kind.transformed
     n = v.size
-    # the unscaled log-ratio that r * l (r * T(l) for TEL/TAEL) must not exceed
-    target = crit / scale.ratio
-    if transformed:
-        target = _tel_inverse(target, n)
-    if adjusted:
-        limit = _ael_limit(n)
-        if limit <= target:
-            raise BracketFailure(
-                f"{kind.value} log-ratio is bounded by l_inf = {limit:.6g} <= its "
-                f"critical value {target:.6g}: the confidence set is the whole line")
-    # Wald half-width, from l(theta) ~ n (theta - theta_hat)^2 / sigma_p^2
-    wald = math.sqrt(target * scale.sigma_p_sq / n)
-    # the search runs on v / 2^k, whose largest size lies in [0.5, 1); seeds
-    # stay in these units
-    scaled = None if seeds is None else seeds.get(_SCALED)
-    if scaled is None:
-        k = math.frexp(max(abs(hull[0]), abs(hull[1])))[1]
-        scaled = (k, np.ldexp(v, -k), math.ldexp(theta_hat, -k),
-                  (math.ldexp(hull[0], -k), math.ldexp(hull[1], -k)))
-        if seeds is not None:
-            seeds[_SCALED] = scaled
-    k, v, theta_hat, hull = scaled
-    wald = math.ldexp(wald, -k)
-    bounds = (-math.inf, math.inf) if adjusted else hull
-    seed = None if seeds is None else seeds.get(_SEEDS.get(kind))
-    sides = []
-    for side, out in enumerate((-1.0, 1.0)):
-        start, lam, inner, sums = theta_hat + out * wald, None, None, None
-        if seed is not None:
-            start, lam, sums = seed[side]
-            inner = start if transformed else None
-        sides.append(_search_side(v, adjusted, hull, target, theta_hat, start,
-                                  bounds[side], lam, inner, sums))
-    if seeds is not None:
+    # the search runs on v / 2^k, whose largest size lies in [0.5, 1); the
+    # seeds stay in these units
+    k = math.frexp(max(abs(hull[0]), abs(hull[1])))[1]
+    v, theta_hat = np.ldexp(v, -k), math.ldexp(theta_hat, -k)
+    hull = (math.ldexp(hull[0], -k), math.ldexp(hull[1], -k))
+    # per kind inverted so far, its (endpoint, lam, closing pass) per side
+    seeds = {}
+    for kind in kinds:
+        adjusted, transformed = kind.adjusted, kind.transformed
+        # the unscaled log-ratio that r * l (r * T(l) for TEL/TAEL) must not exceed
+        target = crit / scale.ratio
+        if transformed:
+            target = _tel_inverse(target, n)
+        if adjusted:
+            limit = _ael_limit(n)
+            if limit <= target:
+                yield BracketFailure(
+                    f"{kind.value} log-ratio is bounded by l_inf = {limit:.6g} <= its "
+                    f"critical value {target:.6g}: the confidence set is the whole line")
+                continue
+        # Wald half-width, from l(theta) ~ n (theta - theta_hat)^2 / sigma_p^2
+        wald = math.ldexp(math.sqrt(target * scale.sigma_p_sq / n), -k)
+        bounds = (-math.inf, math.inf) if adjusted else hull
+        seed = seeds.get(_SEEDS.get(kind))
+        sides = []
+        try:
+            for side, out in enumerate((-1.0, 1.0)):
+                start, lam, inner, sums = theta_hat + out * wald, None, None, None
+                if seed is not None:
+                    start, lam, sums = seed[side]
+                    inner = start if transformed else None
+                sides.append(_search_side(v, adjusted, hull, target, theta_hat, start,
+                                          bounds[side], lam, inner, sums))
+        except _FAILURES as exc:
+            yield exc
+            continue
         seeds[kind] = [(end, lam, sums) for end, _, lam, sums in sides]
-    (lower, lower_passes, *_), (upper, upper_passes, *_) = sides
-    return ConfidenceInterval(lower=math.ldexp(lower, k), upper=math.ldexp(upper, k),
-                              level=level, kind=kind, iterations=lower_passes + upper_passes)
+        (lower, lower_passes, *_), (upper, upper_passes, *_) = sides
+        yield ConfidenceInterval(lower=math.ldexp(lower, k), upper=math.ldexp(upper, k),
+                                 level=level, kind=kind, iterations=lower_passes + upper_passes)

@@ -24,9 +24,9 @@ import numpy as np
 
 from .calibration import _setup_from, chi2_crit
 from .core import VariantKind, _integer, _quantile_index, _truncate, point_estimate
-from .errors import BracketFailure, ConvexHullViolation, DegenerateVariance, NonFinite
+from .errors import DegenerateVariance, NonFinite
 from .income import _fmt, _write_table
-from .intervals import _invert
+from .intervals import ConfidenceInterval, _intervals
 from .populations import Population, SeedSpec, sample, true_ordinate
 
 __all__ = [
@@ -39,9 +39,6 @@ __all__ = [
 _DEFAULT_N_GRID = (25, 50, 100, 150, 300, 500)
 _DEFAULT_T_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 _ALL_METHODS = (VariantKind.EL, VariantKind.AEL, VariantKind.TEL, VariantKind.TAEL)
-
-# per-replication interval failures that are survivable (counted, not fatal)
-_CI_FAILURES = (ConvexHullViolation, DegenerateVariance, BracketFailure, NonFinite)
 
 
 @dataclass(frozen=True)
@@ -103,9 +100,9 @@ def _block(cfg: ExperimentConfig, n: int, thetas: tuple) -> Iterator[CellResult]
 
     Each replication is drawn once, and set up once per t for its point
     estimate and every method, in chunks of at most ``_CHUNK`` replications.
-    Each method's search starts from an earlier method's endpoints on the
-    same replication and t where ``intervals._SEEDS`` says so.  A cell is
-    yielded as soon as its last chunk is done.
+    The methods of one replication at one t are one ``intervals._intervals``
+    generator, drawn method by method.  A cell is yielded as soon as its
+    last chunk is done.
     """
     reps, ts = cfg.reps, cfg.t_grid
     estimates = [np.empty(reps) for _ in ts]
@@ -127,9 +124,9 @@ def _block(cfg: ExperimentConfig, n: int, thetas: tuple) -> Iterator[CellResult]
                 for r in range(first, min(first + _CHUNK, reps))]
         last = first + len(rows) == reps
         for t, theta_true, est, tally in zip(ts, thetas, estimates, tallies):
-            # per replication, what every method's interval shares: the
-            # truncation and its hull, or None when the scale factor is undefined
-            setups = []
+            # per replication, the generator of its methods' intervals, or
+            # None when the scale factor is undefined
+            searches = []
             k = _quantile_index(n, t)
             for r, smp in enumerate(rows, first):
                 x = smp.values
@@ -138,20 +135,14 @@ def _block(cfg: ExperimentConfig, n: int, thetas: tuple) -> Iterator[CellResult]
                 except (DegenerateVariance, NonFinite):
                     setup = None
                 est[r] = point_estimate(smp, t) if setup is None else setup[1]
-                setups.append(setup)
+                searches.append(None if setup is None
+                                 else _intervals(cfg.methods, *setup, crit, level))
             if last:
                 bias, mse = _errors(est, theta_true)
-            # per replication, the endpoints of the methods inverted so far,
-            # which start the later methods' searches (``intervals._SEEDS``)
-            seeds = [{} for _ in rows]
             for method, counts in zip(cfg.methods, tally):
-                for setup, seed in zip(setups, seeds):
-                    if setup is None:
-                        counts[1] += 1
-                        continue
-                    try:
-                        ci = _invert(method, *setup, crit, level, seed)
-                    except _CI_FAILURES:
+                for cis in searches:
+                    ci = None if cis is None else next(cis)
+                    if not isinstance(ci, ConfidenceInterval):
                         counts[1] += 1
                         continue
                     if ci.lower <= theta_true <= ci.upper:
@@ -164,7 +155,7 @@ def _block(cfg: ExperimentConfig, n: int, thetas: tuple) -> Iterator[CellResult]
                                      coverage=covered / produced if produced else math.nan,
                                      mean_length=length_sum / produced if produced else math.nan,
                                      failures=failures)
-        del rows, setups, seeds  # so that the next chunk is drawn with this one freed
+        del rows, searches  # so that the next chunk is drawn with this one freed
 
 
 def _errors(estimates: np.ndarray, theta_true: float) -> tuple[float, float]:
@@ -176,6 +167,15 @@ def _errors(estimates: np.ndarray, theta_true: float) -> tuple[float, float]:
 def _block_list(cfg: ExperimentConfig, n: int, thetas: tuple) -> list[CellResult]:
     """``_block`` as a list, which a worker process can send back."""
     return list(_block(cfg, n, thetas))
+
+
+def _workers(workers) -> int:
+    """``workers`` as a Python int; ValueError naming it when it is not an
+    integer or is below 1."""
+    workers = _integer(workers, "workers")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    return workers
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1,
@@ -191,8 +191,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
     order, as soon as it and every cell before it are done.  Memory per
     process is O(min(reps, 1024) * n) with methods (about 8 MB at n = 500)
     and O(n) for an estimate-only design.  ``true_ordinate`` is evaluated
-    once per t.
+    once per t.  ``workers`` that is not an integer of at least 1 raises
+    ValueError.
     """
+    workers = _workers(workers)
     ordinate = {t: true_ordinate(cfg.population, t) for t in dict.fromkeys(cfg.t_grid)}
     thetas = tuple(ordinate[t] for t in cfg.t_grid)
     total = len(cfg.n_grid) * len(cfg.t_grid) * max(len(cfg.methods), 1)

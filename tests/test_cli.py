@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import lorenzel as lz
-from lorenzel import cli
+from lorenzel import cli, intervals
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -56,6 +56,29 @@ class TestCi:
         assert cli.main(args + ["--output", str(a)]) == 0
         assert cli.main(args + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_stops_at_the_first_failing_interval(self, tmp_path, capsys, monkeypatch):
+        # at t = 0.9 the TAEL set of this table is the whole line: the rows
+        # before it are written, and AEL after it is never searched
+        table = tmp_path / "ten.csv"
+        table.write_text("income\n" + "\n".join(["12", "31", "7", "45", "23", "18", "52",
+                                                 "9", "27", "36"]) + "\n")
+        searched = []  # per side searched, whether its kind is adjusted
+        true_search = intervals._search_side
+
+        def search_side(v, adjusted, *args):
+            searched.append(adjusted)
+            return true_search(v, adjusted, *args)
+
+        monkeypatch.setattr(intervals, "_search_side", search_side)
+        code, out, err = run(["ci", "--input", str(table), "--value-column", "income",
+                              "--t", "0.5,0.9", "--methods", "el,tael,ael"], capsys)
+        assert code == 4
+        rows = list(csv.reader(io.StringIO(out)))
+        assert [(r[0], r[2]) for r in rows] == [
+            ("t", "method"), ("0.5", "el"), ("0.5", "tael"), ("0.5", "ael"), ("0.9", "el")]
+        assert err.startswith("lorenzel ci: BracketFailure: tael log-ratio is bounded")
+        assert searched == [False] * 2 + [True] * 4 + [False] * 2
 
     def test_group_filter(self, income_csv, capsys):
         code, out, _ = run(["ci", "--input", income_csv, "--value-column", "income",
@@ -175,6 +198,15 @@ class TestSimulate:
                             "--quiet", "--output", str(out)], capsys)
         assert code == 2
         assert "master_seed" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_1_is_exit_2_and_writes_nothing(self, tmp_path, capsys, workers):
+        out = tmp_path / "out.csv"
+        code, _, err = run(["simulate", "--n", "10", "--t", "0.5", "--reps", "2",
+                            "--workers", workers, "--quiet", "--output", str(out)], capsys)
+        assert code == 2
+        assert "workers" in err
         assert not out.exists()
 
     def test_bad_population_is_exit_2(self, capsys):

@@ -483,31 +483,27 @@ def pinned_search(monkeypatch) -> dict:
     kinds at t {0.1, 0.5, 0.9} on one 3,000-value sample, inverted as the
     ``ci`` command does, from one set-up per t and each other's seeds."""
     experiment = []
-    original = simulation._invert
+    original = simulation._intervals
 
-    def recorded(kind, *args):
-        try:
-            ci = original(kind, *args)
-        except lz.LorenzELError as exc:
-            experiment.append([kind.value, type(exc).__name__])
-            raise
-        experiment.append([kind.value, ci.lower, ci.upper, ci.iterations])
-        return ci
+    def recorded(kinds, *args):
+        for kind, ci in zip(kinds, original(kinds, *args)):
+            experiment.append([kind.value, type(ci).__name__] if isinstance(ci, Exception)
+                              else [kind.value, ci.lower, ci.upper, ci.iterations])
+            yield ci
 
-    monkeypatch.setattr(simulation, "_invert", recorded)
+    monkeypatch.setattr(simulation, "_intervals", recorded)
     for p, pop in enumerate([lz.Weibull(1.0, 2.0), lz.ChiSquare(3.0), lz.SkewNormal(1.0, 3.0, 5.0)]):
         lz.run_experiment(lz.ExperimentConfig(population=pop, n_grid=(10, 50, 300),
                                               t_grid=(0.1, 0.5, 0.9), reps=2,
                                               seed=lz.SeedSpec(83, p)))
-    monkeypatch.setattr(simulation, "_invert", original)
+    monkeypatch.setattr(simulation, "_intervals", original)
     s = lz.Sample(np.random.default_rng(29).lognormal(10.0, 0.5, 3000))
     crit = lz.chi2_crit(0.05)
     table = []
+    kinds = tuple(lz.VariantKind)
     for t in (0.1, 0.5, 0.9):
-        setup, seeds = _setup(s, t), {}
-        for kind in lz.VariantKind:
-            ci = intervals._invert(kind, *setup, crit, 0.95, seeds)
-            table.append([kind.value, ci.lower, ci.upper, ci.iterations])
+        for ci in intervals._intervals(kinds, *_setup(s, t), crit, 0.95):
+            table.append([ci.kind.value, ci.lower, ci.upper, ci.iterations])
     return {"experiment": experiment, "ci": table}
 
 

@@ -163,6 +163,17 @@ class TestRunExperiment:
         assert sizes == [started]
         assert par == lz.run_experiment(cfg, workers=1)
 
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, 2.0, "2"])
+    def test_workers_must_be_an_integer_of_at_least_1(self, monkeypatch, workers):
+        # refused before any block runs or any process is started
+        def started(*args, **kwargs):
+            pytest.fail("the design ran")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", started)
+        monkeypatch.setattr(simulation, "_block", started)
+        with pytest.raises(ValueError, match="workers"):
+            lz.run_experiment(small_cfg(), workers=workers)
+
     @pytest.mark.parametrize("methods", [(), ("el", "ael", "tel", "tael")])
     def test_each_replication_is_drawn_once(self, monkeypatch, methods):
         # one draw per (n, replication) and one ordinate per t, however
@@ -198,13 +209,15 @@ class TestRunExperiment:
     def test_progress_sees_a_cell_before_the_next_method_runs(self, monkeypatch):
         # a block yields its cells lazily, so progress fires per cell
         events = []
-        original = simulation._invert
+        original = simulation._intervals
 
-        def logged(kind, *args):
-            events.append(lz.VariantKind(kind).value)
-            return original(kind, *args)
+        def logged(kinds, *args):
+            cis = original(kinds, *args)
+            for kind in kinds:  # logged before the search runs
+                events.append(kind.value)
+                yield next(cis)
 
-        monkeypatch.setattr(simulation, "_invert", logged)
+        monkeypatch.setattr(simulation, "_intervals", logged)
         cfg = small_cfg(methods=("el", "ael"), reps=2)
         lz.run_experiment(cfg, progress=lambda d, t, r: events.append(f"cell {d}"))
         assert events == ["el", "el", "cell 1", "ael", "ael", "cell 2"]
@@ -236,6 +249,20 @@ class TestChunks:
             finally:
                 tracemalloc.stop()
         assert peaks[512] < 2 * peaks[64], peaks
+
+    def test_a_chunk_holds_one_array_per_replication(self, monkeypatch):
+        # per replication, its sample and one set-up array (V, scaled in
+        # place for the search), not a second scaled copy beside V
+        monkeypatch.setattr(simulation, "_CHUNK", 64)
+        cfg = small_cfg(n_grid=(400,), t_grid=(0.5,), reps=64)
+        lz.run_experiment(cfg)  # fills import and first-call caches
+        tracemalloc.start()
+        try:
+            lz.run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.3 * 64 * 400 * 8, peak / (64 * 400 * 8)
 
     @staticmethod
     def _outcome(fn):
@@ -276,18 +303,14 @@ def recorded_intervals(monkeypatch):
     """Patch the simulation to record, in call order, each interval it
     inverts or the class of the failure it raised instead."""
     seen = []
-    original = simulation._invert
+    original = simulation._intervals
 
-    def recorded(kind, *args):
-        try:
-            ci = original(kind, *args)
-        except lz.LorenzELError as exc:
-            seen.append(type(exc))
-            raise
-        seen.append(ci)
-        return ci
+    def recorded(*args):
+        for ci in original(*args):
+            seen.append(type(ci) if isinstance(ci, Exception) else ci)
+            yield ci
 
-    monkeypatch.setattr(simulation, "_invert", recorded)
+    monkeypatch.setattr(simulation, "_intervals", recorded)
     return seen
 
 
@@ -365,9 +388,8 @@ class TestSeededSearches:
         for t in (0.1, 0.3, 0.5, 0.7, 0.9):
             setup = _setup(s, t)
             tol = 1e-15 * float(np.ptp(setup[0]))
-            seeds = {}
-            for kind in lz.VariantKind:
-                got = intervals._invert(kind, *setup, crit, 0.95, seeds)
+            for kind, got in zip(lz.VariantKind, intervals._intervals(
+                    tuple(lz.VariantKind), *setup, crit, 0.95)):
                 cold = lz.invert(kind, s, t, 0.05)
                 for a, b in ((got.lower, cold.lower), (got.upper, cold.upper)):
                     assert abs(a - b) <= 1e-8 * max(abs(a), abs(b)) + tol, (t, kind)
@@ -405,19 +427,18 @@ class TestSeededSearches:
                 s = lz.sample(pop, n, lz.SeedSpec(59, p), 0)
                 for t in (0.1, 0.5, 0.9):
                     setup = _setup(s, t)
-                    seeds = {}
+                    cis = intervals._intervals(tuple(lz.VariantKind), *setup, crit, 0.95)
                     monkeypatch.setattr(intervals, "_joint_step", lambda *args: None)
-                    intervals._invert(lz.VariantKind.EL, *setup, crit, 0.95, seeds)
+                    assert isinstance(next(cis), lz.ConfidenceInterval)  # EL
                     monkeypatch.setattr(intervals, "_joint_step", true_joint)
-                    assert [sums for _, _, sums in seeds[lz.VariantKind.EL]] == [None, None]
                     tol = 1e-15 * float(np.ptp(setup[0]))
-                    for kind in lz.VariantKind:
-                        if kind is lz.VariantKind.EL:
-                            continue
-                        before = len(newton)
-                        got = intervals._invert(kind, *setup, crit, 0.95, seeds)
+                    for kind in tuple(lz.VariantKind)[1:]:
+                        before, conversions = len(newton), len(converted)
+                        got = next(cis)
                         if kind is not lz.VariantKind.TAEL:  # TAEL is seeded by AEL
                             assert len(newton) == before, kind
+                            # EL's sides kept no pass, so none is converted
+                            assert len(converted) == conversions, kind
                         cold = lz.invert(kind, s, t, 0.05)
                         for a, b in ((got.lower, cold.lower), (got.upper, cold.upper)):
                             assert abs(a - b) <= 1e-8 * max(abs(a), abs(b)) + tol, (n, t, kind)
