@@ -15,6 +15,8 @@ import numpy as np
 
 import lorenzel as lz
 
+# holds the synthetic table, if one is written; removed at the end
+tmpdir = tempfile.TemporaryDirectory()
 csv_path = os.environ.get("LORENZEL_INCOME_CSV")
 value_col = os.environ.get("LORENZEL_INCOME_VALUE",
                            "Median_Household_Income_2020")
@@ -28,11 +30,12 @@ if csv_path is None:
         state = rng.choice(["AZ", "CA", "NV", "OR"])
         rows.append(f"{state},{rng.lognormal(10.0, 0.45):.2f}")
     rows += ["CA,", "NV,n/a"]  # blank and non-numeric: dropped, counted
-    tmp = tempfile.NamedTemporaryFile("w", suffix=".csv", delete=False)
-    tmp.write("\n".join(rows) + "\n")
-    tmp.close()
-    csv_path, value_col, group_col = tmp.name, "income", "state"
-    print(f"no snapshot supplied; wrote synthetic table to {csv_path}")
+    csv_path = os.path.join(tmpdir.name, "incomes.csv")
+    with open(csv_path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(rows) + "\n")
+    value_col, group_col = "income", "state"
+    print(f"no snapshot supplied; wrote synthetic table to {csv_path} "
+          "(removed when the demo ends)")
 else:
     group_col = os.environ.get("LORENZEL_INCOME_GROUP")  # optional
 
@@ -65,3 +68,5 @@ print(f"  lorenzel curve --input {csv_path} --value-column {value_col}"
       + (f" --group-column {group_col}" if group_col else ""))
 print(f"  lorenzel ci --input {csv_path} --value-column {value_col} "
       f"--t 0.1,0.25,0.5,0.75,0.9 --methods el,tael --alpha 0.05")
+
+tmpdir.cleanup()

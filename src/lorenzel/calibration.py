@@ -28,7 +28,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .core import Sample, VariantKind, _check_t, _truncation
+from .core import Sample, VariantKind, _check_t, _check_theta, _kind, _truncation
 from .errors import DegenerateVariance, DomainError, NonFinite
 from .variants import _memo_log_ratio
 
@@ -117,8 +117,11 @@ def scale_factor(s: Sample, t: float) -> ScaleFactor:
 def scaled_statistic(kind: VariantKind, s: Sample, t: float, theta: float) -> float:
     """Variance-ratio-scaled log-likelihood ratio, asymptotically chi2(1).
 
-    The kind is checked before any work, as in ``invert``.
+    The kind is checked before any work, as in ``invert``.  theta may be any
+    real number and is converted to a float once; anything else raises
+    TypeError.
     """
-    kind = VariantKind(kind)
+    kind = _kind(kind)
     t = _check_t(t)
+    theta = _check_theta(theta)
     return _setup(s, t)[2].ratio * _memo_log_ratio(kind, s, t, theta)

@@ -10,6 +10,7 @@ one-dimensional root-find for the Lagrange multiplier lambda.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from enum import Enum
 
@@ -47,6 +48,19 @@ class VariantKind(str, Enum):
         return self in (VariantKind.TEL, VariantKind.TAEL)
 
 
+# VariantKind is a str enum, so a member hashes and compares as its value
+_KINDS = {kind.value: kind for kind in VariantKind}
+
+
+def _kind(kind) -> VariantKind:
+    """``VariantKind(kind)``, without ``Enum.__call__`` for a member or its
+    value."""
+    try:
+        return _KINDS[kind]
+    except (KeyError, TypeError):
+        return VariantKind(kind)
+
+
 # Entries a Sample's memo holds before it is emptied.
 _MEMO_SIZE = 16
 
@@ -76,7 +90,7 @@ class Sample:
         arr = np.asarray(values, dtype=float).ravel().copy()
         if arr.size < 2:
             raise ValueError(f"need at least 2 observations, got {arr.size}")
-        if not np.all(np.isfinite(arr)):
+        if not np.logical_and.reduce(np.isfinite(arr)):  # np.all, without its wrapper
             raise ValueError("all observations must be finite")
         arr.sort()
         arr.flags.writeable = False
@@ -122,6 +136,18 @@ def _check_t(t: float) -> float:
     if not 0.0 < t < 1.0:
         raise DomainError(f"t must lie in (0, 1), got {t}")
     return t
+
+
+def _check_theta(theta) -> float:
+    """theta as a float.  TypeError naming theta when it is not a real number
+    (a str or a Decimal, say); NonFinite when it is too large for a float."""
+    # float first: the common case skips the abstract base class's check
+    if not isinstance(theta, (float, numbers.Real)):
+        raise TypeError(f"theta must be a real number, got {theta!r}")
+    try:
+        return float(theta)
+    except OverflowError:
+        raise NonFinite("theta is too large for a float") from None
 
 
 def _integer(value, name: str) -> int:
@@ -226,8 +252,11 @@ def solve_lambda(w, lam0: float | None = None) -> float:
     w = np.asarray(w, dtype=float).ravel()
     if w.size == 0:
         raise ValueError("empty deviation vector")
-    wmin = float(w.min())
-    wmax = float(w.max())
+    # np.minimum.reduce, np.add.reduce and r.dot(r) are ndarray.min, .sum and
+    # r @ r bit for bit, without their wrappers; a solve takes only a few
+    # passes, so the wrappers would cost as much as the arithmetic
+    wmin = float(np.minimum.reduce(w))
+    wmax = float(np.maximum.reduce(w))
     if not (math.isfinite(wmin) and math.isfinite(wmax)):  # nan propagates
         raise NonFinite("deviation vector contains non-finite entries")
     if not (wmin < 0.0 < wmax):
@@ -242,7 +271,7 @@ def solve_lambda(w, lam0: float | None = None) -> float:
     hi -= eps
 
     m = w.size
-    target = 1e-13 * (float(np.abs(w).sum()) / m)
+    target = 1e-13 * (float(np.add.reduce(np.abs(w))) / m)
     lam = 0.0
     if lam0 is not None and lo < lam0 < hi:
         lam = float(lam0)
@@ -253,7 +282,7 @@ def solve_lambda(w, lam0: float | None = None) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_MAX_LAMBDA_ITERATIONS):
             r = w / (1.0 + lam * w)
-            g = float(r.sum()) / m
+            g = float(np.add.reduce(r)) / m
             if not math.isfinite(g):
                 raise NonFinite("estimating equation overflowed")
             if abs(g) <= target and abs(lam * g) <= 2.5e-13:
@@ -264,7 +293,7 @@ def solve_lambda(w, lam0: float | None = None) -> float:
                 hi = lam
             if (hi - lo) * max(wmax, -wmin) <= 1e-14:
                 break
-            slope = -float(r @ r) / m
+            slope = -float(r.dot(r)) / m
             step = lam - g / slope if slope < 0.0 and math.isfinite(slope) else math.inf
             lam = step if lo < step < hi else 0.5 * (lo + hi)
         else:
@@ -291,11 +320,15 @@ def _profile(v: np.ndarray, theta: float, adjusted: bool,
     uniform weights, so the ratio is 0 by convention.  Raises
     ConvexHullViolation (EL only) when theta is outside the open hull of v.
     """
-    w = v - theta
+    # a deviation or a sum that overflows is infinite, which solve_lambda
+    # refuses as NonFinite
+    with np.errstate(over="ignore"):
+        w = v - theta
+        total = float(np.add.reduce(w)) if adjusted else 0.0
     if not w.any():
         return 0.0, 0.0
     if adjusted:
         n = w.size
-        w = np.append(w, -adjustment_factor(n) * (float(w.sum()) / n))
+        w = np.concatenate((w, [-adjustment_factor(n) * (total / n)]))
     lam = solve_lambda(w, lam0=lam0)
-    return max(2.0 * float(np.log1p(lam * w).sum()), 0.0), lam
+    return max(2.0 * float(np.add.reduce(np.log1p(lam * w))), 0.0), lam

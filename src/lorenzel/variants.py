@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 
-from .core import Sample, VariantKind, _check_t, _profile, _truncation
+from .core import Sample, VariantKind, _check_t, _check_theta, _kind, _profile, _truncation
 from .errors import DomainError
 
 __all__ = ["tel_transform", "log_ratio"]
@@ -68,24 +68,22 @@ def log_ratio(kind: VariantKind, s: Sample, t: float, theta: float) -> float:
     Nonnegative, zero at ``point_estimate(s, t)``.  For EL and TEL it
     raises ConvexHullViolation when theta lies outside the open hull of
     the truncated values; AEL and TAEL are finite for every finite theta.
+    theta may be any real number and is converted to a float once; anything
+    else raises TypeError.
     """
     t = _check_t(t)
-    return _memo_log_ratio(VariantKind(kind), s, t, theta)
+    return _memo_log_ratio(_kind(kind), s, t, _check_theta(theta))
 
 
-def _memo_log_ratio(kind: VariantKind, s: Sample, t: float, theta) -> float:
-    """``log_ratio`` for a valid kind and a float t in (0, 1), with the EL
-    (AEL) ratio, which TEL (TAEL) maps, kept in the memo of s.
+def _memo_log_ratio(kind: VariantKind, s: Sample, t: float, theta: float) -> float:
+    """``log_ratio`` for a valid kind, a float t in (0, 1) and a float theta,
+    with the EL (AEL) ratio, which TEL (TAEL) maps, kept in the memo of s.
 
-    Only a float theta (np.float64 included) is kept: an equal theta of
-    another type, a Fraction say, need not give the same V - theta.  -0.0
-    shares the entry of 0.0, as V - theta then differs only in the sign of
-    zeros, which no finite ratio depends on.
+    The kept ratio is read before the truncation.  -0.0 shares the entry of
+    0.0, as V - theta then differs only in the sign of zeros, which no
+    finite ratio depends on.
     """
-    v = _truncation(s, t)[0]
     adjusted = kind.adjusted
-    if isinstance(theta, float):
-        val = s._recall(("ratio", t, theta, adjusted), lambda: _profile(v, theta, adjusted)[0])
-    else:
-        val = _profile(v, theta, adjusted)[0]
+    val = s._recall(("ratio", t, theta, adjusted),
+                    lambda: _profile(_truncation(s, t)[0], theta, adjusted)[0])
     return tel_transform(val, s.n) if kind.transformed else val

@@ -528,3 +528,62 @@ class TestPinnedSearch:
                 assert a[2] == pytest.approx(b[2], rel=1e-10, abs=0), (part, b)
                 passes[a[0]] += a[3]
             assert passes == pins["passes"][part], part
+
+
+# Statistics of the pinned design, made by ``pinned_statistics`` on the code
+# before the statistic path's numpy wrappers were cut; that change kept every
+# bit, and so must any change that claims to.
+STATISTIC_PINS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                              "statistic_pins.json")
+
+
+def pinned_statistics() -> list:
+    """The scaled statistics of the pinned design, in call order, each as
+    [population, n, replication, t, kind, value], with the failure class in
+    place of the value when there is none: replications 0-9 of SeedSpec(1)
+    at t {0.5, 0.9} and theta the true ordinate, for the ``limit``
+    benchmark's Weibull(1, 2) at n = 500 and for chi-square(3) and
+    skew-normal(1, 3, 5) at n {10, 25}."""
+    design = [("weibull", lz.Weibull(1.0, 2.0), 500)]
+    design += [(name, pop, n) for name, pop in (("chisquare", lz.ChiSquare(3.0)),
+                                                ("skewnormal", lz.SkewNormal(1.0, 3.0, 5.0)))
+               for n in (10, 25)]
+    rows = []
+    for name, pop, n in design:
+        theta = {t: lz.true_ordinate(pop, t) for t in (0.5, 0.9)}
+        for rep in range(10):
+            s = lz.sample(pop, n, lz.SeedSpec(1), replication=rep)
+            for kind in ("el", "ael", "tel", "tael"):
+                for t in (0.5, 0.9):
+                    try:
+                        value = lz.scaled_statistic(kind, s, t, theta[t])
+                    except lz.LorenzELError as exc:
+                        value = type(exc).__name__
+                    rows.append([name, n, rep, t, kind, value])
+    return rows
+
+
+class TestPinnedStatistic:
+    def test_same_statistics(self):
+        # rel 1e-12 holds across numpy and BLAS builds; a failure must stay
+        # the same failure
+        with open(STATISTIC_PINS, encoding="utf-8") as fh:
+            pins = json.load(fh)
+        got = pinned_statistics()
+        assert [r[:5] for r in got] == [r[:5] for r in pins]
+        for a, b in zip(got, pins):
+            if isinstance(b[5], str):
+                assert a[5] == b[5], b
+            else:
+                assert a[5] == pytest.approx(b[5], rel=1e-12, abs=0), b
+
+    def test_transform_never_raises_the_ratio(self):
+        got = {tuple(r[:5]): r[5] for r in pinned_statistics()}
+        compared = 0
+        for (name, n, rep, t, kind), value in got.items():
+            inner = {"tel": "el", "tael": "ael"}.get(kind)
+            if inner is None or isinstance(value, str):
+                continue
+            assert value <= got[name, n, rep, t, inner], (name, n, rep, t, kind)
+            compared += 1
+        assert compared == 200

@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import math
+import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -154,6 +157,60 @@ class TestTaelAndDispatch:
             ael = lz.log_ratio("ael", s, 0.5, theta)
             tael = lz.log_ratio("tael", s, 0.5, theta)
             assert tel <= el and tael <= ael
+
+
+class TestTheta:
+    """theta may be any real number and is converted to a float once."""
+
+    @pytest.mark.parametrize("theta", [Fraction(5, 4), 1, True, np.int64(2), np.float32(1.3),
+                                       np.float16(1.3), np.float64(1.25)])
+    def test_a_real_number_gives_the_bits_of_its_float(self, theta):
+        # t = 0.6: the truncated values are [1, 2, 3, 0, 0], hull (0, 3)
+        for f in (lz.log_ratio, lz.scaled_statistic):
+            for kind in lz.VariantKind:
+                got = f(kind, lz.Sample(TOY.values), 0.6, theta)
+                assert got == f(kind, lz.Sample(TOY.values), 0.6, float(theta)) > 0.0
+                assert type(got) is float
+
+    @pytest.mark.parametrize("theta", ["1.25", Decimal("1.25"), None, 1.25 + 0j])
+    def test_anything_else_is_a_type_error_naming_theta(self, theta):
+        for f in (lz.log_ratio, lz.scaled_statistic):
+            with pytest.raises(TypeError, match="theta"):
+                f("el", TOY, 0.6, theta)
+
+    @pytest.mark.parametrize("theta", [10**400, -(10**400), Fraction(10**400, 3)],
+                             ids=["int", "negative int", "Fraction"])
+    def test_too_large_for_a_float_is_nonfinite(self, theta):
+        for f in (lz.log_ratio, lz.scaled_statistic):
+            with pytest.raises(lz.NonFinite):
+                f("ael", TOY, 0.6, theta)
+
+
+class TestOverflow:
+    """Deviations or an AEL pseudo-point that overflow are refused as
+    NonFinite, with no RuntimeWarning on the way."""
+
+    @pytest.mark.parametrize("kind, x, t, theta", [
+        # the deviations' sum overflows
+        ("ael", np.arange(1.0, 21.0), 0.5, 1e308),
+        ("tael", np.arange(1.0, 21.0), 0.5, 1e308),
+        ("ael", [1e308, 1.5e308, 1.7e308, 1.2e308, 1.0, 2.0, 3.0], 0.9, 1e307),
+        # a deviation overflows
+        ("el", [1.0, 2.0, 1.7e308], 0.9, -1e308),
+        ("ael", [1.0, 2.0, 1.7e308], 0.9, -1e308),
+    ])
+    def test_log_ratio(self, kind, x, t, theta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(lz.NonFinite):
+                lz.log_ratio(kind, lz.Sample(x), t, theta)
+
+    @pytest.mark.parametrize("kind", ["ael", "tael"])
+    def test_scaled_statistic(self, kind):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(lz.NonFinite):
+                lz.scaled_statistic(kind, lz.Sample(np.arange(1.0, 21.0)), 0.5, 1e308)
 
 
 class TestAgainstOracle:
