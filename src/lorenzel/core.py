@@ -87,7 +87,11 @@ class Sample:
     __slots__ = ("_values", "_memo")
 
     def __init__(self, values) -> None:
-        arr = np.asarray(values, dtype=float).ravel().copy()
+        arr = np.asarray(values)
+        # the float cast would drop an imaginary part with only a warning
+        if arr.dtype.kind == "c":
+            raise ValueError("observations must be real, not complex")
+        arr = arr.astype(float).ravel()  # astype copies
         if arr.size < 2:
             raise ValueError(f"need at least 2 observations, got {arr.size}")
         if not np.logical_and.reduce(np.isfinite(arr)):  # np.all, without its wrapper
@@ -234,6 +238,8 @@ def solve_lambda(w, lam0: float | None = None) -> float:
     LorenzELError
         When no stopping rule is met in _MAX_LAMBDA_ITERATIONS iterations,
         as when the entries of w span hundreds of orders of magnitude.
+    ValueError
+        If w is empty or complex.
 
     Notes
     -----
@@ -249,7 +255,10 @@ def solve_lambda(w, lam0: float | None = None) -> float:
     absolute width would stop at once on deviations of order 1e14, with
     the residual far above the contract.
     """
-    w = np.asarray(w, dtype=float).ravel()
+    w = np.asarray(w)
+    if w.dtype.kind == "c":  # the float cast would drop the imaginary part
+        raise ValueError("deviation vector must be real, not complex")
+    w = w.astype(float, copy=False).ravel()
     if w.size == 0:
         raise ValueError("empty deviation vector")
     # np.minimum.reduce, np.add.reduce and r.dot(r) are ndarray.min, .sum and

@@ -9,8 +9,8 @@ on both sides to the same limit ``_ael_limit(n)``, whatever the data
 (Chen, Variyath & Abraham 2008; Emerson & Owen 2009).  So ``invert``
 knows before any search whether an AEL interval is the whole line or is
 bounded on both sides, and then searches each side out towards infinity.
-Each side is one loop with two kinds of step, both aimed at one target
-for the unscaled log-ratio l: crit / r for EL and AEL, with r the
+Each side runs two loops in turn, joint steps and then certified steps,
+both aimed at one target for the unscaled log-ratio l: crit / r for EL and AEL, with r the
 variance ratio, and T^-1(crit / r) for TEL and TAEL.  The TEL transform T
 is increasing, so r * T(l) <= crit exactly when l <= T^-1(crit / r): a
 TEL (TAEL) interval is the EL (AEL) interval at a larger target, which is
@@ -49,20 +49,22 @@ stopping tolerance.  The joint steps have converged when a theta step
 falls below it.
 
 Certified steps.  Only they move the bracket [inner, outer] around the
-crossing.  Each decides whether theta is covered in one pass at the last
-lam (``_certify``), and the Newton step in lam is the next warm
-start.  When the bounds straddle the target, or lam is missing or not
-admissible, a full evaluation of the log-ratio (``_profile``)
-decides instead.  The first certified step is at the last joint theta.
-If the joint steps converged that is the joint root, and the second is
-half a tolerance beyond it if it is covered, or inside it if not, which
-usually closes the bracket.  Every other certified step bisects the
-bracket, or doubles the distance from the point estimate (by at least
-one hull width) while an AEL side's outer edge is still infinite.
+crossing.  They go on from where the joint steps stopped, with their
+theta, lam, bracket and step count, and whether they converged.  Each
+decides whether theta is covered in one pass at the last lam
+(``_certify``), and the Newton step in lam is the next warm start.  When
+the bounds straddle the target, or lam is missing or not admissible, a
+full evaluation of the log-ratio (``_profile``) decides instead.  The
+first certified step is at the last joint theta.  If the joint steps
+converged that is the joint root, and the second is half a tolerance
+beyond it if it is covered, or inside it if not, which usually closes the
+bracket.  Every other certified step bisects the bracket, or doubles the
+distance from the point estimate (by at least one hull width) while an
+AEL side's outer edge is still infinite.
 
 The search stops once the bracket is narrower than 1e-8 relative and
 returns its inner, covered, edge.  Both kinds of step count against one
-budget of passes per side; running out raises LorenzELError rather than
+budget of steps per side; running out raises LorenzELError rather than
 return an unconverged endpoint.  The search runs on the truncated values
 scaled by a power of two to a largest size in [0.5, 1), so that no sum of
 squares overflows; every tolerance is relative, so the endpoints are
@@ -73,23 +75,23 @@ which inverts every kind asked of one truncation on that one copy.
 Seeded starts.  ``_intervals`` inverts the kinds of one truncation in
 turn, lazily, for ``run_experiment`` and the ``ci`` command, and each
 search starts from an earlier kind's side on it (``_SEEDS``): AEL and TEL
-from EL's, TAEL from AEL's.  ``invert`` is its one-kind case.  The
-first joint step comes from the seed side's closing pass, the joint pass
-whose bounds closed it: the data sums of a pass are the same for EL and
-AEL, and AEL's pseudo-deviation -a_n (theta_hat - theta) and a larger
+from EL's, TAEL from AEL's.  ``invert`` is its one-kind case.  The first
+joint step, step 0, comes from the seed side's closing pass, the joint
+pass whose bounds closed it: the data sums of a pass are the same for EL
+and AEL, and AEL's pseudo-deviation -a_n (theta_hat - theta) and a larger
 target are scalars, so ``_newton`` takes that step with this kind's
 target in O(1), halved until it is admissible between the inner bracket
 edge and the search boundary.  The side's own first pass then usually
-closes it; on large samples the bounds of the seed's pass already do,
-and the side takes no pass at all.  A seed side that closed through
-certified steps keeps no pass, and the search starts from its endpoint
-and multiplier instead, as it does when the step is not admissible.  A TEL (TAEL) target is at
-least the EL (AEL) one, so the seed endpoints are covered and are also
-the inner bracket edges; EL's endpoints are not AEL's inner edges, as
-the two intervals are not ordered.  A kind whose source kind was not
-requested, has not run yet or failed searches from the Wald point, as
-``invert`` always does.  So their endpoints may differ from ``invert``'s
-within the stopping tolerance.
+closes it; on large samples the bounds of the seed's pass already do, and
+the side takes no pass at all.  A seed side that closed through certified
+steps keeps no pass, and the search starts from its endpoint and
+multiplier instead, as it does when the step is not admissible.  A TEL
+(TAEL) target is at least the EL (AEL) one, so the seed endpoints are
+covered and are also the inner bracket edges; EL's endpoints are not
+AEL's inner edges, as the two intervals are not ordered.  A kind whose
+source kind was not requested, has not run yet or failed searches from
+the Wald point, as ``invert`` always does.  So their endpoints may differ
+from ``invert``'s within the stopping tolerance.
 """
 from __future__ import annotations
 
@@ -109,8 +111,8 @@ from .variants import _tel_inverse
 
 __all__ = ["ConfidenceInterval", "invert"]
 
-# Passes over the data (joint steps and certified steps) allowed per
-# side.  Bisection alone closes any bracket to the stopping tolerance in at
+# Steps (joint steps and certified steps, each at most one pass over the
+# data) allowed per side.  Bisection alone closes any bracket to the stopping tolerance in at
 # most 54 steps.
 _MAX_PASSES = 100
 
@@ -119,9 +121,10 @@ _MAX_PASSES = 100
 class ConfidenceInterval:
     """A two-sided confidence interval for the generalized Lorenz ordinate.
 
-    ``iterations`` counts the passes over the data of the endpoint
-    search, joint steps plus certified steps, over both sides.  A seeded
-    side that its seed's pass closes takes none (see "Seeded starts").
+    ``iterations`` counts the steps of the endpoint search over both sides,
+    joint and certified, each one pass over the data or a full evaluation.
+    A joint step refused before its pass counts too, and a seeded side that
+    its seed's pass closes takes none (see "Seeded starts").
     """
 
     lower: float
@@ -271,26 +274,18 @@ def _certify(v: np.ndarray, theta: float, adjusted: bool, lam: float | None,
 _MAX_HALVINGS = 8
 
 
-def _admissible(theta: float, lam: float, pseudo: float, lo: float, hi: float,
-                hull: tuple[float, float]) -> bool:
-    """Whether theta lies strictly inside (lo, hi) and every d = 1 + lam w stays
-    positive; d is linear in w, so that is checked at the ends of ``hull``,
-    the (min, max) of v, and at the AEL pseudo-deviation."""
-    return (lo < theta < hi and 1.0 + lam * (hull[0] - theta) > 0.0
-            and 1.0 + lam * (hull[1] - theta) > 0.0 and 1.0 + lam * pseudo > 0.0)
-
-
 def _as_kind(s: _Pass, adjusted: bool, mean: float) -> _Pass | None:
     """The pass s, at the same (theta, lam), for the kind ``adjusted``, in O(1).
 
-    The data sums are the same for EL and AEL; only the pseudo-deviation
-    -a_n (mean - theta) differs, with ``mean`` the mean of v.  None when lam
-    is not admissible for it.
+    The data sums are the same for EL and AEL; an EL pass gains AEL's
+    pseudo-deviation -a_n (mean - theta), with ``mean`` the mean of v, and
+    any other pass is returned as it is (no kind is seeded by an AEL pass
+    but TAEL).  None when lam is not admissible for the pseudo-deviation.
     """
-    if adjusted == (s.a > 0.0):
+    if not adjusted or s.a > 0.0:
         return s
     theta, lam, n = s[:3]
-    a = adjustment_factor(n) if adjusted else 0.0
+    a = adjustment_factor(n)
     pseudo = -a * (mean - theta)
     if not 1.0 + lam * pseudo > 0.0:
         return None
@@ -310,10 +305,10 @@ def _newton(s: _Pass, target: float, lo: float, hi: float,
 
     where w' = dw/dtheta is -1 for the data and +a_n for the AEL
     pseudo-deviation, which is carried as a scalar.  The step is halved
-    until it is admissible (as ``_admissible`` decides).  Returns the new
-    theta and lam and the length of the full theta step, or None when the
-    Jacobian is singular or not finite, or the step needs more than
-    _MAX_HALVINGS halvings.
+    until theta lies strictly inside (lo, hi) and every d stays positive.
+    Returns the new theta and lam and the length of the full theta step, or
+    None when the Jacobian is singular or not finite, or the step needs
+    more than _MAX_HALVINGS halvings.
     """
     theta, lam, _, a, pseudo, _, ldata, sr, sr2, sq, sq2 = s
     dp = 1.0 + lam * pseudo
@@ -348,26 +343,27 @@ def _joint_step(v: np.ndarray, theta: float, lam: float | None, adjusted: bool,
     sums towards an interval endpoint (``_newton``).
 
     ``lam=None`` starts from lam = sum(w) / sum(w^2), one Newton step on F1
-    from zero, halved until admissible.  Returns the new theta and lam, the
-    length of the full theta step and the pass at the old theta and lam,
-    or None when ``_pass`` refuses the old point or ``_newton`` takes no
-    step.
+    from zero, halved until every d stays positive.  Returns the new theta
+    and lam, the length of the full theta step and the pass at the old
+    theta and lam, or None when the cold start finds no admissible lam,
+    ``_pass`` refuses the old point or ``_newton`` takes no step.
     """
     w = None
     if lam is None:
         n = v.size
-        vmin, vmax = hull
+        e0, e1 = hull[0] - theta, hull[1] - theta
         # the largest |w| is at an end of the hull; under this bound w @ w
         # can neither overflow nor warn that it did
-        e = max(abs(vmin - theta), abs(vmax - theta))
-        if n * e * e > 1e300:
+        e = max(abs(e0), abs(e1))
+        if n * e * e > 1e300 or not lo < theta < hi:
             return None
         w = v - theta
         sw = float(np.add.reduce(w))
         pseudo = -adjustment_factor(n) * (sw / n) if adjusted else 0.0
         lam = (sw + pseudo) / (float(w @ w) + pseudo * pseudo)
+        # d is linear in w: positive at the ends of the hull means everywhere
         for _ in range(_MAX_HALVINGS):
-            if _admissible(theta, lam, pseudo, lo, hi, hull):
+            if 1.0 + lam * e0 > 0.0 and 1.0 + lam * e1 > 0.0 and 1.0 + lam * pseudo > 0.0:
                 break
             lam *= 0.5
         else:
@@ -380,22 +376,22 @@ def _joint_step(v: np.ndarray, theta: float, lam: float | None, adjusted: bool,
 
 
 def _search_side(v: np.ndarray, adjusted: bool, hull: tuple[float, float], target: float,
-                 theta_hat: float, start: float, bound: float, lam: float | None = None,
-                 inner: float | None = None, sums: _Pass | None = None,
-                 ) -> tuple[float, int, float | None, _Pass | None]:
+                 theta_hat: float, bound: float, seed: tuple, inner: float | None = None,
+                 ) -> tuple[tuple[float, float | None, _Pass | None], int]:
     """Locate the crossing l(theta) = target between theta_hat and bound.
 
     ``bound``, the hull edge (EL) or an infinity (AEL), lies beyond the
-    crossing.  Joint steps run from ``start`` and the Lagrange warm start
-    ``lam`` (a cold start when None), which both kinds of step share; a
-    joint pass's bounds, or else certified steps, finish the side (see
-    the module docstring).  ``inner``, a point known to be covered, is the
-    inner edge of the first bracket, theta_hat by default.  ``sums``, the
-    joint pass that closed a seed side, gives the first joint step instead,
-    at no pass over the data, when that step is admissible.  Returns the
-    inner (covered) edge of the final bracket, the passes over the data it
-    took, the last lam, a warm start at that edge, and the joint pass whose
-    bounds closed the side, or None when certified steps closed it.
+    crossing.  ``seed`` is (start, lam, sums): joint steps run from
+    ``start`` and the Lagrange warm start ``lam`` (a cold start when None),
+    and ``sums``, the joint pass that closed a seed side or None, gives
+    step 0, at no pass over the data, when ``_newton`` takes it.
+    ``inner``, a point known to be covered, is the inner edge of the first
+    bracket, theta_hat by default.  Joint steps run until a pass's bounds
+    close the side or the steps converge or stall; certified steps then go
+    on from their theta and lam (see the module docstring).  Returns the
+    side as the next kind's seed, (the inner, covered, edge of the final
+    bracket, the last lam, the joint pass whose bounds closed the side or
+    None when certified steps closed it), and the steps it took.
     """
     inner, outer = theta_hat if inner is None else inner, bound
     hull_w = hull[1] - hull[0]
@@ -403,46 +399,43 @@ def _search_side(v: np.ndarray, adjusted: bool, hull: tuple[float, float], targe
     out = math.copysign(1.0, bound - theta_hat)
     half = out * 0.499
     lo, hi = min(theta_hat, bound), max(theta_hat, bound)
-    theta = start
+    theta, lam, sums = seed
     if not lo < theta < hi:  # the start is beyond the bound or rounds onto theta_hat
         theta = 0.5 * (theta_hat + bound) if math.isfinite(bound) else theta_hat + out * hull_w
         lam = None  # a seeded multiplier belongs to the seeded start
-    # a seed's pass, as a pass of this kind, gives a first joint step that
-    # needs no pass of its own; its bounds may even close the side
-    free = None
+    # a seed's pass, as a pass of this kind, gives step 0, which needs no
+    # pass of its own; its bounds may even close the side
     sums = None if sums is None else _as_kind(sums, adjusted, theta_hat)
-    if sums is not None:
-        nxt = _newton(sums, target, *((bound, inner) if bound < inner else (inner, bound)), hull)
-        if nxt is not None:
-            free = (*nxt, sums)
-    joint = True  # joint steps until they converge or stall
-    probe = False  # the next certified step checks the other side of theta
+    nxt = None if sums is None else _newton(sums, target, min(inner, bound),
+                                            max(inner, bound), hull)
+    probe = False  # whether the first certified step probes beside a converged root
     step = prev_step = math.inf
-    for passes in range(1 if free is None else 0, _MAX_PASSES + 1):
-        if joint:
-            nxt = free or _joint_step(v, theta, lam, adjusted, target, lo, hi, hull)
-            free = None
+    for passes in range(1 if nxt is None else 0, _MAX_PASSES + 1):
+        if passes:
+            nxt = _joint_step(v, theta, lam, adjusted, target, lo, hi, hull)
             # a joint step that must be halved too often, or that is longer
             # than half of each of the two before it, has stalled
             if nxt is None or nxt[2] > 0.5 * max(step, prev_step):
-                joint = False
-                continue
+                break
             theta, lam, moved, sums = nxt
-            if passes:  # a step from a seed's pass does not count towards a stall
-                prev_step, step = step, moved
-            # the pass bounds l just inside and just beyond the new theta;
-            # 0.499, not 0.5, keeps the two points within one stopping
-            # tolerance of each other after rounding.  Only the lower bound
-            # beyond and the upper bound inside decide, the cheaper first
-            tol = 1e-8 * abs(theta) + slack
-            near, far = theta - half * tol, theta + half * tol
-            if (lo < near < hi and _bounds(sums, far, False)[0] > target
-                    and _bounds(sums, near)[1] <= target):
-                return near, passes, lam, sums
-            probe = moved <= tol
-            joint = not probe
-            continue
-        # Certified step: the only kind that moves the bracket
+            prev_step, step = step, moved
+        else:  # a step from a seed's pass does not count towards a stall
+            theta, lam, moved = nxt
+        # the pass bounds l just inside and just beyond the new theta;
+        # 0.499, not 0.5, keeps the two points within one stopping
+        # tolerance of each other after rounding.  Only the lower bound
+        # beyond and the upper bound inside decide, the cheaper first
+        tol = 1e-8 * abs(theta) + slack
+        near, far = theta - half * tol, theta + half * tol
+        if (lo < near < hi and _bounds(sums, far, False)[0] > target
+                and _bounds(sums, near)[1] <= target):
+            return (near, lam, sums), passes
+        probe = moved <= tol
+        if probe:
+            break
+    # Certified steps, from where the joint steps stopped: the only kind
+    # that moves the bracket
+    for passes in range(passes + 1, _MAX_PASSES + 1):
         try:
             val, lam = _certify(v, theta, adjusted, lam, target, hull)
         except ConvexHullViolation:  # outside the EL hull
@@ -455,7 +448,7 @@ def _search_side(v: np.ndarray, adjusted: bool, hull: tuple[float, float], targe
         edge = outer if math.isfinite(outer) else inner
         tol = 1e-8 * max(abs(inner), abs(edge)) + slack
         if abs(outer - inner) <= tol:
-            return inner, passes, lam, None
+            return (inner, lam, None), passes
         if probe:
             # the joint root is certified by a point just beyond it if it
             # is covered, and just inside it if it is not
@@ -537,7 +530,7 @@ def _intervals(kinds: tuple, v: np.ndarray, theta_hat: float, scale: ScaleFactor
     k = math.frexp(max(abs(hull[0]), abs(hull[1])))[1]
     v, theta_hat = np.ldexp(v, -k), math.ldexp(theta_hat, -k)
     hull = (math.ldexp(hull[0], -k), math.ldexp(hull[1], -k))
-    # per kind inverted so far, its (endpoint, lam, closing pass) per side
+    # per kind inverted so far, its sides as seeds: (endpoint, lam, closing pass)
     seeds = {}
     for kind in kinds:
         adjusted, transformed = kind.adjusted, kind.transformed
@@ -556,19 +549,16 @@ def _intervals(kinds: tuple, v: np.ndarray, theta_hat: float, scale: ScaleFactor
         wald = math.ldexp(math.sqrt(target * scale.sigma_p_sq / n), -k)
         bounds = (-math.inf, math.inf) if adjusted else hull
         seed = seeds.get(_SEEDS.get(kind))
-        sides = []
+        # per side, (start, lam, closing pass): the seed's sides, or the Wald points
+        starts = seed or ((theta_hat - wald, None, None), (theta_hat + wald, None, None))
         try:
-            for side, out in enumerate((-1.0, 1.0)):
-                start, lam, inner, sums = theta_hat + out * wald, None, None, None
-                if seed is not None:
-                    start, lam, sums = seed[side]
-                    inner = start if transformed else None
-                sides.append(_search_side(v, adjusted, hull, target, theta_hat, start,
-                                          bounds[side], lam, inner, sums))
+            sides = [_search_side(v, adjusted, hull, target, theta_hat, bound, start,
+                                  start[0] if seed and transformed else None)
+                     for bound, start in zip(bounds, starts)]
         except _FAILURES as exc:
             yield exc
             continue
-        seeds[kind] = [(end, lam, sums) for end, _, lam, sums in sides]
-        (lower, lower_passes, *_), (upper, upper_passes, *_) = sides
-        yield ConfidenceInterval(lower=math.ldexp(lower, k), upper=math.ldexp(upper, k),
+        (lower, lower_passes), (upper, upper_passes) = sides
+        seeds[kind] = (lower, upper)
+        yield ConfidenceInterval(lower=math.ldexp(lower[0], k), upper=math.ldexp(upper[0], k),
                                  level=level, kind=kind, iterations=lower_passes + upper_passes)

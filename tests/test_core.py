@@ -75,6 +75,21 @@ class TestSample:
     def test_negative_values_allowed(self):
         assert lz.Sample([-2.0, 1.0]).values[0] == -2.0
 
+    @pytest.mark.parametrize("values", [np.array([1 + 5j, 2.0, 3.0]),
+                                        np.array([1.0, 2.0, 3.0], dtype=np.complex64),
+                                        [np.complex128(1 + 5j), 2.0, 3.0]])
+    def test_rejects_complex(self, values):
+        # a float cast keeps only the real part, with no more than a warning
+        with pytest.raises(ValueError, match="observations must be real"):
+            lz.Sample(values)
+
+    @pytest.mark.parametrize("dtype", [int, bool, np.float32, float])
+    def test_real_arrays_keep_their_bits(self, dtype):
+        x = np.array([[3, 0], [1, 2]], dtype=dtype)
+        s = lz.Sample(x)
+        assert s.values.tobytes() == np.sort(x.astype(float).ravel()).tobytes()
+        assert s.values.dtype == np.float64 and not np.shares_memory(s.values, x)
+
 
 class TestSampleQuantile:
     @pytest.mark.parametrize("t,expected", [
@@ -177,6 +192,21 @@ class TestSolveLambda:
     def test_empty(self):
         with pytest.raises(ValueError):
             lz.solve_lambda([])
+
+    @pytest.mark.parametrize("w", [np.array([1 + 1j, -1.0]), [np.complex128(-1.0), 2.0]])
+    def test_rejects_complex(self, w):
+        # a float cast keeps only the real part: lam = 0 for [1 + 1j, -1]
+        with pytest.raises(ValueError, match="deviation vector must be real"):
+            lz.solve_lambda(w)
+
+    @pytest.mark.parametrize("dtype", [int, np.float32, float])
+    def test_real_arrays_keep_their_bits(self, dtype):
+        w = np.array([-3, 1, 2, 5], dtype=dtype)
+        assert lz.solve_lambda(w) == lz.solve_lambda(w.astype(float).tolist())
+
+    def test_bool_array_is_its_float_copy(self):
+        with pytest.raises(lz.ConvexHullViolation):  # [1.0, 0.0]: no negative entry
+            lz.solve_lambda(np.array([True, False]))
 
     def test_warm_start_agrees(self):
         w = [-1.0, 0.5, 2.0, -0.2]
@@ -391,8 +421,8 @@ class TestCertify:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for out in (-1.0, 1.0):
-                intervals._search_side(v, True, hull, target, theta_hat,
-                                       theta_hat + out * wald, out * math.inf)
+                intervals._search_side(v, True, hull, target, theta_hat, out * math.inf,
+                                       (theta_hat + out * wald, None, None))
         overflowed = 0
         for theta, lam, fell_back in calls:
             if lam is None:

@@ -446,6 +446,69 @@ class TestSeededSearches:
         assert checked == 3 * 2 * 3 * 3
         assert newton  # from AEL's closing passes
 
+    def test_refused_first_step_takes_a_pass_at_the_seed(self, monkeypatch):
+        # when _newton refuses the step from the seed's pass, converted to
+        # this kind by _as_kind, the side takes its first pass at the seed's
+        # endpoint and multiplier, and still finds cold invert's interval
+        converted, refused, joint = [], [], []
+        true_as_kind = intervals._as_kind
+        true_newton = intervals._newton
+        true_joint = intervals._joint_step
+
+        def as_kind(*args):
+            converted.append(true_as_kind(*args))
+            return converted[-1]
+
+        def refusing_newton(sums, *args):
+            if any(sums is c for c in converted):
+                refused.append(len(joint))  # the index of the side's next joint step
+                return None
+            return true_newton(sums, *args)
+
+        def logged_joint(v, theta, lam, *args):
+            joint.append((theta, lam))
+            return true_joint(v, theta, lam, *args)
+
+        monkeypatch.setattr(intervals, "_as_kind", as_kind)
+        monkeypatch.setattr(intervals, "_newton", refusing_newton)
+        monkeypatch.setattr(intervals, "_joint_step", logged_joint)
+        crit = lz.chi2_crit(0.05)
+        checked = 0
+        for p, pop in enumerate(self.POPS):
+            for n in (10, 25, 50, 300):
+                s = lz.sample(pop, n, lz.SeedSpec(59, p), 0)
+                for t in (0.1, 0.5, 0.9):
+                    try:
+                        setup = _setup(s, t)
+                    except lz.DegenerateVariance:
+                        continue
+                    # the search runs on the values scaled by 2^-k, max size in [0.5, 1)
+                    k = math.frexp(max(abs(setup[3][0]), abs(setup[3][1])))[1]
+                    tol = 1e-15 * float(np.ptp(setup[0]))
+                    gen = intervals._intervals(tuple(lz.VariantKind), *setup, crit, 0.95)
+                    cis = {}
+                    for kind in lz.VariantKind:
+                        before = len(refused)
+                        got = cis[kind] = next(gen)
+                        forced = refused[before:]  # the sides of this kind that were forced
+                        seed = cis.get(intervals._SEEDS.get(kind))
+                        try:
+                            cold = lz.invert(kind, s, t, 0.05)
+                        except lz.LorenzELError as exc:
+                            cold = exc
+                        if isinstance(cold, Exception) or isinstance(got, Exception):
+                            assert type(got) is type(cold), (n, t, kind)
+                            continue
+                        assert got.iterations >= len(forced), (n, t, kind)
+                        ends = [math.ldexp(e, -k) for e in (seed.lower, seed.upper)] if forced else []
+                        for i in forced:
+                            theta, lam = joint[i]
+                            assert theta in ends and lam is not None, (n, t, kind)
+                        for a, b in ((got.lower, cold.lower), (got.upper, cold.upper)):
+                            assert abs(a - b) <= 1e-8 * max(abs(a), abs(b)) + tol, (n, t, kind)
+                        checked += len(forced)
+        assert checked > 100
+
 
 class TestCsv:
     def test_golden_output(self):
