@@ -87,11 +87,7 @@ class Sample:
     __slots__ = ("_values", "_memo")
 
     def __init__(self, values) -> None:
-        arr = np.asarray(values)
-        # the float cast would drop an imaginary part with only a warning
-        if arr.dtype.kind == "c":
-            raise ValueError("observations must be real, not complex")
-        arr = arr.astype(float).ravel()  # astype copies
+        arr = _real(values, "observations").astype(float).ravel()  # astype copies
         if arr.size < 2:
             raise ValueError(f"need at least 2 observations, got {arr.size}")
         if not np.logical_and.reduce(np.isfinite(arr)):  # np.all, without its wrapper
@@ -152,6 +148,18 @@ def _check_theta(theta) -> float:
         return float(theta)
     except OverflowError:
         raise NonFinite("theta is too large for a float") from None
+
+
+def _real(values, name: str) -> np.ndarray:
+    """``np.asarray(values)``; ValueError naming ``name`` for a complex or
+    string dtype, which a float cast would reduce to its real part or parse."""
+    arr = np.asarray(values)
+    kind = arr.dtype.kind
+    if kind == "c":
+        raise ValueError(f"{name} must be real, not complex")
+    if kind in "US":
+        raise ValueError(f"{name} must be numbers, not strings")
+    return arr
 
 
 def _integer(value, name: str) -> int:
@@ -239,7 +247,7 @@ def solve_lambda(w, lam0: float | None = None) -> float:
         When no stopping rule is met in _MAX_LAMBDA_ITERATIONS iterations,
         as when the entries of w span hundreds of orders of magnitude.
     ValueError
-        If w is empty or complex.
+        If w is empty, complex or a string array.
 
     Notes
     -----
@@ -254,13 +262,19 @@ def solve_lambda(w, lam0: float | None = None) -> float:
     is relative because lam scales as 1/w while lam * w does not: an
     absolute width would stop at once on deviations of order 1e14, with
     the residual far above the contract.
+    The loop is the kernel ``_solve``, which ``_profile`` calls directly;
+    at lam = 0 it takes the ratios w / (1 + lam*w) to be w, as w is finite.
     """
-    w = np.asarray(w)
-    if w.dtype.kind == "c":  # the float cast would drop the imaginary part
-        raise ValueError("deviation vector must be real, not complex")
-    w = w.astype(float, copy=False).ravel()
+    w = _real(w, "deviation vector").astype(float, copy=False).ravel()
     if w.size == 0:
         raise ValueError("empty deviation vector")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _solve(w, lam0)[0]
+
+
+def _solve(w: np.ndarray, lam0: float | None) -> tuple[float, np.ndarray]:
+    """``solve_lambda`` on a non-empty 1-D float64 w, inside the caller's
+    errstate (over and invalid ignored): lam and its last iteration's lam * w."""
     # np.minimum.reduce, np.add.reduce and r.dot(r) are ndarray.min, .sum and
     # r @ r bit for bit, without their wrappers; a solve takes only a few
     # passes, so the wrappers would cost as much as the arithmetic
@@ -288,29 +302,29 @@ def solve_lambda(w, lam0: float | None = None) -> float:
         lam = 0.5 * (lo + hi)
 
     g = math.inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(_MAX_LAMBDA_ITERATIONS):
-            r = w / (1.0 + lam * w)
-            g = float(np.add.reduce(r)) / m
-            if not math.isfinite(g):
-                raise NonFinite("estimating equation overflowed")
-            if abs(g) <= target and abs(lam * g) <= 2.5e-13:
-                break
-            if g > 0.0:
-                lo = lam
-            else:
-                hi = lam
-            if (hi - lo) * max(wmax, -wmin) <= 1e-14:
-                break
-            slope = -float(r.dot(r)) / m
-            step = lam - g / slope if slope < 0.0 and math.isfinite(slope) else math.inf
-            lam = step if lo < step < hi else 0.5 * (lo + hi)
+    for _ in range(_MAX_LAMBDA_ITERATIONS):
+        lw = lam * w if lam else None  # w / (1 + 0*w) is w, bit for bit
+        r = w if lw is None else w / (1.0 + lw)
+        g = float(np.add.reduce(r)) / m
+        if not math.isfinite(g):
+            raise NonFinite("estimating equation overflowed")
+        if abs(g) <= target and abs(lam * g) <= 2.5e-13:
+            break
+        if g > 0.0:
+            lo = lam
         else:
-            raise LorenzELError(
-                f"Lagrange multiplier did not converge in {_MAX_LAMBDA_ITERATIONS} "
-                f"iterations (lam = {lam:.6g}, |lam * g| = {abs(lam * g):.3g})")
+            hi = lam
+        if (hi - lo) * max(wmax, -wmin) <= 1e-14:
+            break
+        slope = -float(r.dot(r)) / m
+        step = lam - g / slope if slope < 0.0 and math.isfinite(slope) else math.inf
+        lam = step if lo < step < hi else 0.5 * (lo + hi)
+    else:
+        raise LorenzELError(
+            f"Lagrange multiplier did not converge in {_MAX_LAMBDA_ITERATIONS} "
+            f"iterations (lam = {lam:.6g}, |lam * g| = {abs(lam * g):.3g})")
 
-    return lam
+    return lam, lam * w if lw is None else lw
 
 
 def adjustment_factor(n: int) -> float:
@@ -325,19 +339,22 @@ def _profile(v: np.ndarray, theta: float, adjusted: bool,
     """Log-ratio 2*sum(log(1 + lam*w)) at theta, and lam.
 
     w = v - theta, with the AEL pseudo-deviation -a_n * mean(w) appended
-    when ``adjusted``.  All-zero deviations satisfy the constraint with
-    uniform weights, so the ratio is 0 by convention.  Raises
-    ConvexHullViolation (EL only) when theta is outside the open hull of v.
+    when ``adjusted``; v is a non-empty 1-D float64 array.  All-zero
+    deviations satisfy the constraint with uniform weights, so the ratio is
+    0 by convention.  Raises ConvexHullViolation (EL only) when theta is
+    outside the open hull of v.  Calls the kernel ``_solve`` and takes the
+    logs of its last lam * w: bit for bit ``solve_lambda`` on w.
     """
-    # a deviation or a sum that overflows is infinite, which solve_lambda
-    # refuses as NonFinite
-    with np.errstate(over="ignore"):
-        w = v - theta
-        total = float(np.add.reduce(w)) if adjusted else 0.0
-    if not w.any():
-        return 0.0, 0.0
-    if adjusted:
-        n = w.size
-        w = np.concatenate((w, [-adjustment_factor(n) * (total / n)]))
-    lam = solve_lambda(w, lam0=lam0)
-    return max(2.0 * float(np.add.reduce(np.log1p(lam * w))), 0.0), lam
+    # an overflowing deviation or sum is infinite, which _solve refuses as NonFinite
+    with np.errstate(over="ignore", invalid="ignore"):
+        if adjusted:
+            n = v.size
+            w = np.empty(n + 1)  # w[:n] is v - theta, w[n] the pseudo-deviation
+            total = float(np.add.reduce(np.subtract(v, theta, out=w[:n])))
+            w[n] = -adjustment_factor(n) * (total / n)
+        else:
+            w = v - theta
+        if not w.any():  # a zero pseudo-deviation when all of v - theta is zero
+            return 0.0, 0.0
+        lam, lw = _solve(w, lam0)
+        return max(2.0 * float(np.add.reduce(np.log1p(lw))), 0.0), lam

@@ -463,8 +463,8 @@ def _search_side(v: np.ndarray, adjusted: bool, hull: tuple[float, float], targe
             theta = inner + out * max(abs(inner - theta_hat), hull_w)
     side = "lower" if bound < theta_hat else "upper"
     raise LorenzELError(
-        f"{side} endpoint search did not converge in {_MAX_PASSES} passes over "
-        f"the data (bracket [{min(inner, outer):.17g}, {max(inner, outer):.17g}])"
+        f"{side} endpoint search did not converge in {_MAX_PASSES} steps "
+        f"(bracket [{min(inner, outer):.17g}, {max(inner, outer):.17g}])"
     )
 
 
@@ -492,8 +492,8 @@ def invert(kind: VariantKind, s: Sample, t: float, alpha: float) -> ConfidenceIn
     DegenerateVariance, NonFinite
         When the scale factor is undefined, or over- or underflows, for (s, t).
     LorenzELError
-        When an endpoint search exhausts its budget of passes over the
-        data (the message names the side), or a multiplier does not converge.
+        When an endpoint search exhausts its budget of steps (the message
+        names the side), or a multiplier does not converge.
     """
     kind = VariantKind(kind)
     crit = chi2_crit(alpha)

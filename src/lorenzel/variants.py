@@ -35,6 +35,9 @@ __all__ = ["tel_transform", "log_ratio"]
 # inverting the undamped ratio at a remapped critical value.
 _GAMMA = 0.5
 
+# each kind's (adjusted, transformed), without the Enum properties' lookups
+_FLAGS = {kind: (kind.adjusted, kind.transformed) for kind in VariantKind}
+
 
 def tel_transform(l: float, n: int) -> float:
     """Damped ratio l * max(1 - l/n, 1/2).
@@ -83,7 +86,7 @@ def _memo_log_ratio(kind: VariantKind, s: Sample, t: float, theta: float) -> flo
     0.0, as V - theta then differs only in the sign of zeros, which no
     finite ratio depends on.
     """
-    adjusted = kind.adjusted
+    adjusted, transformed = _FLAGS[kind]
     val = s._recall(("ratio", t, theta, adjusted),
                     lambda: _profile(_truncation(s, t)[0], theta, adjusted)[0])
-    return tel_transform(val, s.n) if kind.transformed else val
+    return tel_transform(val, s.n) if transformed else val

@@ -83,6 +83,13 @@ class TestSample:
         with pytest.raises(ValueError, match="observations must be real"):
             lz.Sample(values)
 
+    @pytest.mark.parametrize("values", [["1.5", "2", "3"], ["1.5", 2.0, 3.0],
+                                        np.array([b"1.5", b"2", b"3"])])
+    def test_rejects_strings(self, values):
+        # a float cast would parse them, so a table column of text passes unseen
+        with pytest.raises(ValueError, match="observations must be numbers, not strings"):
+            lz.Sample(values)
+
     @pytest.mark.parametrize("dtype", [int, bool, np.float32, float])
     def test_real_arrays_keep_their_bits(self, dtype):
         x = np.array([[3, 0], [1, 2]], dtype=dtype)
@@ -199,6 +206,12 @@ class TestSolveLambda:
         with pytest.raises(ValueError, match="deviation vector must be real"):
             lz.solve_lambda(w)
 
+    @pytest.mark.parametrize("w", [["-1", "2"], np.array([b"-1", b"2"])])
+    def test_rejects_strings(self, w):
+        # a float cast would parse them: lam = 0.25 for ["-1", "2"]
+        with pytest.raises(ValueError, match="deviation vector must be numbers, not strings"):
+            lz.solve_lambda(w)
+
     @pytest.mark.parametrize("dtype", [int, np.float32, float])
     def test_real_arrays_keep_their_bits(self, dtype):
         w = np.array([-3, 1, 2, 5], dtype=dtype)
@@ -283,6 +296,214 @@ class TestLogElRatio:
             return
         scaled = lz.log_ratio("el", lz.Sample([c * x for x in xs]), t, c * theta)
         assert scaled == pytest.approx(base, rel=1e-12, abs=1e-12)
+
+
+def _reference_solve_lambda(w, lam0=None):
+    """``solve_lambda`` as one function, before its loop became the kernel
+    ``core._solve``: the reference the kernel keeps bit for bit."""
+    w = np.asarray(w)
+    if w.dtype.kind == "c":
+        raise ValueError("deviation vector must be real, not complex")
+    w = w.astype(float, copy=False).ravel()
+    if w.size == 0:
+        raise ValueError("empty deviation vector")
+    wmin = float(np.minimum.reduce(w))
+    wmax = float(np.maximum.reduce(w))
+    if not (math.isfinite(wmin) and math.isfinite(wmax)):
+        raise lz.NonFinite("deviation vector contains non-finite entries")
+    if not (wmin < 0.0 < wmax):
+        raise lz.ConvexHullViolation(
+            "zero is not interior to the convex hull of the deviations "
+            f"(min={wmin:g}, max={wmax:g})"
+        )
+    lo = -1.0 / wmax
+    hi = -1.0 / wmin
+    eps = 1e-12 * (hi - lo)
+    lo += eps
+    hi -= eps
+
+    m = w.size
+    target = 1e-13 * (float(np.add.reduce(np.abs(w))) / m)
+    lam = 0.0
+    if lam0 is not None and lo < lam0 < hi:
+        lam = float(lam0)
+    if not lo < lam < hi:
+        lam = 0.5 * (lo + hi)
+
+    g = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(200):
+            r = w / (1.0 + lam * w)
+            g = float(np.add.reduce(r)) / m
+            if not math.isfinite(g):
+                raise lz.NonFinite("estimating equation overflowed")
+            if abs(g) <= target and abs(lam * g) <= 2.5e-13:
+                break
+            if g > 0.0:
+                lo = lam
+            else:
+                hi = lam
+            if (hi - lo) * max(wmax, -wmin) <= 1e-14:
+                break
+            slope = -float(r.dot(r)) / m
+            step = lam - g / slope if slope < 0.0 and math.isfinite(slope) else math.inf
+            lam = step if lo < step < hi else 0.5 * (lo + hi)
+        else:
+            raise lz.LorenzELError(
+                f"Lagrange multiplier did not converge in 200 "
+                f"iterations (lam = {lam:.6g}, |lam * g| = {abs(lam * g):.3g})")
+
+    return lam
+
+
+def _reference_profile(v, theta, adjusted, lam0=None):
+    """``core._profile`` as it was on ``_reference_solve_lambda``, with the
+    AEL vector concatenated."""
+    with np.errstate(over="ignore"):
+        w = v - theta
+        total = float(np.add.reduce(w)) if adjusted else 0.0
+    if not w.any():
+        return 0.0, 0.0
+    if adjusted:
+        n = w.size
+        w = np.concatenate((w, [-lz.adjustment_factor(n) * (total / n)]))
+    lam = _reference_solve_lambda(w, lam0=lam0)
+    return max(2.0 * float(np.add.reduce(np.log1p(lam * w))), 0.0), lam
+
+
+def _stopped_by_width(w, lam):
+    """Whether the reference returned lam with its convergence test unmet,
+    so that the bracket-width rule stopped it."""
+    m = w.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = float(np.add.reduce(w / (1.0 + lam * w))) / m
+    target = 1e-13 * (float(np.add.reduce(np.abs(w))) / m)
+    return not (abs(g) <= target and abs(lam * g) <= 2.5e-13)
+
+
+class TestSolverKernelBits:
+    """``solve_lambda`` and ``_profile`` against the reference, compared by
+    the bits of every float (so -0.0 is not 0.0) and by the class and
+    message of every error.  The reference runs with runtime warnings
+    ignored, the code under test with them as errors."""
+
+    @staticmethod
+    def outcome(fn, *args, reference=False):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore" if reference else "error", RuntimeWarning)
+            try:
+                result = fn(*args)
+            except lz.LorenzELError as exc:
+                return type(exc), str(exc)
+        return tuple(x.hex() for x in (result if isinstance(result, tuple) else (result,)))
+
+    def check(self, w, lam0=None):
+        got = self.outcome(lz.solve_lambda, w, lam0)
+        assert got == self.outcome(_reference_solve_lambda, w, lam0, reference=True)
+        return got
+
+    def check_profile(self, v, theta, adjusted, lam0=None):
+        got = self.outcome(_profile, v, theta, adjusted, lam0)
+        assert got == self.outcome(_reference_profile, v, theta, adjusted, lam0, reference=True)
+        return got
+
+    @staticmethod
+    def starts(rng, w):
+        """lam0 as None, 0.0, inside the bracket (near the root and anywhere)
+        and outside it."""
+        lo, hi = -1.0 / float(w.max()), -1.0 / float(w.min())
+        root = _reference_solve_lambda(w)
+        return (None, 0.0, root * float(rng.uniform(0.5, 1.5)), float(rng.uniform(lo, hi)),
+                hi + (hi - lo), lo - 1e18 * (hi - lo))
+
+    def test_random_vectors(self):
+        rng = np.random.default_rng(2801)
+        sizes = [2, 3, 3000] + [int(np.exp(rng.uniform(np.log(2), np.log(3000))))
+                                for _ in range(117)]
+        done = 0
+        for n in sizes:
+            w = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n) + rng.uniform(-1, 1)
+            w[0], w[-1] = -abs(w[0]) - 1e-3, abs(w[-1]) + 1e-3
+            w *= 10.0 ** rng.integers(-100, 100)
+            for lam0 in self.starts(rng, w):
+                self.check(w, lam0)
+                done += 1
+        assert done == 720
+
+    def test_profiles(self):
+        rng = np.random.default_rng(2802)
+        done = 0
+        for n in [2, 3, 3000] + [int(np.exp(rng.uniform(np.log(2), np.log(3000))))
+                                 for _ in range(97)]:
+            x = np.sort(rng.weibull(float(rng.uniform(0.5, 3.0)), n)) * 10.0 ** rng.uniform(-5, 5)
+            psi = x[min(max(math.ceil(n * float(rng.uniform(0.05, 0.95))), 1), n) - 1]
+            v = np.where(x <= psi, x, 0.0)
+            lo, hi = float(v.min()), float(v.max())
+            inside = lo + (hi - lo) * float(rng.uniform(0.001, 0.999))
+            for theta, adjusted in ((inside, False), (inside, True),
+                                    (hi + (hi - lo) * 10.0 ** rng.uniform(-3, 3), True)):
+                lam = self.check_profile(v, theta, adjusted)
+                if lam[0] is lz.ConvexHullViolation:
+                    continue
+                for lam0 in (0.0, float.fromhex(lam[1]) * float(rng.uniform(0.5, 1.5)), 1e18):
+                    self.check_profile(v, theta, adjusted, lam0)
+                done += 1
+        assert done >= 280
+
+    def test_zero_sum_stays_at_zero(self):
+        rng = np.random.default_rng(2803)
+        for n in (2, 5, 64, 999, 3000):
+            half = rng.integers(1, 1000, n // 2).astype(float)
+            w = rng.permutation(np.concatenate((half, -half, np.zeros(n % 2))))
+            for lam0 in (None, 0.0, -0.0):  # -0.0 stays -0.0
+                assert float.fromhex(self.check(w, lam0)[0]) == 0.0
+            # v symmetric about theta: the AEL pseudo-deviation is zero too
+            v = np.sort(w) + 1000.0
+            for adjusted in (False, True):
+                ratio, lam = self.check_profile(v, 1000.0, adjusted)
+                assert float.fromhex(ratio) == 0.0 and float.fromhex(lam) == 0.0
+            assert self.check_profile(np.full(n, 7.0), 7.0, True) == (0.0.hex(), 0.0.hex())
+
+    def test_width_rule(self):
+        # one negative deviation against up to 3,000 positive ones about 30
+        # times larger puts the root where a float step of lam moves the
+        # residual by more than the convergence test allows; scaled anywhere
+        # in 1e-150..1e150
+        rng = np.random.default_rng(2804)
+        width = 0
+        for _ in range(60):
+            k = int(rng.integers(2500, 3000))
+            w = np.concatenate((-rng.uniform(0.9, 1.1, 1), 30.0 * rng.uniform(0.5, 1.5, k)))
+            w *= 10.0 ** rng.uniform(-150, 150)
+            got = self.check(w)
+            width += _stopped_by_width(w, float.fromhex(got[0]))
+            self.check(w[::-1] * -1.0)
+        assert width >= 3
+
+    @pytest.mark.parametrize("w, error", [
+        ([np.nan, 1.0, -1.0], lz.NonFinite), ([-1.0, np.inf], lz.NonFinite),
+        ([1.0, 2.0], lz.ConvexHullViolation), ([-1.0, 0.0], lz.ConvexHullViolation),
+        ([-1e308] + [1.7e308] * 4, lz.NonFinite),  # the sum of |w| and the residual overflow
+        ([1.05291294e-206, -1.8968274e276, -4.45280651e-257, 1.72612506e-161,
+          4.39441001e-216, 3.57857364e-036, 6.63824220e-242, -1.53382468e-221],
+         lz.LorenzELError),
+    ])
+    def test_raises(self, w, error):
+        got = self.check(np.array(w))
+        assert got[0] is error
+
+    @pytest.mark.parametrize("v, theta, adjusted, error", [
+        ([1.0, 2.0, 3.0], 3.0, False, lz.ConvexHullViolation),
+        ([1.0, 2.0, 3.0], -1.0, False, lz.ConvexHullViolation),
+        ([1.0, 2.0, 3.0], math.inf, True, lz.NonFinite),
+        ([1.0, 2.0, 3.0], math.nan, False, lz.NonFinite),
+        ([-1e308, 1e308, 1.5e308], -1e308, False, lz.NonFinite),  # a deviation overflows
+        ([1e308, 1.5e308, 1.7e308], 0.0, True, lz.NonFinite),  # their sum overflows
+        ([-1e308] + [1.7e308] * 4, 0.0, False, lz.NonFinite),
+    ])
+    def test_profile_raises(self, v, theta, adjusted, error):
+        got = self.check_profile(np.array(v), theta, adjusted)
+        assert got[0] is error
 
 
 class TestJointStep:

@@ -335,7 +335,7 @@ class TestSearchBudget:
         with pytest.raises(lz.LorenzELError, match="lower endpoint search") as exc_info:
             lz.invert("el", s, 0.5, 0.05)
         assert not isinstance(exc_info.value, lz.BracketFailure)
-        assert "100 passes" in str(exc_info.value)
+        assert "100 steps" in str(exc_info.value)
 
 
 class TestEvaluationBudget:
