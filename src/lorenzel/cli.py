@@ -15,14 +15,12 @@ import sys
 from typing import Optional
 
 from .calibration import _setup, chi2_crit
-from .core import VariantKind
+from .core import VariantKind, _kind
 from .errors import FileError, LorenzELError, SchemaError
 from .income import _fmt, _write_table, curve, load_csv, write_curve_csv
 from .intervals import _intervals
 from .populations import ChiSquare, SeedSpec, SkewNormal, Weibull
 from .simulation import ExperimentConfig, _workers, run_experiment, write_results_csv
-
-_METHOD_NAMES = [k.value for k in VariantKind]
 
 # Points a stepped grid may hold; a finer step is refused before any is built.
 _MAX_GRID_POINTS = 10**6
@@ -101,10 +99,12 @@ def _parse_methods(spec: str) -> tuple:
     out = []
     for part in spec.split(","):
         part = part.strip()
-        if part not in _METHOD_NAMES:
+        try:
+            out.append(_kind(part))
+        except ValueError:
+            names = ", ".join(kind.value for kind in VariantKind)
             raise argparse.ArgumentTypeError(
-                f"unknown method {part!r} (choose from {', '.join(_METHOD_NAMES)} | all | none)")
-        out.append(VariantKind(part))
+                f"unknown method {part!r} (choose from {names} | all | none)") from None
     return tuple(dict.fromkeys(out))
 
 

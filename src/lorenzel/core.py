@@ -30,22 +30,19 @@ __all__ = [
 
 
 class VariantKind(str, Enum):
-    """The four log-likelihood-ratio calibrations."""
+    """The four log-likelihood-ratio calibrations.  A member's ``adjusted``
+    (profiled with the AEL pseudo-point) and ``transformed`` (damped by the
+    TEL transform) are plain attributes, set once."""
 
-    EL = "el"
-    AEL = "ael"
-    TEL = "tel"
-    TAEL = "tael"
+    def __new__(cls, value: str, adjusted: bool, transformed: bool):
+        kind = str.__new__(cls, value)
+        kind._value_, kind.adjusted, kind.transformed = value, adjusted, transformed
+        return kind
 
-    @property
-    def adjusted(self) -> bool:
-        """Whether the ratio is profiled with the AEL pseudo-point."""
-        return self in (VariantKind.AEL, VariantKind.TAEL)
-
-    @property
-    def transformed(self) -> bool:
-        """Whether the ratio is damped by the TEL transform."""
-        return self in (VariantKind.TEL, VariantKind.TAEL)
+    EL = "el", False, False
+    AEL = "ael", True, False
+    TEL = "tel", False, True
+    TAEL = "tael", True, True
 
 
 # VariantKind is a str enum, so a member hashes and compares as its value
@@ -152,12 +149,14 @@ def _check_theta(theta) -> float:
 
 def _real(values, name: str) -> np.ndarray:
     """``np.asarray(values)``; ValueError naming ``name`` for a complex or
-    string dtype, which a float cast would reduce to its real part or parse."""
+    string dtype, or an object array that holds a str or bytes, which a
+    float cast would reduce to its real part or parse."""
     arr = np.asarray(values)
     kind = arr.dtype.kind
     if kind == "c":
         raise ValueError(f"{name} must be real, not complex")
-    if kind in "US":
+    # only an object array pays for the scan of its elements
+    if kind in "US" or kind == "O" and any(isinstance(x, (str, bytes)) for x in arr.flat):
         raise ValueError(f"{name} must be numbers, not strings")
     return arr
 

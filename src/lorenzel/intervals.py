@@ -65,7 +65,8 @@ AEL side's outer edge is still infinite.
 The search stops once the bracket is narrower than 1e-8 relative and
 returns its inner, covered, edge.  Both kinds of step count against one
 budget of steps per side; running out raises LorenzELError rather than
-return an unconverged endpoint.  The search runs on the truncated values
+return an unconverged endpoint, which, like any LorenzELError of a search,
+rules out that one interval.  The search runs on the truncated values
 scaled by a power of two to a largest size in [0.5, 1), so that no sum of
 squares overflows; every tolerance is relative, so the endpoints are
 those of the unscaled search, bit for bit, wherever that one does not
@@ -104,9 +105,8 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .calibration import ScaleFactor, _setup, chi2_crit
-from .core import Sample, VariantKind, _check_t, _profile, adjustment_factor
-from .errors import (BracketFailure, ConvexHullViolation, DegenerateVariance,
-                     LorenzELError, NonFinite)
+from .core import Sample, VariantKind, _check_t, _kind, _profile, adjustment_factor
+from .errors import BracketFailure, ConvexHullViolation, LorenzELError
 from .variants import _tel_inverse
 
 __all__ = ["ConfidenceInterval", "invert"]
@@ -495,7 +495,7 @@ def invert(kind: VariantKind, s: Sample, t: float, alpha: float) -> ConfidenceIn
         When an endpoint search exhausts its budget of steps (the message
         names the side), or a multiplier does not converge.
     """
-    kind = VariantKind(kind)
+    kind = _kind(kind)
     crit = chi2_crit(alpha)
     (ci,) = _intervals((kind,), *_setup(s, _check_t(t)), crit, 1.0 - float(alpha))
     if isinstance(ci, Exception):
@@ -509,16 +509,14 @@ def invert(kind: VariantKind, s: Sample, t: float, alpha: float) -> ConfidenceIn
 _SEEDS = {VariantKind.AEL: VariantKind.EL, VariantKind.TEL: VariantKind.EL,
           VariantKind.TAEL: VariantKind.AEL}
 
-# The failures of one kind's interval that the next kind and set-up survive.
-_FAILURES = (ConvexHullViolation, DegenerateVariance, BracketFailure, NonFinite)
-
 
 def _intervals(kinds: tuple, v: np.ndarray, theta_hat: float, scale: ScaleFactor,
                hull: tuple[float, float], crit: float, level: float,
                ) -> Iterator[ConfidenceInterval | LorenzELError]:
     """The interval of each kind in ``kinds``, in turn, from
     ``calibration._setup``'s result, the critical value and the level; in
-    place of an interval, the ``_FAILURES`` exception that ruled it out.
+    place of an interval, the LorenzELError that ruled it out; the next
+    kind is searched all the same.
 
     Lazy: a kind is searched when its interval is asked for.  Each search
     starts from its ``_SEEDS`` kind's sides when that kind came earlier in
@@ -555,7 +553,7 @@ def _intervals(kinds: tuple, v: np.ndarray, theta_hat: float, scale: ScaleFactor
             sides = [_search_side(v, adjusted, hull, target, theta_hat, bound, start,
                                   start[0] if seed and transformed else None)
                      for bound, start in zip(bounds, starts)]
-        except _FAILURES as exc:
+        except LorenzELError as exc:
             yield exc
             continue
         (lower, lower_passes), (upper, upper_passes) = sides

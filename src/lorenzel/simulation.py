@@ -8,9 +8,10 @@ samples and the calibrations nest replication by replication.  A block
 draws its replications in chunks of at most ``_CHUNK``, so its memory is
 O(_CHUNK * n) with methods, however many replications there are, and
 O(n) for an estimate-only design, which estimates each sample at every t
-and drops it.  A replication whose interval construction fails is counted
-in ``failures`` and left out of the coverage and length denominators,
-which count only the replications that produced an interval.
+and drops it.  A replication whose interval construction fails (any
+LorenzELError of its set-up or search, a search out of steps included) is
+counted in ``failures`` and left out of the coverage and length
+denominators, which count only the replications that produced an interval.
 """
 from __future__ import annotations
 
@@ -23,8 +24,8 @@ from typing import Callable, Iterable, Iterator, Optional
 import numpy as np
 
 from .calibration import _setup_from, chi2_crit
-from .core import VariantKind, _integer, _quantile_index, _truncate, point_estimate
-from .errors import DegenerateVariance, NonFinite
+from .core import VariantKind, _integer, _kind, _quantile_index, _truncate, point_estimate
+from .errors import LorenzELError
 from .income import _fmt, _write_table
 from .intervals import ConfidenceInterval, _intervals
 from .populations import Population, SeedSpec, sample, true_ordinate
@@ -38,7 +39,6 @@ __all__ = [
 
 _DEFAULT_N_GRID = (25, 50, 100, 150, 300, 500)
 _DEFAULT_T_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-_ALL_METHODS = (VariantKind.EL, VariantKind.AEL, VariantKind.TEL, VariantKind.TAEL)
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class ExperimentConfig:
     t_grid: tuple = _DEFAULT_T_GRID
     reps: int = 10_000
     alpha: float = 0.05
-    methods: tuple = _ALL_METHODS
+    methods: tuple = tuple(VariantKind)
     seed: SeedSpec = field(default_factory=SeedSpec)
 
     def __post_init__(self) -> None:
@@ -62,7 +62,7 @@ class ExperimentConfig:
         object.__setattr__(self, "n_grid", n_grid)
         object.__setattr__(self, "reps", _integer(self.reps, "reps"))
         object.__setattr__(self, "t_grid", tuple(float(t) for t in self.t_grid))
-        object.__setattr__(self, "methods", tuple(VariantKind(m) for m in self.methods))
+        object.__setattr__(self, "methods", tuple(_kind(m) for m in self.methods))
         if not self.n_grid or min(self.n_grid) < 2:
             raise ValueError("n_grid must be nonempty with every n >= 2")
         if not self.t_grid or not all(0.0 < t < 1.0 for t in self.t_grid):
@@ -132,7 +132,7 @@ def _block(cfg: ExperimentConfig, n: int, thetas: tuple) -> Iterator[CellResult]
                 x = smp.values
                 try:
                     setup = _setup_from(x, *_truncate(x, float(x[k])))
-                except (DegenerateVariance, NonFinite):
+                except LorenzELError:
                     setup = None
                 est[r] = point_estimate(smp, t) if setup is None else setup[1]
                 searches.append(None if setup is None

@@ -10,7 +10,7 @@ small-sample interval behaviour:
 * TAEL applies the same damping to the adjusted ratio (divisor is the
   original n, not n + 1).
 
-A kind's ``adjusted`` and ``transformed`` properties say which of the two
+A kind's ``adjusted`` and ``transformed`` attributes say which of the two
 modifications it applies.  The EL and AEL ratios both come from the
 profile kernel in ``core``; ``log_ratio`` returns any kind's ratio as a
 float.
@@ -34,9 +34,6 @@ __all__ = ["tel_transform", "log_ratio"]
 # only for _GAMMA <= 1/2, which is what lets an interval be found by
 # inverting the undamped ratio at a remapped critical value.
 _GAMMA = 0.5
-
-# each kind's (adjusted, transformed), without the Enum properties' lookups
-_FLAGS = {kind: (kind.adjusted, kind.transformed) for kind in VariantKind}
 
 
 def tel_transform(l: float, n: int) -> float:
@@ -86,7 +83,7 @@ def _memo_log_ratio(kind: VariantKind, s: Sample, t: float, theta: float) -> flo
     0.0, as V - theta then differs only in the sign of zeros, which no
     finite ratio depends on.
     """
-    adjusted, transformed = _FLAGS[kind]
+    adjusted = kind.adjusted
     val = s._recall(("ratio", t, theta, adjusted),
                     lambda: _profile(_truncation(s, t)[0], theta, adjusted)[0])
-    return tel_transform(val, s.n) if transformed else val
+    return tel_transform(val, s.n) if kind.transformed else val

@@ -80,6 +80,26 @@ class TestCi:
         assert err.startswith("lorenzel ci: BracketFailure: tael log-ratio is bounded")
         assert searched == [False] * 2 + [True] * 4 + [False] * 2
 
+    def test_exhausted_search_is_exit_4(self, income_csv, capsys, monkeypatch):
+        # ci raises the first failure of any kind, a search out of steps included
+        monkeypatch.setattr(intervals, "_MAX_PASSES", 1)
+        code, out, err = run(["ci", "--input", income_csv, "--value-column", "income",
+                              "--t", "0.5", "--methods", "el"], capsys)
+        assert code == 4 and out == "t,estimate,method,lower,upper,length\n"
+        assert err.startswith("lorenzel ci: LorenzELError: lower endpoint search did not "
+                              "converge in 1 steps")
+
+    def test_group_with_one_usable_row_is_exit_3(self, income_csv, tmp_path, capsys):
+        table = tmp_path / "one_nv.csv"
+        table.write_text(open(income_csv).read() + "41250.00,NV\n")
+        out = tmp_path / "out.csv"
+        code, _, err = run(["ci", "--input", str(table), "--value-column", "income",
+                            "--group-column", "state", "--group", "NV",
+                            "--output", str(out)], capsys)
+        assert code == 3
+        assert err == f"lorenzel ci: {table}: need at least 2 usable rows, got 1\n"
+        assert not out.exists()
+
     def test_group_filter(self, income_csv, capsys):
         code, out, _ = run(["ci", "--input", income_csv, "--value-column", "income",
                             "--group-column", "state", "--group", "CA",
@@ -148,6 +168,15 @@ class TestCi:
                       flag, val])
         assert e.value.code == 2
 
+    def test_unparsable_alpha_is_exit_2(self, income_csv, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as e:
+            cli.main(["ci", "--input", income_csv, "--value-column", "income",
+                      "--alpha", "abc", "--output", str(out)])
+        assert e.value.code == 2
+        assert "bad alpha 'abc'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_smoke_and_determinism(self, tmp_path, capsys):
@@ -213,6 +242,16 @@ class TestSimulate:
         with pytest.raises(SystemExit) as e:
             cli.main(["simulate", "--population", "cauchy:0,1"])
         assert e.value.code == 2
+
+    def test_population_outside_its_domain_is_exit_2(self, tmp_path, capsys):
+        # Weibull(-1, 2) raises DomainError, which the parser reports as usage
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as e:
+            cli.main(["simulate", "--population", "weibull:-1,2", "--n", "10", "--t", "0.5",
+                      "--reps", "2", "--quiet", "--output", str(out)])
+        assert e.value.code == 2
+        assert "bad population 'weibull:-1,2'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCurve:

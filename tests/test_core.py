@@ -5,6 +5,7 @@ import copy
 import math
 import pickle
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ import lorenzel as lz
 from conftest import random_positive_data
 from lorenzel import intervals
 from lorenzel.calibration import _setup
-from lorenzel.core import _profile
+from lorenzel.core import _kind, _profile
 from lorenzel.intervals import _bounds, _certify, _joint_step
 from lorenzel.variants import _tel_inverse
 
@@ -84,11 +85,19 @@ class TestSample:
             lz.Sample(values)
 
     @pytest.mark.parametrize("values", [["1.5", "2", "3"], ["1.5", 2.0, 3.0],
-                                        np.array([b"1.5", b"2", b"3"])])
+                                        np.array([b"1.5", b"2", b"3"]),
+                                        np.array(["1.5", "2", "3"], dtype=object),
+                                        np.array([1.5, b"2", 3], dtype=object),
+                                        np.array([1.5, 2.0, np.str_("3")], dtype=object)])
     def test_rejects_strings(self, values):
-        # a float cast would parse them, so a table column of text passes unseen
+        # a float cast would parse them, so a table column of text passes
+        # unseen; in an object array too
         with pytest.raises(ValueError, match="observations must be numbers, not strings"):
             lz.Sample(values)
+
+    def test_object_arrays_of_numbers_are_accepted(self):
+        s = lz.Sample(np.array([Fraction(1, 3), 2, 3.0], dtype=object))
+        assert s.values.tolist() == [1 / 3, 2.0, 3.0]
 
     @pytest.mark.parametrize("dtype", [int, bool, np.float32, float])
     def test_real_arrays_keep_their_bits(self, dtype):
@@ -96,6 +105,30 @@ class TestSample:
         s = lz.Sample(x)
         assert s.values.tobytes() == np.sort(x.astype(float).ravel()).tobytes()
         assert s.values.dtype == np.float64 and not np.shares_memory(s.values, x)
+
+
+class TestVariantKind:
+    FLAGS = {"el": (False, False), "ael": (True, False), "tel": (False, True),
+             "tael": (True, True)}  # (adjusted, transformed)
+
+    def test_flags(self):
+        assert {kind.value: (kind.adjusted, kind.transformed)
+                for kind in lz.VariantKind} == self.FLAGS
+        assert [kind.value for kind in lz.VariantKind] == list(self.FLAGS)
+
+    @pytest.mark.parametrize("kind", list(lz.VariantKind))
+    def test_lookups_copies_and_pickles_keep_identity(self, kind):
+        assert lz.VariantKind(kind.value) is kind and lz.VariantKind(kind) is kind
+        assert _kind(kind.value) is kind and _kind(kind) is kind
+        assert copy.copy(kind) is kind and copy.deepcopy(kind) is kind
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(kind, protocol)) is kind
+        # a str enum: a member equals and hashes as its value
+        assert kind == kind.value and hash(kind) == hash(kind.value)
+
+    def test_unknown_kind_is_the_enums_own_error(self):
+        with pytest.raises(ValueError, match="'bogus' is not a valid VariantKind"):
+            _kind("bogus")
 
 
 class TestSampleQuantile:
@@ -206,11 +239,18 @@ class TestSolveLambda:
         with pytest.raises(ValueError, match="deviation vector must be real"):
             lz.solve_lambda(w)
 
-    @pytest.mark.parametrize("w", [["-1", "2"], np.array([b"-1", b"2"])])
+    @pytest.mark.parametrize("w", [["-1", "2"], np.array([b"-1", b"2"]),
+                                   np.array(["-1", "2"], dtype=object),
+                                   np.array([-1.0, b"2"], dtype=object)])
     def test_rejects_strings(self, w):
-        # a float cast would parse them: lam = 0.25 for ["-1", "2"]
+        # a float cast would parse them: lam = 0.25 for ["-1", "2"], as a
+        # list or as an object array
         with pytest.raises(ValueError, match="deviation vector must be numbers, not strings"):
             lz.solve_lambda(w)
+
+    def test_object_arrays_of_numbers_are_accepted(self):
+        w = np.array([Fraction(-1), 2], dtype=object)
+        assert lz.solve_lambda(w) == lz.solve_lambda([-1.0, 2.0])
 
     @pytest.mark.parametrize("dtype", [int, np.float32, float])
     def test_real_arrays_keep_their_bits(self, dtype):

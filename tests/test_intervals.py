@@ -18,7 +18,7 @@ from conftest import oracle_ci, random_positive_data
 from lorenzel import intervals
 from lorenzel.calibration import _setup
 from lorenzel.core import _profile
-from lorenzel.intervals import _ael_limit, _pass
+from lorenzel.intervals import _ael_limit, _bounds, _joint_step, _newton, _pass
 from lorenzel.variants import _tel_inverse
 
 TOY = lz.Sample([1.0, 2.0, 3.0, 4.0, 5.0])
@@ -314,6 +314,43 @@ class TestBoundedness:
             if gap == 1e-4:  # farther out the plateau is flat to rounding
                 beyond = ci.upper + 2e-8 * abs(ci.upper)
                 assert lz.scaled_statistic("ael", s, t, beyond) > crit
+
+
+class TestKernelRefusals:
+    """The kernels of the search refuse what they cannot use, from passes
+    made by hand: a pass of TOY's truncation at t = 0.4, (1, 2, 0, 0, 0)."""
+
+    V = lz.truncated_values(TOY, 0.4)
+    HULL = (0.0, 2.0)
+
+    def sums(self, **fields):
+        return _pass(self.V, 0.9, -0.1, False, self.HULL)._replace(**fields)
+
+    def test_bounds_decide_at_a_normal_curvature(self):
+        # the pass's own sums, and a tiny but normal sum of r^2
+        for s in (self.sums(), self.sums(sr2=1e-300)):
+            assert math.isfinite(_bounds(s, 0.9)[0])
+
+    @pytest.mark.parametrize("fields", [dict(sr2=1e-320), dict(sr2=0.0),
+                                        dict(sr2=math.inf), dict(a=1.0, pseudo=1e200)],
+                             ids=["subnormal", "zero", "infinite", "pseudo_overflows"])
+    def test_bounds_undecided_at_a_subnormal_or_infinite_curvature(self, fields):
+        # h = sum(r^2) + pr^2, shrunk by the shift: subnormal or zero, and
+        # delta = |g| / sqrt(h) has lost its digits; infinite, and delta reads 0
+        assert _bounds(self.sums(**fields), 0.9) == (-math.inf, math.inf)
+
+    def test_newton_refuses_a_singular_jacobian(self):
+        assert _newton(self.sums(), 3.0, 0.6, 2.0, self.HULL) is not None
+        # at lam = 0 with sum(r) = 0 the determinant is zero; an infinite
+        # sum of r^2 makes it nan
+        for s in (self.sums(lam=0.0, sr=0.0), self.sums(sr2=math.inf)):
+            assert _newton(s, 3.0, 0.6, 2.0, self.HULL) is None
+
+    def test_joint_step_refuses_a_warm_point_outside_the_hull_bracket(self):
+        # lam = -10 makes 1 + lam (2 - 0.9) negative at the top of the hull
+        assert _joint_step(self.V, 0.9, -0.1, False, 3.0, 0.6, 2.0, self.HULL) is not None
+        assert _pass(self.V, 0.9, -10.0, False, self.HULL) is None
+        assert _joint_step(self.V, 0.9, -10.0, False, 3.0, 0.6, 2.0, self.HULL) is None
 
 
 class TestSearchBudget:

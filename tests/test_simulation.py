@@ -1,6 +1,7 @@
 """Monte-Carlo harness: determinism, accounting, CSV output."""
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import csv
 import io
@@ -508,6 +509,62 @@ class TestSeededSearches:
                             assert abs(a - b) <= 1e-8 * max(abs(a), abs(b)) + tol, (n, t, kind)
                         checked += len(forced)
         assert checked > 100
+
+
+class TestSurvivableFailures:
+    """Any LorenzELError of one replication's search rules out that one
+    interval: it is counted in ``failures``, and the study goes on."""
+
+    @pytest.mark.parametrize("budget", [1, 4])
+    def test_an_exhausted_search_is_counted(self, monkeypatch, budget):
+        # with one step per side every search runs out; with four, some do.
+        # The only other failures are whole-line TAEL sets at n = 20
+        monkeypatch.setattr(intervals, "_MAX_PASSES", budget)
+        failed = collections.Counter()  # per (n, method)
+        exhausted = 0
+        original = simulation._intervals
+
+        def recorded(kinds, v, *args):
+            nonlocal exhausted
+            for kind, ci in zip(kinds, original(kinds, v, *args)):
+                if isinstance(ci, lz.LorenzELError):
+                    failed[v.size, kind] += 1
+                    if not isinstance(ci, lz.BracketFailure):
+                        assert f"did not converge in {budget} steps" in str(ci)
+                        exhausted += 1
+                yield ci
+
+        monkeypatch.setattr(simulation, "_intervals", recorded)
+        cfg = small_cfg(n_grid=(20, 50), t_grid=(0.3, 0.7), reps=20,
+                        methods=tuple(lz.VariantKind))
+        res = lz.run_experiment(cfg)
+        assert len(res) == 2 * 2 * 4
+        failures = collections.Counter()
+        for r in res:
+            failures[r.n, r.method] += r.failures
+        assert failures == failed
+        if budget == 1:
+            assert sum(failures.values()) == len(res) * cfg.reps
+            assert all(math.isnan(r.coverage) for r in res)
+        else:
+            assert 0 < exhausted < len(res) * cfg.reps
+
+    def test_a_failed_search_rules_out_one_interval(self, monkeypatch):
+        # the adjusted kinds' searches fail; EL, searched after AEL in each
+        # replication, gives the cell it gives alone
+        (alone,) = lz.run_experiment(small_cfg(reps=30))
+        true_search = intervals._search_side
+
+        def search_side(v, adjusted, *args):
+            if adjusted:
+                raise lz.LorenzELError("multiplier did not converge")
+            return true_search(v, adjusted, *args)
+
+        monkeypatch.setattr(intervals, "_search_side", search_side)
+        ael, el, tael = lz.run_experiment(small_cfg(reps=30, methods=("ael", "el", "tael")))
+        assert ael.failures == tael.failures == 30
+        assert math.isnan(ael.coverage) and math.isnan(tael.mean_length)
+        assert el == alone and el.failures == 0
 
 
 class TestCsv:
