@@ -13,8 +13,10 @@ sample's memo (see ``core.Sample``), where ``scale_factor``,
 ``scaled_statistic`` shares ``log_ratio``'s kept EL and AEL ratios.
 ``run_experiment`` calls ``_setup_from`` on each replication's values,
 with no memo, since each set-up is used once.  Every interval is
-inverted from a set-up by ``intervals._intervals``, which takes the kinds
-asked of it in turn; ``invert`` is its one-kind case.
+inverted from set-ups by ``intervals._chunk_intervals``, which takes the
+kinds asked of it in turn, each on every set-up of a simulation chunk at
+once; ``intervals._intervals``, for ``invert`` and the ``ci`` command, is
+its one-set-up case.
 
 The critical value comes from the standard library's ``NormalDist``, so
 this module, and the ``ci`` and ``curve`` commands, need no SciPy.

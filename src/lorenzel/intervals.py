@@ -70,13 +70,33 @@ rules out that one interval.  The search runs on the truncated values
 scaled by a power of two to a largest size in [0.5, 1), so that no sum of
 squares overflows; every tolerance is relative, so the endpoints are
 those of the unscaled search, bit for bit, wherever that one does not
-overflow.  The values are scaled once per set-up, by ``_intervals``,
-which inverts every kind asked of one truncation on that one copy.
+overflow.  The values are scaled once per set-up, in place, by
+``_chunk_intervals``, which inverts every kind asked of them on that one
+copy.
 
-Seeded starts.  ``_intervals`` inverts the kinds of one truncation in
-turn, lazily, for ``run_experiment`` and the ``ci`` command, and each
-search starts from an earlier kind's side on it (``_SEEDS``): AEL and TEL
-from EL's, TAEL from AEL's.  ``invert`` is its one-kind case.  The first
+Batched passes.  A side's search is a coroutine (``_search_side``): it
+keeps its scalar logic, but hands out each pass it needs, as (theta, lam),
+lam None for a cold start's, and is sent the pass's sums (``_pass``).
+``_chunk_intervals`` inverts one kind on many truncations of one sample
+size at once, the rows of one simulation chunk, stacked: both sides of
+every row are one group, and ``_drive`` answers the open requests of the
+sides in flight with one array pass over their stacked rows
+(``_passes``).  Each row reduces along its own contiguous axis, as a 1-D
+array does, and each sum of squares is numpy's dot, as ``ndarray.dot``
+takes it, so every answer is bit for bit the one ``_pass`` gives on that
+row alone: no pass, step or bit moves.  At n <= 500 a pass costs its
+numpy call overhead, not its data, so a pass shared by 8 or more sides
+costs 1.6-3.5x less than the same passes one at a time; a pass over more
+than ``_PASS_VALUES`` values leaves the cache, and two sides sharing one
+cost more than alone, so sides run alone (``_alone``) when fewer than
+three fit: always the two sides of one set-up, as for ``invert`` and the
+``ci`` command, and any side at n > _PASS_VALUES / 3.
+
+Seeded starts.  ``_chunk_intervals`` inverts the kinds asked in turn,
+lazily, for ``run_experiment`` and the ``ci`` command, and each search
+starts from an earlier kind's side on the same row (``_SEEDS``): AEL and
+TEL from EL's, TAEL from AEL's.  ``_intervals`` is its one-set-up case,
+and ``invert`` that one's one-kind case.  The first
 joint step, step 0, comes from the seed side's closing pass, the joint
 pass whose bounds closed it: the data sums of a pass are the same for EL
 and AEL, and AEL's pseudo-deviation -a_n (theta_hat - theta) and a larger
@@ -98,9 +118,10 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Generator, Iterator, NamedTuple
 
 import numpy as np
 
@@ -166,39 +187,138 @@ class _Pass(NamedTuple):
     sq2: float  # sum(q^2)
 
 
-def _pass(v: np.ndarray, theta: float, lam: float, adjusted: bool,
-          hull: tuple[float, float], w: np.ndarray | None = None) -> _Pass | None:
-    """The sums of one pass over v at (theta, lam), for either kind of search
-    step; None when some d is not positive or a sum of squares could
-    overflow.  ``hull`` is the (min, max) of v; ``w``, when given, is
-    v - theta."""
-    n = v.size
-    if w is None:
-        w = v - theta
-    a = adjustment_factor(n) if adjusted else 0.0
-    # np.add.reduce is ndarray.sum's own reduction, bit for bit, without its wrapper
-    pseudo = -a * (float(np.add.reduce(w)) / n) if adjusted else 0.0
+# Halvings a joint step may take to stay admissible before it counts as stalled.
+_MAX_HALVINGS = 8
+
+
+def _cold_lam(theta: float, hull: tuple[float, float], pseudo: float, sw: float,
+              ww: float) -> float | None:
+    """A cold start's lam at theta: sum(w) / sum(w^2) over the data, sums sw
+    and ww, and the AEL pseudo-deviation (0 for EL), one Newton step on F1
+    from lam = 0, halved until every d stays positive; None when
+    ``_MAX_HALVINGS`` halvings do not make it so."""
+    lam = (sw + pseudo) / (ww + pseudo * pseudo)
+    e0, e1 = hull[0] - theta, hull[1] - theta
+    # d is linear in w: positive at the ends of the hull means everywhere
+    for _ in range(_MAX_HALVINGS):
+        if 1.0 + lam * e0 > 0.0 and 1.0 + lam * e1 > 0.0 and 1.0 + lam * pseudo > 0.0:
+            return lam
+        lam *= 0.5
+    return None
+
+
+def _cold_fits(theta: float, hull: tuple[float, float], n: int) -> bool:
+    """Whether sum(w^2) at theta, over n values with the hull (min, max),
+    can neither overflow nor warn that it did: the largest |w| is at an end
+    of the hull."""
+    e = max(abs(hull[0] - theta), abs(hull[1] - theta))
+    return n * e * e <= 1e300
+
+
+def _dmin(theta: float, lam: float, hull: tuple[float, float], n: int,
+          pseudo: float) -> float | None:
+    """The smallest d = 1 + lam w of a pass at (theta, lam), over n values
+    with the hull (min, max) and the AEL pseudo-deviation (0 for EL), in
+    O(1); None when some d is not positive or a sum of squares of the pass
+    could overflow."""
     e0, e1 = hull[0] - theta, hull[1] - theta
     d0, d1 = 1.0 + lam * e0, 1.0 + lam * e1
     # d is linear in w, so d > 0 at the ends of the hull means everywhere
     if not (d0 > 0.0 and d1 > 0.0 and 1.0 + lam * pseudo > 0.0):
         return None
     # w / d increases with w, so its largest size is at an end of the hull,
-    # and 1 / d is at most 1 / dmin; under these bounds r @ r and q @ q can
-    # neither overflow nor warn that they did
+    # and 1 / d is at most 1 / dmin; under these bounds r.dot(r) and
+    # q.dot(q) can neither overflow nor warn that they did
     dmin = min(d0, d1)
     r_end = max(-e0 / d0, e1 / d1)
     if n * r_end * r_end > 1e300 or n > 1e300 * dmin * dmin:
+        return None
+    return dmin
+
+
+def _pass(v: np.ndarray, theta: float, lam: float | None, adjusted: bool,
+          hull: tuple[float, float]) -> _Pass | None:
+    """The sums of one pass over v at (theta, lam), for either kind of search
+    step, with ``lam=None`` at a cold start's lam (``_cold_lam``); None when
+    the cold start finds no admissible lam or ``_dmin`` refuses the pass.
+    ``hull`` is the (min, max) of v."""
+    n = v.size
+    w = v - theta
+    a = adjustment_factor(n) if adjusted else 0.0
+    # np.add.reduce is ndarray.sum's own reduction, bit for bit, without its wrapper
+    sw = float(np.add.reduce(w)) if adjusted or lam is None else 0.0
+    pseudo = -a * (sw / n) if adjusted else 0.0
+    if lam is None:
+        # ndarray.dot, not @: the same product, bit for bit, at half the call cost
+        lam = (_cold_lam(theta, hull, pseudo, sw, float(w.dot(w)))
+               if _cold_fits(theta, hull, n) else None)
+        if lam is None:
+            return None
+    dmin = _dmin(theta, lam, hull, n, pseudo)
+    if dmin is None:
         return None
     x = lam * w
     # log1p, not log(d): rounding d costs up to an ulp of 1 per term, more
     # than a bound on a small target can spare
     ldata = 2.0 * float(np.add.reduce(np.log1p(x)))
     x += 1.0
-    q = 1.0 / x
-    r = w * q
+    q = np.divide(1.0, x, out=x)
+    r = np.multiply(w, q, out=w)
     return _Pass(theta, lam, n, a, pseudo, dmin, ldata, float(np.add.reduce(r)),
-                 float(r @ r), float(np.add.reduce(q)), float(q @ q))
+                 float(r.dot(r)), float(np.add.reduce(q)), float(q.dot(q)))
+
+
+def _squares(a: np.ndarray) -> list:
+    """Each row's a[i].dot(a[i]), bit for bit, in one call: a stacked
+    row-by-column matmul takes each product with numpy's dot, as
+    ndarray.dot does."""
+    return np.matmul(a[:, None, :], a[:, :, None]).ravel().tolist()
+
+
+def _passes(V: np.ndarray, hulls: list, adjusted: bool, lanes: list) -> list:
+    """``_pass`` at each lane (row, theta, lam), on the row of V and its hull
+    in ``hulls``, as one array pass over the stacked rows: the same sums,
+    bit for bit, as each row reduces along its own contiguous axis as a 1-D
+    array does.  A lane refused is dropped before any sum of squares,
+    logarithm or division, so no RuntimeWarning can fire."""
+    n = V.shape[1]
+    rows, thetas, lams = zip(*lanes)
+    w = V[list(rows)]
+    w -= np.array(thetas)[:, None]
+    a = adjustment_factor(n) if adjusted else 0.0
+    cold = [j for j, lam in enumerate(lams)
+            if lam is None and _cold_fits(thetas[j], hulls[rows[j]], n)]
+    sums = np.add.reduce(w, axis=1).tolist() if adjusted or cold else None
+    squares = dict(zip(cold, _squares(w[cold]))) if cold else {}
+    kept = []  # (lane index, lam, dmin, pseudo) of the lanes admitted
+    for j, (row, theta, lam) in enumerate(lanes):
+        pseudo = -a * (sums[j] / n) if adjusted else 0.0
+        if lam is None:
+            lam = (_cold_lam(theta, hulls[row], pseudo, sums[j], squares[j])
+                   if j in squares else None)
+            if lam is None:
+                continue
+        dmin = _dmin(theta, lam, hulls[row], n, pseudo)
+        if dmin is not None:
+            kept.append((j, lam, dmin, pseudo))
+    out = [None] * len(lanes)
+    if not kept:
+        return out
+    if len(kept) < len(lanes):
+        w = w[[j for j, _, _, _ in kept]]
+    # lam w twice, so that log1p(lam w) needs no array of its own
+    lams = np.array([lam for _, lam, _, _ in kept])[:, None]
+    x = np.multiply(lams, w)
+    ldata = np.add.reduce(np.log1p(x, out=x), axis=1).tolist()
+    np.multiply(lams, w, out=x)
+    x += 1.0
+    q = np.divide(1.0, x, out=x)
+    r = np.multiply(w, q, out=w)
+    sums = zip(ldata, np.add.reduce(r, axis=1).tolist(), _squares(r),
+               np.add.reduce(q, axis=1).tolist(), _squares(q))
+    for (j, lam, dmin, pseudo), (ld, sr, sr2, sq, sq2) in zip(kept, sums):
+        out[j] = _Pass(thetas[j], lam, n, a, pseudo, dmin, 2.0 * ld, sr, sr2, sq, sq2)
+    return out
 
 
 # The smallest normal float: a smaller bound on h has lost its precision.
@@ -250,28 +370,24 @@ def _bounds(s: _Pass, theta: float, upper: bool = True) -> tuple[float, float]:
     return low, high
 
 
-def _certify(v: np.ndarray, theta: float, adjusted: bool, lam: float | None,
-             target: float, hull: tuple[float, float]) -> tuple[float, float]:
-    """Bound the log-ratio at theta on the side of ``target``, in one pass at lam.
+def _certify(v: np.ndarray, s: _Pass | None, theta: float, adjusted: bool,
+             lam: float | None, target: float) -> tuple[float, float]:
+    """Bound the log-ratio at theta on the side of ``target``, from the sums s
+    of one pass at (theta, lam).
 
     A lower bound above the target means not covered, an upper bound at or
     below it covered (``_bounds`` at the pass's own theta).  Returns the
     bound that decides, and the Newton step lam + g / h as the next warm
     start.  Falls back to ``_profile``, and returns what it returns, when
-    lam is None, when ``_pass`` refuses it, or when the bounds straddle the
-    target.
+    there is no pass (lam is None, or the pass was refused) or when the
+    bounds straddle the target.
     """
-    s = None if lam is None else _pass(v, theta, lam, adjusted, hull)
     if s is not None:
         low, high = _bounds(s, theta)
         if low > target or high <= target:
             pr = s.pseudo / (1.0 + lam * s.pseudo)
             return low if low > target else high, lam + (s.sr + pr) / (s.sr2 + pr * pr)
     return _profile(v, theta, adjusted, lam)
-
-
-# Halvings a joint step may take to stay admissible before it counts as stalled.
-_MAX_HALVINGS = 8
 
 
 def _as_kind(s: _Pass, adjusted: bool, mean: float) -> _Pass | None:
@@ -336,48 +452,20 @@ def _newton(s: _Pass, target: float, lo: float, hi: float,
     return None
 
 
-def _joint_step(v: np.ndarray, theta: float, lam: float | None, adjusted: bool,
-                target: float, lo: float, hi: float, hull: tuple[float, float],
-                ) -> tuple[float, float, float, _Pass] | None:
-    """One pass over v at (theta, lam) (``_pass``) and the Newton step on its
-    sums towards an interval endpoint (``_newton``).
-
-    ``lam=None`` starts from lam = sum(w) / sum(w^2), one Newton step on F1
-    from zero, halved until every d stays positive.  Returns the new theta
-    and lam, the length of the full theta step and the pass at the old
-    theta and lam, or None when the cold start finds no admissible lam,
-    ``_pass`` refuses the old point or ``_newton`` takes no step.
-    """
-    w = None
-    if lam is None:
-        n = v.size
-        e0, e1 = hull[0] - theta, hull[1] - theta
-        # the largest |w| is at an end of the hull; under this bound w @ w
-        # can neither overflow nor warn that it did
-        e = max(abs(e0), abs(e1))
-        if n * e * e > 1e300 or not lo < theta < hi:
-            return None
-        w = v - theta
-        sw = float(np.add.reduce(w))
-        pseudo = -adjustment_factor(n) * (sw / n) if adjusted else 0.0
-        lam = (sw + pseudo) / (float(w @ w) + pseudo * pseudo)
-        # d is linear in w: positive at the ends of the hull means everywhere
-        for _ in range(_MAX_HALVINGS):
-            if 1.0 + lam * e0 > 0.0 and 1.0 + lam * e1 > 0.0 and 1.0 + lam * pseudo > 0.0:
-                break
-            lam *= 0.5
-        else:
-            return None
-    s = _pass(v, theta, lam, adjusted, hull, w)
-    if s is None:
-        return None
-    step = _newton(s, target, lo, hi, hull)
+def _joint_step(s: _Pass | None, target: float, lo: float, hi: float,
+                hull: tuple[float, float]) -> tuple[float, float, float, _Pass] | None:
+    """The joint step from the sums s of one pass (``_pass``, at a cold
+    start's lam or a warm one; None when it was refused): the Newton step
+    on them towards an interval endpoint (``_newton``), as the new theta and
+    lam and the length of the full theta step, and s; None when there is no
+    pass or ``_newton`` takes no step."""
+    step = None if s is None else _newton(s, target, lo, hi, hull)
     return None if step is None else (*step, s)
 
 
 def _search_side(v: np.ndarray, adjusted: bool, hull: tuple[float, float], target: float,
                  theta_hat: float, bound: float, seed: tuple, inner: float | None = None,
-                 ) -> tuple[tuple[float, float | None, _Pass | None], int]:
+                 ) -> Generator[tuple, _Pass | None, tuple]:
     """Locate the crossing l(theta) = target between theta_hat and bound.
 
     ``bound``, the hull edge (EL) or an infinity (AEL), lies beyond the
@@ -391,7 +479,10 @@ def _search_side(v: np.ndarray, adjusted: bool, hull: tuple[float, float], targe
     on from their theta and lam (see the module docstring).  Returns the
     side as the next kind's seed, (the inner, covered, edge of the final
     bracket, the last lam, the joint pass whose bounds closed the side or
-    None when certified steps closed it), and the steps it took.
+    None when certified steps closed it), and the steps it took.  A
+    coroutine: each step yields the pass it needs as (theta, lam), lam None
+    for a cold start, and is sent ``_pass``'s answer (see "Batched
+    passes").
     """
     inner, outer = theta_hat if inner is None else inner, bound
     hull_w = hull[1] - hull[0]
@@ -412,7 +503,10 @@ def _search_side(v: np.ndarray, adjusted: bool, hull: tuple[float, float], targe
     step = prev_step = math.inf
     for passes in range(1 if nxt is None else 0, _MAX_PASSES + 1):
         if passes:
-            nxt = _joint_step(v, theta, lam, adjusted, target, lo, hi, hull)
+            # one pass at (theta, lam), or at a cold start's lam, which
+            # needs theta strictly inside the search range
+            s = (yield theta, lam) if lam is not None or lo < theta < hi else None
+            nxt = _joint_step(s, target, lo, hi, hull)
             # a joint step that must be halved too often, or that is longer
             # than half of each of the two before it, has stalled
             if nxt is None or nxt[2] > 0.5 * max(step, prev_step):
@@ -436,8 +530,9 @@ def _search_side(v: np.ndarray, adjusted: bool, hull: tuple[float, float], targe
     # Certified steps, from where the joint steps stopped: the only kind
     # that moves the bracket
     for passes in range(passes + 1, _MAX_PASSES + 1):
+        s = None if lam is None else (yield theta, lam)
         try:
-            val, lam = _certify(v, theta, adjusted, lam, target, hull)
+            val, lam = _certify(v, s, theta, adjusted, lam, target)
         except ConvexHullViolation:  # outside the EL hull
             val = math.inf
         if val > target:
@@ -510,53 +605,170 @@ _SEEDS = {VariantKind.AEL: VariantKind.EL, VariantKind.TEL: VariantKind.EL,
           VariantKind.TAEL: VariantKind.AEL}
 
 
+# Values one array pass covers at most: the sides of a group, of size n,
+# share a pass _PASS_VALUES // n at a time.  A pass shared by 8 sides costs
+# 1.6x less than their passes one at a time at n = 500, and one shared by 32
+# sides 3.5x less at n = 100; past about 16,000 values a pass leaves the
+# cache and costs more.  A pass holds three arrays of this size (the
+# deviations, their products and numpy's buffer for a broadcast column),
+# 96 KB, next to a chunk's own arrays.
+_PASS_VALUES = 4096
+
+
+def _alone(v: np.ndarray, hull: tuple[float, float], adjusted: bool, side: Generator,
+           request: tuple | None = None) -> tuple | LorenzELError:
+    """Run the coroutine ``side`` to its end on its own row v, answering each
+    of its requests with ``_pass``, ``request`` its open request (None when
+    it has not started), and return what it returned or the LorenzELError
+    it raised."""
+    try:
+        if request is None:
+            request = next(side)
+        while True:
+            theta, lam = request
+            request = side.send(_pass(v, theta, lam, adjusted, hull))
+    except StopIteration as stop:
+        return stop.value
+    except LorenzELError as exc:
+        return exc
+
+
+def _drive(V: np.ndarray, hulls: list, adjusted: bool, plans: list) -> list:
+    """Search each side of ``plans``, (row of V, the arguments of
+    ``_search_side`` after v and adjusted), on its row of V, whose hull is in
+    ``hulls``, answering the passes its coroutine asks for; returns, per
+    side, what the coroutine returned or the LorenzELError it raised.
+
+    Up to _PASS_VALUES // n sides are in flight at once, taken in order.
+    Each round answers their open requests in one array pass (``_passes``)
+    and sends each side its answer.  A pass shared by two sides costs more
+    than their two passes, so when fewer than three sides can be in
+    flight, each runs to its end alone, in turn (``_alone``): the two sides
+    of one set-up always do.
+    """
+    width = _PASS_VALUES // V.shape[1]
+    if width < 3 or len(plans) < 3:
+        ends = []
+        for row, args in plans:
+            v = V[row]
+            ends.append(_alone(v, hulls[row], adjusted, _search_side(v, adjusted, *args)))
+        return ends
+    ends = [None] * len(plans)
+    waiting = enumerate(plans)
+    flight = []  # per side in flight: [index, row, coroutine, open request]
+    while True:
+        while len(flight) < width:
+            i, (row, args) = next(waiting, (None, (None, None)))
+            if args is None:
+                break
+            # each side's coroutine is made when it is taken up
+            side = _search_side(V[row], adjusted, *args)
+            try:
+                flight.append([i, row, side, next(side)])
+            except StopIteration as stop:
+                ends[i] = stop.value
+            except LorenzELError as exc:
+                ends[i] = exc
+        if len(flight) < 3:  # the last ones
+            for i, row, side, request in flight:
+                ends[i] = _alone(V[row], hulls[row], adjusted, side, request)
+            return ends
+        replies = _passes(V, hulls, adjusted, [(f[1], *f[3]) for f in flight])
+        still = []
+        for f, reply in zip(flight, replies):
+            try:
+                f[3] = f[2].send(reply)
+            except StopIteration as stop:
+                ends[f[0]] = stop.value
+                continue
+            except LorenzELError as exc:
+                ends[f[0]] = exc
+                continue
+            still.append(f)
+        flight = still
+
+
+def _chunk_intervals(kinds: tuple, V: np.ndarray, setups: list, crit: float, level: float,
+                     ) -> Iterator[list]:
+    """For each kind in ``kinds``, in turn, the interval of each row of V, the
+    truncated values of samples of one size, with its (theta_hat, scale
+    factor, hull) in ``setups`` (``calibration._setup_from``'s other
+    results), given the critical value and the level; in place of an
+    interval, the LorenzELError that ruled it out.  V is taken over: it is
+    scaled in place.
+
+    Lazy: a kind is searched, on every row at once, when its list is asked
+    for.  Its searches are one group: both sides of every row are coroutines
+    that ``_drive`` runs together, so that one array pass answers many of
+    them (see "Batched passes").  Each search starts from its ``_SEEDS``
+    kind's sides on the same row, when that kind came earlier in ``kinds``
+    and produced an interval there.
+    """
+    n = V.shape[1]
+    # each search runs on its row scaled by 2^-k, whose largest size lies in
+    # [0.5, 1); the seeds stay in these units
+    rows = []  # per row: k, and theta_hat, the scale factor and the hull, scaled
+    for v, (theta_hat, scale, hull) in zip(V, setups):
+        k = math.frexp(max(abs(hull[0]), abs(hull[1])))[1]
+        np.ldexp(v, -k, out=v)
+        rows.append((k, math.ldexp(theta_hat, -k), scale,
+                     (math.ldexp(hull[0], -k), math.ldexp(hull[1], -k))))
+    hulls = [row[3] for row in rows]
+    # per row, per kind inverted so far, its sides as seeds: (endpoint, lam, closing pass)
+    seeds = [{} for _ in rows]
+    for kind in kinds:
+        adjusted, transformed, source = kind.adjusted, kind.transformed, _SEEDS.get(kind)
+        cis = [None] * len(rows)
+        # per side to search, the lower then the upper side of each row: its
+        # row and the arguments of _search_side after v and adjusted
+        plans = []
+        for j, (k, theta_hat, scale, hull) in enumerate(rows):
+            # the unscaled log-ratio that r * l (r * T(l) for TEL/TAEL) must not exceed
+            target = crit / scale.ratio
+            if transformed:
+                target = _tel_inverse(target, n)
+            if adjusted:
+                limit = _ael_limit(n)
+                if limit <= target:
+                    cis[j] = BracketFailure(
+                        f"{kind.value} log-ratio is bounded by l_inf = {limit:.6g} <= its "
+                        f"critical value {target:.6g}: the confidence set is the whole line")
+                    continue
+            # Wald half-width, from l(theta) ~ n (theta - theta_hat)^2 / sigma_p^2
+            wald = math.ldexp(math.sqrt(target * scale.sigma_p_sq / n), -k)
+            bounds = (-math.inf, math.inf) if adjusted else hull
+            seed = seeds[j].get(source)
+            # per side, (start, lam, closing pass): the seed's sides, or the Wald points
+            starts = seed or ((theta_hat - wald, None, None), (theta_hat + wald, None, None))
+            for bound, start in zip(bounds, starts):
+                plans.append((j, (hull, target, theta_hat, bound, start,
+                                  start[0] if seed and transformed else None)))
+        ends = _drive(V, hulls, adjusted, plans)
+        for i in range(0, len(ends), 2):
+            j, lower, upper = plans[i][0], ends[i], ends[i + 1]
+            # the lower side's failure first, as if the sides ran in turn
+            if isinstance(lower, LorenzELError):
+                cis[j] = lower
+            elif isinstance(upper, LorenzELError):
+                cis[j] = upper
+            else:
+                seeds[j][kind] = lower[0], upper[0]
+                k = rows[j][0]
+                cis[j] = ConfidenceInterval(lower=math.ldexp(lower[0][0], k),
+                                            upper=math.ldexp(upper[0][0], k), level=level,
+                                            kind=kind, iterations=lower[1] + upper[1])
+        yield cis
+
+
 def _intervals(kinds: tuple, v: np.ndarray, theta_hat: float, scale: ScaleFactor,
                hull: tuple[float, float], crit: float, level: float,
                ) -> Iterator[ConfidenceInterval | LorenzELError]:
     """The interval of each kind in ``kinds``, in turn, from
     ``calibration._setup``'s result, the critical value and the level; in
     place of an interval, the LorenzELError that ruled it out; the next
-    kind is searched all the same.
-
-    Lazy: a kind is searched when its interval is asked for.  Each search
-    starts from its ``_SEEDS`` kind's sides when that kind came earlier in
-    ``kinds`` and produced an interval.  ``invert`` is the one-kind case.
+    kind is searched all the same.  Lazy, as ``_chunk_intervals``, whose
+    one-set-up case it is; ``invert`` is its one-kind case.
     """
-    n = v.size
-    # the search runs on v / 2^k, whose largest size lies in [0.5, 1); the
-    # seeds stay in these units
-    k = math.frexp(max(abs(hull[0]), abs(hull[1])))[1]
-    v, theta_hat = np.ldexp(v, -k), math.ldexp(theta_hat, -k)
-    hull = (math.ldexp(hull[0], -k), math.ldexp(hull[1], -k))
-    # per kind inverted so far, its sides as seeds: (endpoint, lam, closing pass)
-    seeds = {}
-    for kind in kinds:
-        adjusted, transformed = kind.adjusted, kind.transformed
-        # the unscaled log-ratio that r * l (r * T(l) for TEL/TAEL) must not exceed
-        target = crit / scale.ratio
-        if transformed:
-            target = _tel_inverse(target, n)
-        if adjusted:
-            limit = _ael_limit(n)
-            if limit <= target:
-                yield BracketFailure(
-                    f"{kind.value} log-ratio is bounded by l_inf = {limit:.6g} <= its "
-                    f"critical value {target:.6g}: the confidence set is the whole line")
-                continue
-        # Wald half-width, from l(theta) ~ n (theta - theta_hat)^2 / sigma_p^2
-        wald = math.ldexp(math.sqrt(target * scale.sigma_p_sq / n), -k)
-        bounds = (-math.inf, math.inf) if adjusted else hull
-        seed = seeds.get(_SEEDS.get(kind))
-        # per side, (start, lam, closing pass): the seed's sides, or the Wald points
-        starts = seed or ((theta_hat - wald, None, None), (theta_hat + wald, None, None))
-        try:
-            sides = [_search_side(v, adjusted, hull, target, theta_hat, bound, start,
-                                  start[0] if seed and transformed else None)
-                     for bound, start in zip(bounds, starts)]
-        except LorenzELError as exc:
-            yield exc
-            continue
-        (lower, lower_passes), (upper, upper_passes) = sides
-        seeds[kind] = (lower, upper)
-        yield ConfidenceInterval(lower=math.ldexp(lower[0], k), upper=math.ldexp(upper[0], k),
-                                 level=level, kind=kind, iterations=lower_passes + upper_passes)
+    # a copy of v, which is kept in the sample's memo, as the one row to scale
+    return map(operator.itemgetter(0), _chunk_intervals(kinds, np.array(v, ndmin=2),
+                                                        [(theta_hat, scale, hull)], crit, level))

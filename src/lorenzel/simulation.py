@@ -8,10 +8,14 @@ samples and the calibrations nest replication by replication.  A block
 draws its replications in chunks of at most ``_CHUNK``, so its memory is
 O(_CHUNK * n) with methods, however many replications there are, and
 O(n) for an estimate-only design, which estimates each sample at every t
-and drops it.  A replication whose interval construction fails (any
-LorenzELError of its set-up or search, a search out of steps included) is
-counted in ``failures`` and left out of the coverage and length
-denominators, which count only the replications that produced an interval.
+and drops it.  The rows of a chunk share n, so at each t their truncated
+values are stacked in one array, and each method inverts them all as one
+group (``intervals._chunk_intervals``), one array pass answering the
+passes of many of their searches.  A replication whose interval
+construction fails (any LorenzELError of its set-up or search, a search
+out of steps included) is counted in ``failures`` and left out of the
+coverage and length denominators, which count only the replications that
+produced an interval.
 """
 from __future__ import annotations
 
@@ -27,7 +31,7 @@ from .calibration import _setup_from, chi2_crit
 from .core import VariantKind, _integer, _kind, _quantile_index, _truncate, point_estimate
 from .errors import LorenzELError
 from .income import _fmt, _write_table
-from .intervals import ConfidenceInterval, _intervals
+from .intervals import ConfidenceInterval, _chunk_intervals
 from .populations import Population, SeedSpec, sample, true_ordinate
 
 __all__ = [
@@ -100,9 +104,9 @@ def _block(cfg: ExperimentConfig, n: int, thetas: tuple) -> Iterator[CellResult]
 
     Each replication is drawn once, and set up once per t for its point
     estimate and every method, in chunks of at most ``_CHUNK`` replications.
-    The methods of one replication at one t are one ``intervals._intervals``
-    generator, drawn method by method.  A cell is yielded as soon as its
-    last chunk is done.
+    The methods at one t of a chunk are one ``intervals._chunk_intervals``
+    generator, drawn method by method, each method one group of every
+    row's searches.  A cell is yielded as soon as its last chunk is done.
     """
     reps, ts = cfg.reps, cfg.t_grid
     estimates = [np.empty(reps) for _ in ts]
@@ -124,24 +128,28 @@ def _block(cfg: ExperimentConfig, n: int, thetas: tuple) -> Iterator[CellResult]
                 for r in range(first, min(first + _CHUNK, reps))]
         last = first + len(rows) == reps
         for t, theta_true, est, tally in zip(ts, thetas, estimates, tallies):
-            # per replication, the generator of its methods' intervals, or
-            # None when the scale factor is undefined
-            searches = []
+            # the rows whose scale factor is defined, in replication order:
+            # their truncated values stacked in V, and their other set-up
+            # results; the other rows fail every method
+            V, setups = np.empty((len(rows), n)), []
             k = _quantile_index(n, t)
             for r, smp in enumerate(rows, first):
                 x = smp.values
                 try:
-                    setup = _setup_from(x, *_truncate(x, float(x[k])))
+                    V[len(setups)], *setup = _setup_from(x, *_truncate(x, float(x[k])))
                 except LorenzELError:
-                    setup = None
-                est[r] = point_estimate(smp, t) if setup is None else setup[1]
-                searches.append(None if setup is None
-                                 else _intervals(cfg.methods, *setup, crit, level))
+                    est[r] = point_estimate(smp, t)
+                    continue
+                est[r] = setup[0]
+                setups.append(setup)
+            failed = len(rows) - len(setups)
             if last:
                 bias, mse = _errors(est, theta_true)
-            for method, counts in zip(cfg.methods, tally):
-                for cis in searches:
-                    ci = None if cis is None else next(cis)
+            for method, counts, cis in zip(cfg.methods, tally,
+                                           _chunk_intervals(cfg.methods, V[:len(setups)],
+                                                            setups, crit, level)):
+                counts[1] += failed
+                for ci in cis:
                     if not isinstance(ci, ConfidenceInterval):
                         counts[1] += 1
                         continue
@@ -155,7 +163,7 @@ def _block(cfg: ExperimentConfig, n: int, thetas: tuple) -> Iterator[CellResult]
                                      coverage=covered / produced if produced else math.nan,
                                      mean_length=length_sum / produced if produced else math.nan,
                                      failures=failures)
-        del rows, searches  # so that the next chunk is drawn with this one freed
+        del rows, V  # so that the next chunk is drawn with this one freed
 
 
 def _errors(estimates: np.ndarray, theta_true: float) -> tuple[float, float]:

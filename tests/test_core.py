@@ -17,7 +17,7 @@ from conftest import random_positive_data
 from lorenzel import intervals
 from lorenzel.calibration import _setup
 from lorenzel.core import _kind, _profile
-from lorenzel.intervals import _bounds, _certify, _joint_step
+from lorenzel.intervals import _alone, _bounds, _certify, _joint_step, _pass
 from lorenzel.variants import _tel_inverse
 
 TOY = lz.Sample([1.0, 2.0, 3.0, 4.0, 5.0])
@@ -568,8 +568,8 @@ class TestJointStep:
                     steps = []
                     for _ in range(4):
                         before = theta, lam
-                        theta, lam, step, sums = _joint_step(v, theta, lam, adjusted,
-                                                             target, lo, hi, hull)
+                        theta, lam, step, sums = _joint_step(
+                            _pass(v, theta, lam, adjusted, hull), target, lo, hi, hull)
                         assert (sums.theta, sums.lam) == before
                         steps.append(step)
                     assert steps[-1] <= 1e-12 * abs(end), (n, t, adjusted, steps)
@@ -580,10 +580,11 @@ class TestJointStep:
         # stay inside (lo, hi) comes back as None
         v = lz.truncated_values(TOY, 0.4)  # (1, 2, 0, 0, 0), theta_hat 0.6
         hull = (0.0, 2.0)
-        theta, lam, step, sums = _joint_step(v, 0.9, None, False, 3.0, 0.6, 2.0, hull)
+        theta, lam, step, sums = _joint_step(_pass(v, 0.9, None, False, hull), 3.0, 0.6, 2.0,
+                                             hull)
         assert 0.6 < theta < 2.0 and lam < 0.0 and step > 0.0
         assert sums.theta == 0.9 and sums.lam < 0.0
-        assert _joint_step(v, 0.9, None, False, 3.0, 0.9 - 1e-9, 0.9 + 1e-9,
+        assert _joint_step(_pass(v, 0.9, None, False, hull), 3.0, 0.9 - 1e-9, 0.9 + 1e-9,
                            hull) is None
 
 
@@ -627,13 +628,14 @@ class TestCertify:
                                 lo, hi = sorted((theta_hat, edge))
                                 theta, lam = end - 0.05 * (end - theta_hat), None
                                 for _ in range(5):
-                                    step = _joint_step(v, theta, lam, kind.adjusted, target,
-                                                       lo, hi, hull)
+                                    step = _joint_step(_pass(v, theta, lam, kind.adjusted, hull),
+                                                       target, lo, hi, hull)
                                     if step is None:
                                         break
                                     theta, lam, _, sums = step
                                     for th in (theta, theta * (1 - 5e-9), theta * (1 + 5e-9)):
-                                        val, _ = _certify(v, th, kind.adjusted, lam, target, hull)
+                                        sums = _pass(v, th, lam, kind.adjusted, hull)
+                                        val, _ = _certify(v, sums, th, kind.adjusted, lam, target)
                                         exact, _ = _profile(v, th, kind.adjusted)
                                         if val > target:  # a lower bound
                                             assert val <= exact * (1 + 1e-12), (n, t, kind)
@@ -669,9 +671,9 @@ class TestCertify:
         true_certify = intervals._certify
         true_profile = intervals._profile
 
-        def spy_certify(v, theta, adjusted, lam, target, hull):
+        def spy_certify(v, sums, theta, adjusted, lam, target):
             calls.append([theta, lam, False])
-            return true_certify(v, theta, adjusted, lam, target, hull)
+            return true_certify(v, sums, theta, adjusted, lam, target)
 
         def spy_profile(*args):
             calls[-1][2] = True
@@ -682,8 +684,9 @@ class TestCertify:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for out in (-1.0, 1.0):
-                intervals._search_side(v, True, hull, target, theta_hat, out * math.inf,
-                                       (theta_hat + out * wald, None, None))
+                side = intervals._search_side(v, True, hull, target, theta_hat, out * math.inf,
+                                              (theta_hat + out * wald, None, None))
+                assert not isinstance(_alone(v, hull, True, side), Exception)
         overflowed = 0
         for theta, lam, fell_back in calls:
             if lam is None:
@@ -705,17 +708,17 @@ class TestCertify:
         # side closes in its joint passes, certified by a pass's O(1) bounds,
         # and _profile runs in at most 1% of the passes
         counts = {"sides": 0, "closed": 0, "passes": 0, "profile": 0}
-        certified = [0]
         true_search = intervals._search_side
         true_joint = intervals._joint_step
         true_certify = intervals._certify
         true_profile = intervals._profile
 
         def counted_search(*args):
-            certified[0] = 0
-            out = true_search(*args)
+            # the sides of a group run interleaved; a side that certified
+            # steps closed keeps no closing pass
+            out = yield from true_search(*args)
             counts["sides"] += 1
-            counts["closed"] += certified[0] == 0
+            counts["closed"] += out[0][2] is not None
             return out
 
         def counted_joint(*args):
@@ -724,7 +727,6 @@ class TestCertify:
 
         def counted_certify(*args):
             counts["passes"] += 1
-            certified[0] += 1
             return true_certify(*args)
 
         def counted_profile(*args):

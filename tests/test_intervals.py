@@ -1,6 +1,7 @@
 """Confidence-interval inversion against an independent oracle."""
 from __future__ import annotations
 
+import collections
 import json
 import math
 import os
@@ -16,8 +17,8 @@ import lorenzel as lz
 import lorenzel.simulation as simulation
 from conftest import oracle_ci, random_positive_data
 from lorenzel import intervals
-from lorenzel.calibration import _setup
-from lorenzel.core import _profile
+from lorenzel.calibration import _setup, _setup_from
+from lorenzel.core import _profile, _quantile_index, _truncate
 from lorenzel.intervals import _ael_limit, _bounds, _joint_step, _newton, _pass
 from lorenzel.variants import _tel_inverse
 
@@ -348,9 +349,11 @@ class TestKernelRefusals:
 
     def test_joint_step_refuses_a_warm_point_outside_the_hull_bracket(self):
         # lam = -10 makes 1 + lam (2 - 0.9) negative at the top of the hull
-        assert _joint_step(self.V, 0.9, -0.1, False, 3.0, 0.6, 2.0, self.HULL) is not None
+        assert _joint_step(_pass(self.V, 0.9, -0.1, False, self.HULL), 3.0, 0.6, 2.0,
+                           self.HULL) is not None
         assert _pass(self.V, 0.9, -10.0, False, self.HULL) is None
-        assert _joint_step(self.V, 0.9, -10.0, False, 3.0, 0.6, 2.0, self.HULL) is None
+        assert _joint_step(_pass(self.V, 0.9, -10.0, False, self.HULL), 3.0, 0.6, 2.0,
+                           self.HULL) is None
 
 
 class TestSearchBudget:
@@ -360,12 +363,13 @@ class TestSearchBudget:
         # within the budget; the search must give up loudly, not return
         lengths = iter(1e30 * 0.7 ** k for k in range(10**6))
 
-        def creeps(v, theta, lam, adjusted, target, lo, hi, hull):
-            # the pass is 100 hull widths below the data, too far from theta
-            # for its bounds to decide, so no joint pass closes the side
+        def creeps(sums, target, lo, hi, hull):
+            # the pass it returns is 100 hull widths below the data, with a
+            # lam too large for its bounds to decide at theta, so no joint
+            # pass closes the side
             width = hull[1] - hull[0]
-            far = _pass(v, hull[0] - 100.0 * width, 1.0 / width, adjusted, hull)
-            return theta, 1.0 if lam is None else lam, next(lengths), far
+            far = sums._replace(theta=hull[0] - 100.0 * width, lam=1.0 / width)
+            return sums.theta, sums.lam, next(lengths), far
 
         monkeypatch.setattr(intervals, "_joint_step", creeps)
         s = lz.Sample(random_positive_data(rng, 40))
@@ -418,8 +422,9 @@ class TestEvaluationBudget:
             return true_certify(*args)
 
         def counted_search(*args):
+            # the two sides of one set-up run in turn, each from its first step
             certified.append(0)
-            return true_search(*args)
+            return (yield from true_search(*args))
 
         monkeypatch.setattr(intervals, "_certify", counted_certify)
         monkeypatch.setattr(intervals, "_search_side", counted_search)
@@ -520,20 +525,20 @@ def pinned_search(monkeypatch) -> dict:
     kinds at t {0.1, 0.5, 0.9} on one 3,000-value sample, inverted as the
     ``ci`` command does, from one set-up per t and each other's seeds."""
     experiment = []
-    original = simulation._intervals
+    original = simulation._chunk_intervals
 
     def recorded(kinds, *args):
-        for kind, ci in zip(kinds, original(kinds, *args)):
-            experiment.append([kind.value, type(ci).__name__] if isinstance(ci, Exception)
-                              else [kind.value, ci.lower, ci.upper, ci.iterations])
-            yield ci
+        for kind, cis in zip(kinds, original(kinds, *args)):
+            experiment.extend([kind.value, type(ci).__name__] if isinstance(ci, Exception)
+                              else [kind.value, ci.lower, ci.upper, ci.iterations] for ci in cis)
+            yield cis
 
-    monkeypatch.setattr(simulation, "_intervals", recorded)
+    monkeypatch.setattr(simulation, "_chunk_intervals", recorded)
     for p, pop in enumerate([lz.Weibull(1.0, 2.0), lz.ChiSquare(3.0), lz.SkewNormal(1.0, 3.0, 5.0)]):
         lz.run_experiment(lz.ExperimentConfig(population=pop, n_grid=(10, 50, 300),
                                               t_grid=(0.1, 0.5, 0.9), reps=2,
                                               seed=lz.SeedSpec(83, p)))
-    monkeypatch.setattr(simulation, "_intervals", original)
+    monkeypatch.setattr(simulation, "_chunk_intervals", original)
     s = lz.Sample(np.random.default_rng(29).lognormal(10.0, 0.5, 3000))
     crit = lz.chi2_crit(0.05)
     table = []
@@ -624,3 +629,124 @@ class TestPinnedStatistic:
             assert value <= got[name, n, rep, t, inner], (name, n, rep, t, kind)
             compared += 1
         assert compared == 200
+
+
+def side_outcome(end) -> tuple:
+    """A side as ``_drive`` ends it, by float hex: its endpoint, lam and
+    closing pass, and its steps; or its failure's class and message."""
+    if isinstance(end, Exception):
+        return type(end).__name__, str(end)
+    (endpoint, lam, sums), steps = end
+    return (endpoint.hex(), None if lam is None else lam.hex(),
+            None if sums is None else [float(f).hex() for f in sums], steps)
+
+
+class TestBatchedPasses:
+    """The sides of a group, driven together in one array pass per round,
+    take every pass and bit that each takes alone: the same endpoints, lam,
+    steps, closing-pass sums and failures, by float hex and by message."""
+
+    T = (0.1, 0.5, 0.9)
+
+    @staticmethod
+    def drive(monkeypatch, samples, t, pass_values):
+        """Each ``_drive`` call's ends, by ``side_outcome``, and each kind's
+        intervals, when every sample of one size is searched as one group of
+        ``_chunk_intervals`` with ``_PASS_VALUES`` set to ``pass_values``."""
+        monkeypatch.setattr(intervals, "_PASS_VALUES", pass_values)
+        true_drive = intervals._drive
+        ends = []
+
+        def recorded(*args):
+            out = true_drive(*args)
+            ends.append([side_outcome(end) for end in out])
+            return out
+
+        monkeypatch.setattr(intervals, "_drive", recorded)
+        # stacked as run_experiment stacks a chunk
+        V, setups = np.empty((len(samples), samples[0].size)), []
+        for x in samples:
+            k = _quantile_index(x.size, t)
+            try:
+                V[len(setups)], *setup = _setup_from(x, *_truncate(x, float(x[k])))
+            except lz.DegenerateVariance:
+                continue
+            setups.append(setup)
+        cis = [[(ci.lower.hex(), ci.upper.hex(), ci.iterations)
+                if isinstance(ci, lz.ConfidenceInterval) else (type(ci).__name__, str(ci))
+                for ci in cis]
+               for cis in intervals._chunk_intervals(tuple(lz.VariantKind), V[:len(setups)],
+                                                     setups, lz.chi2_crit(0.05), 0.95)]
+        monkeypatch.setattr(intervals, "_drive", true_drive)
+        return ends, cis
+
+    def compare(self, monkeypatch, samples, t):
+        """The group driven one side at a time, a few sides at a time (more
+        sides than lanes) and all at once; returns the sides alone."""
+        n = samples[0].size
+        alone = self.drive(monkeypatch, samples, t, 1)
+        for pass_values in (4 * n, 10**9):
+            assert self.drive(monkeypatch, samples, t, pass_values) == alone, (n, t, pass_values)
+        return alone
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 10, 25, 50, 100, 300, 1000, 3000])
+    def test_same_sides_as_one_at_a_time(self, monkeypatch, n):
+        # values on a grid of quarters: ties at the quantile, and whole
+        # samples that tie there, which have no interval
+        rng = np.random.default_rng(n)
+        samples = [np.sort(np.round(4.0 * random_positive_data(rng, n)) / 4.0)
+                   for _ in range(10)]
+        searched = 0
+        for t in self.T:
+            ends, _ = self.compare(monkeypatch, samples, t)
+            searched += sum(map(len, ends))
+        assert searched > 0
+
+    def test_whole_line_sets_and_exhausted_sides(self, monkeypatch):
+        # with 4 steps a side, some sides run out next to one that closes;
+        # whole-line AEL sets are decided before any side is searched
+        monkeypatch.setattr(intervals, "_MAX_PASSES", 4)
+        seen = collections.Counter()
+        for n in (5, 10, 25):
+            rng = np.random.default_rng(n + 7)
+            samples = [np.sort(random_positive_data(rng, n)) for _ in range(12)]
+            for t in self.T:
+                ends, cis = self.compare(monkeypatch, samples, t)
+                for kind_ends, kind_cis in zip(ends, (c for c in cis if c)):
+                    failed = [ci for ci in kind_cis if ci[0] == "LorenzELError"]
+                    pairs = list(zip(kind_ends[::2], kind_ends[1::2]))
+                    # a failed side is its (class, message), an interval
+                    # fails for lack of steps exactly when a side does
+                    assert len(failed) == sum(len(a) == 2 or len(b) == 2 for a, b in pairs)
+                    for lower, upper in pairs:
+                        outs = [len(side) == 2 for side in (lower, upper)]
+                        seen[tuple(outs)] += 1
+                        if all(outs):  # both failed: the lower side's failure is reported
+                            assert ("LorenzELError", lower[1]) in failed
+                            assert lower[1].startswith("lower endpoint search")
+                seen["whole line"] += sum(ci[0] == "BracketFailure" for c in cis for ci in c)
+        assert seen[True, False] and seen[False, True] and seen[True, True]
+        assert seen[False, False] and seen["whole line"]
+
+    @pytest.mark.parametrize("adjusted", [False, True])
+    def test_refused_lanes_are_dropped_before_the_array_pass(self, rng, adjusted):
+        # lanes at a lam that makes some d non-positive, or whose sums of
+        # squares could overflow, or (AEL) that the pseudo-deviation refuses,
+        # and cold starts (lam None), between admitted ones; none may warn
+        for n in (2, 7, 64, 500):
+            V = np.sort(rng.uniform(0.5, 1.0, (6, n)), axis=1)
+            V[:, : n // 2] = 0.0
+            hulls = [(float(v[0]), float(v[-1])) for v in V]
+            lanes = []
+            for row, (lo, hi) in enumerate(hulls):
+                theta = 0.5 * (lo + hi)
+                for lam in (-0.5, 0.5, -1.0 / (hi - theta), 1e300, 3.0, -3.0, None):
+                    lanes.append((row, theta, lam))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = intervals._passes(V, hulls, adjusted, lanes)
+                want = [_pass(V[row], theta, lam, adjusted, hulls[row])
+                        for row, theta, lam in lanes]
+            assert [None if s is None else [float(f).hex() for f in s] for s in got] == \
+                   [None if s is None else [float(f).hex() for f in s] for s in want]
+            assert 0 < sum(s is None for s in want) < len(want)

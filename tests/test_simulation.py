@@ -210,15 +210,15 @@ class TestRunExperiment:
     def test_progress_sees_a_cell_before_the_next_method_runs(self, monkeypatch):
         # a block yields its cells lazily, so progress fires per cell
         events = []
-        original = simulation._intervals
+        original = simulation._chunk_intervals
 
-        def logged(kinds, *args):
-            cis = original(kinds, *args)
-            for kind in kinds:  # logged before the search runs
-                events.append(kind.value)
+        def logged(kinds, V, *args):
+            cis = original(kinds, V, *args)
+            for kind in kinds:  # logged, once per replication (row of V), before the search runs
+                events.extend([kind.value] * len(V))
                 yield next(cis)
 
-        monkeypatch.setattr(simulation, "_intervals", logged)
+        monkeypatch.setattr(simulation, "_chunk_intervals", logged)
         cfg = small_cfg(methods=("el", "ael"), reps=2)
         lz.run_experiment(cfg, progress=lambda d, t, r: events.append(f"cell {d}"))
         assert events == ["el", "el", "cell 1", "ael", "ael", "cell 2"]
@@ -304,14 +304,14 @@ def recorded_intervals(monkeypatch):
     """Patch the simulation to record, in call order, each interval it
     inverts or the class of the failure it raised instead."""
     seen = []
-    original = simulation._intervals
+    original = simulation._chunk_intervals
 
     def recorded(*args):
-        for ci in original(*args):
-            seen.append(type(ci) if isinstance(ci, Exception) else ci)
-            yield ci
+        for cis in original(*args):
+            seen.extend(type(ci) if isinstance(ci, Exception) else ci for ci in cis)
+            yield cis
 
-    monkeypatch.setattr(simulation, "_intervals", recorded)
+    monkeypatch.setattr(simulation, "_chunk_intervals", recorded)
     return seen
 
 
@@ -454,7 +454,7 @@ class TestSeededSearches:
         converted, refused, joint = [], [], []
         true_as_kind = intervals._as_kind
         true_newton = intervals._newton
-        true_joint = intervals._joint_step
+        true_pass = intervals._pass
 
         def as_kind(*args):
             converted.append(true_as_kind(*args))
@@ -466,13 +466,15 @@ class TestSeededSearches:
                 return None
             return true_newton(sums, *args)
 
-        def logged_joint(v, theta, lam, *args):
+        def logged_pass(v, theta, lam, *args):
+            # every pass, in turn: the two sides of one set-up run one after
+            # the other, so a forced side's next pass is its first joint step
             joint.append((theta, lam))
-            return true_joint(v, theta, lam, *args)
+            return true_pass(v, theta, lam, *args)
 
         monkeypatch.setattr(intervals, "_as_kind", as_kind)
         monkeypatch.setattr(intervals, "_newton", refusing_newton)
-        monkeypatch.setattr(intervals, "_joint_step", logged_joint)
+        monkeypatch.setattr(intervals, "_pass", logged_pass)
         crit = lz.chi2_crit(0.05)
         checked = 0
         for p, pop in enumerate(self.POPS):
@@ -522,19 +524,20 @@ class TestSurvivableFailures:
         monkeypatch.setattr(intervals, "_MAX_PASSES", budget)
         failed = collections.Counter()  # per (n, method)
         exhausted = 0
-        original = simulation._intervals
+        original = simulation._chunk_intervals
 
-        def recorded(kinds, v, *args):
+        def recorded(kinds, V, *args):
             nonlocal exhausted
-            for kind, ci in zip(kinds, original(kinds, v, *args)):
-                if isinstance(ci, lz.LorenzELError):
-                    failed[v.size, kind] += 1
-                    if not isinstance(ci, lz.BracketFailure):
-                        assert f"did not converge in {budget} steps" in str(ci)
-                        exhausted += 1
-                yield ci
+            for kind, cis in zip(kinds, original(kinds, V, *args)):
+                for ci in cis:
+                    if isinstance(ci, lz.LorenzELError):
+                        failed[V.shape[1], kind] += 1
+                        if not isinstance(ci, lz.BracketFailure):
+                            assert f"did not converge in {budget} steps" in str(ci)
+                            exhausted += 1
+                yield cis
 
-        monkeypatch.setattr(simulation, "_intervals", recorded)
+        monkeypatch.setattr(simulation, "_chunk_intervals", recorded)
         cfg = small_cfg(n_grid=(20, 50), t_grid=(0.3, 0.7), reps=20,
                         methods=tuple(lz.VariantKind))
         res = lz.run_experiment(cfg)
@@ -556,9 +559,10 @@ class TestSurvivableFailures:
         true_search = intervals._search_side
 
         def search_side(v, adjusted, *args):
+            # a side coroutine that fails at its first step
             if adjusted:
                 raise lz.LorenzELError("multiplier did not converge")
-            return true_search(v, adjusted, *args)
+            return (yield from true_search(v, adjusted, *args))
 
         monkeypatch.setattr(intervals, "_search_side", search_side)
         ael, el, tael = lz.run_experiment(small_cfg(reps=30, methods=("ael", "el", "tael")))
