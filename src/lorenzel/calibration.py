@@ -30,7 +30,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .core import Sample, VariantKind, _check_t, _check_theta, _kind, _truncation
+from .core import Sample, VariantKind, _check_t, _kind, _number, _truncation
 from .errors import DegenerateVariance, DomainError, NonFinite
 from .variants import _memo_log_ratio
 
@@ -59,7 +59,7 @@ def chi2_crit(alpha: float) -> float:
     relative precision for any alpha; 1 - alpha/2 would round to 1.0 near
     alpha = 1e-16.  Infinite when alpha/2 underflows to zero.
     """
-    alpha = float(alpha)
+    alpha = _number(alpha, "alpha")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     half = 0.5 * alpha
@@ -125,5 +125,5 @@ def scaled_statistic(kind: VariantKind, s: Sample, t: float, theta: float) -> fl
     """
     kind = _kind(kind)
     t = _check_t(t)
-    theta = _check_theta(theta)
+    theta = _number(theta, "theta", NonFinite)
     return _setup(s, t)[2].ratio * _memo_log_ratio(kind, s, t, theta)

@@ -128,23 +128,24 @@ class Sample:
         return f"Sample(n={self.n}, min={self._values[0]:g}, max={self._values[-1]:g})"
 
 
+def _number(x, name: str, too_large: type = DomainError) -> float:
+    """x, the argument ``name``, as a float: any real number (``numbers.Real``).
+    TypeError naming it for anything else (a str, bytes, Decimal or complex,
+    say); ``too_large`` when it is too large for a float."""
+    # float first: the common case skips the abstract base class's check
+    if not isinstance(x, (float, numbers.Real)):
+        raise TypeError(f"{name} must be a real number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise too_large(f"{name} is too large for a float") from None
+
+
 def _check_t(t: float) -> float:
-    t = float(t)
+    t = _number(t, "t")
     if not 0.0 < t < 1.0:
         raise DomainError(f"t must lie in (0, 1), got {t}")
     return t
-
-
-def _check_theta(theta) -> float:
-    """theta as a float.  TypeError naming theta when it is not a real number
-    (a str or a Decimal, say); NonFinite when it is too large for a float."""
-    # float first: the common case skips the abstract base class's check
-    if not isinstance(theta, (float, numbers.Real)):
-        raise TypeError(f"theta must be a real number, got {theta!r}")
-    try:
-        return float(theta)
-    except OverflowError:
-        raise NonFinite("theta is too large for a float") from None
 
 
 def _real(values, name: str) -> np.ndarray:

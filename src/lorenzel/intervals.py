@@ -86,11 +86,13 @@ array does, and each sum of squares is numpy's dot, as ``ndarray.dot``
 takes it, so every answer is bit for bit the one ``_pass`` gives on that
 row alone: no pass, step or bit moves.  At n <= 500 a pass costs its
 numpy call overhead, not its data, so a pass shared by 8 or more sides
-costs 1.6-3.5x less than the same passes one at a time; a pass over more
-than ``_PASS_VALUES`` values leaves the cache, and two sides sharing one
-cost more than alone, so sides run alone (``_alone``) when fewer than
-three fit: always the two sides of one set-up, as for ``invert`` and the
-``ci`` command, and any side at n > _PASS_VALUES / 3.
+costs 1.6-3.5x less than the same passes one at a time.  A pass over more
+than ``_PASS_VALUES`` values leaves the cache, so up to _PASS_VALUES // n
+sides, and at least one, are in flight.  A pass shared by two sides costs
+more than their two passes, so a round with fewer than three open requests
+answers each with ``_pass``: the two sides of one set-up, as for
+``invert`` and the ``ci`` command, take turns, a pass each, up to
+n = _PASS_VALUES / 2, and beyond it run one after the other.
 
 Seeded starts.  ``_chunk_intervals`` inverts the kinds asked in turn,
 lazily, for ``run_experiment`` and the ``ci`` command, and each search
@@ -578,8 +580,10 @@ def invert(kind: VariantKind, s: Sample, t: float, alpha: float) -> ConfidenceIn
 
     Raises
     ------
+    TypeError
+        When t or alpha is not a real number.
     DomainError
-        When alpha lies outside (0, 1).
+        When t or alpha lies outside (0, 1).
     BracketFailure
         When an AEL (TAEL) statistic is bounded at or below the critical
         value, so that the confidence set is the whole line; this is
@@ -615,74 +619,50 @@ _SEEDS = {VariantKind.AEL: VariantKind.EL, VariantKind.TEL: VariantKind.EL,
 _PASS_VALUES = 4096
 
 
-def _alone(v: np.ndarray, hull: tuple[float, float], adjusted: bool, side: Generator,
-           request: tuple | None = None) -> tuple | LorenzELError:
-    """Run the coroutine ``side`` to its end on its own row v, answering each
-    of its requests with ``_pass``, ``request`` its open request (None when
-    it has not started), and return what it returned or the LorenzELError
-    it raised."""
-    try:
-        if request is None:
-            request = next(side)
-        while True:
-            theta, lam = request
-            request = side.send(_pass(v, theta, lam, adjusted, hull))
-    except StopIteration as stop:
-        return stop.value
-    except LorenzELError as exc:
-        return exc
-
-
 def _drive(V: np.ndarray, hulls: list, adjusted: bool, plans: list) -> list:
     """Search each side of ``plans``, (row of V, the arguments of
     ``_search_side`` after v and adjusted), on its row of V, whose hull is in
     ``hulls``, answering the passes its coroutine asks for; returns, per
     side, what the coroutine returned or the LorenzELError it raised.
 
-    Up to _PASS_VALUES // n sides are in flight at once, taken in order.
-    Each round answers their open requests in one array pass (``_passes``)
-    and sends each side its answer.  A pass shared by two sides costs more
-    than their two passes, so when fewer than three sides can be in
-    flight, each runs to its end alone, in turn (``_alone``): the two sides
-    of one set-up always do.
+    Up to _PASS_VALUES // n sides, and at least one, are in flight at once,
+    taken in order.  Each round answers every open request and sends each
+    side its answer: three or more in one array pass (``_passes``), fewer
+    each with ``_pass``, as a pass shared by two sides costs more than
+    their two passes.
     """
-    width = _PASS_VALUES // V.shape[1]
-    if width < 3 or len(plans) < 3:
-        ends = []
-        for row, args in plans:
-            v = V[row]
-            ends.append(_alone(v, hulls[row], adjusted, _search_side(v, adjusted, *args)))
-        return ends
+    width = max(_PASS_VALUES // V.shape[1], 1)
     ends = [None] * len(plans)
-    waiting = enumerate(plans)
-    flight = []  # per side in flight: [index, row, coroutine, open request]
+    taken = 0  # sides taken up so far
+    flight = []  # per side in flight: [index, row, its row of V, hull, coroutine, open request]
     while True:
-        while len(flight) < width:
-            i, (row, args) = next(waiting, (None, (None, None)))
-            if args is None:
-                break
+        while len(flight) < width and taken < len(plans):
+            row, args = plans[taken]
             # each side's coroutine is made when it is taken up
-            side = _search_side(V[row], adjusted, *args)
+            v = V[row]
+            side = _search_side(v, adjusted, *args)
             try:
-                flight.append([i, row, side, next(side)])
+                flight.append([taken, row, v, hulls[row], side, next(side)])
+            except StopIteration as stop:
+                ends[taken] = stop.value
+            except LorenzELError as exc:
+                ends[taken] = exc
+            taken += 1
+        if not flight:
+            return ends
+        lone = len(flight) < 3
+        if not lone:
+            replies = iter(_passes(V, hulls, adjusted, [(f[1], *f[5]) for f in flight]))
+        still = []
+        for f in flight:
+            i, _, v, hull, side, (theta, lam) = f
+            try:
+                f[5] = side.send(_pass(v, theta, lam, adjusted, hull) if lone else next(replies))
             except StopIteration as stop:
                 ends[i] = stop.value
-            except LorenzELError as exc:
-                ends[i] = exc
-        if len(flight) < 3:  # the last ones
-            for i, row, side, request in flight:
-                ends[i] = _alone(V[row], hulls[row], adjusted, side, request)
-            return ends
-        replies = _passes(V, hulls, adjusted, [(f[1], *f[3]) for f in flight])
-        still = []
-        for f, reply in zip(flight, replies):
-            try:
-                f[3] = f[2].send(reply)
-            except StopIteration as stop:
-                ends[f[0]] = stop.value
                 continue
             except LorenzELError as exc:
-                ends[f[0]] = exc
+                ends[i] = exc
                 continue
             still.append(f)
         flight = still

@@ -28,7 +28,8 @@ from typing import Callable, Iterable, Iterator, Optional
 import numpy as np
 
 from .calibration import _setup_from, chi2_crit
-from .core import VariantKind, _integer, _kind, _quantile_index, _truncate, point_estimate
+from .core import (VariantKind, _integer, _kind, _number, _quantile_index, _truncate,
+                   point_estimate)
 from .errors import LorenzELError
 from .income import _fmt, _write_table
 from .intervals import ConfidenceInterval, _chunk_intervals
@@ -65,7 +66,9 @@ class ExperimentConfig:
         n_grid = tuple(_integer(n, "each n in n_grid") for n in self.n_grid)
         object.__setattr__(self, "n_grid", n_grid)
         object.__setattr__(self, "reps", _integer(self.reps, "reps"))
-        object.__setattr__(self, "t_grid", tuple(float(t) for t in self.t_grid))
+        object.__setattr__(self, "t_grid", tuple(_number(t, "each t in t_grid")
+                                                 for t in self.t_grid))
+        object.__setattr__(self, "alpha", _number(self.alpha, "alpha"))
         object.__setattr__(self, "methods", tuple(_kind(m) for m in self.methods))
         if not self.n_grid or min(self.n_grid) < 2:
             raise ValueError("n_grid must be nonempty with every n >= 2")

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import math
 
-from .core import Sample, VariantKind, _check_t, _check_theta, _kind, _profile, _truncation
-from .errors import DomainError
+from .core import Sample, VariantKind, _check_t, _kind, _number, _profile, _truncation
+from .errors import DomainError, NonFinite
 
 __all__ = ["tel_transform", "log_ratio"]
 
@@ -72,7 +72,7 @@ def log_ratio(kind: VariantKind, s: Sample, t: float, theta: float) -> float:
     else raises TypeError.
     """
     t = _check_t(t)
-    return _memo_log_ratio(_kind(kind), s, t, _check_theta(theta))
+    return _memo_log_ratio(_kind(kind), s, t, _number(theta, "theta", NonFinite))
 
 
 def _memo_log_ratio(kind: VariantKind, s: Sample, t: float, theta: float) -> float:

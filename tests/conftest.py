@@ -1,4 +1,5 @@
-"""Shared fixtures and an independent confidence-interval oracle.
+"""Shared fixtures, a tracker of search sides, and an independent
+confidence-interval oracle.
 
 The oracle rebuilds every quantity from scratch on top of numpy and scipy
 primitives (chi2.ppf for the critical value, a dense grid plus brentq
@@ -14,6 +15,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 from scipy.stats import chi2
+
+from lorenzel import intervals
 
 
 def oracle_quantile_index(n: int, t: float) -> int:
@@ -154,3 +157,37 @@ def random_positive_data(rng: np.random.Generator, n: int) -> np.ndarray:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260819)
+
+
+class Sides:
+    """Which side of the endpoint search runs.  ``intervals._search_side`` is
+    wrapped so that, while a side runs, ``current`` is its number, in the
+    order the sides were made, and ``requests[i]`` holds the passes side i
+    asked for, as (theta, lam), in order.  ``_drive`` interleaves the sides
+    of a group, so a hook charges what it sees to ``current``."""
+
+    def __init__(self, monkeypatch):
+        self.current = None
+        self.requests = []
+        true_search = intervals._search_side
+
+        def search(*args):
+            me = len(self.requests)
+            self.requests.append([])
+            side = true_search(*args)
+            reply = None
+            while True:
+                self.current = me
+                try:
+                    request = side.send(reply)
+                except StopIteration as stop:
+                    return stop.value
+                self.requests[me].append(request)
+                reply = yield request
+
+        monkeypatch.setattr(intervals, "_search_side", search)
+
+
+@pytest.fixture
+def sides(monkeypatch) -> Sides:
+    return Sides(monkeypatch)

@@ -17,7 +17,7 @@ from conftest import random_positive_data
 from lorenzel import intervals
 from lorenzel.calibration import _setup
 from lorenzel.core import _kind, _profile
-from lorenzel.intervals import _alone, _bounds, _certify, _joint_step, _pass
+from lorenzel.intervals import _bounds, _certify, _joint_step, _pass
 from lorenzel.variants import _tel_inverse
 
 TOY = lz.Sample([1.0, 2.0, 3.0, 4.0, 5.0])
@@ -683,10 +683,10 @@ class TestCertify:
         monkeypatch.setattr(intervals, "_profile", spy_profile)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for out in (-1.0, 1.0):
-                side = intervals._search_side(v, True, hull, target, theta_hat, out * math.inf,
-                                              (theta_hat + out * wald, None, None))
-                assert not isinstance(_alone(v, hull, True, side), Exception)
+            plans = [(0, (hull, target, theta_hat, out * math.inf,
+                          (theta_hat + out * wald, None, None))) for out in (-1.0, 1.0)]
+            ends = intervals._drive(v[None], [hull], True, plans)
+            assert not any(isinstance(end, Exception) for end in ends)
         overflowed = 0
         for theta, lam, fell_back in calls:
             if lam is None:

@@ -410,24 +410,18 @@ class TestEvaluationBudget:
         for kind, counts in evals.items():
             assert np.mean(counts) <= 7.75, kind
 
-    def test_small_samples_through_the_safeguard(self, monkeypatch):
+    def test_small_samples_through_the_safeguard(self, monkeypatch, sides):
         # at n <= 25 a share of the sides stall in the joint steps and are
         # finished by bisection; their endpoints must be as good
-        certified = []
+        certified = collections.Counter()  # per side, its certified steps
         true_certify = intervals._certify
-        true_search = intervals._search_side
 
         def counted_certify(*args):
-            certified[-1] += 1
+            # charged to the side that resumed: the sides of one set-up take turns
+            certified[sides.current] += 1
             return true_certify(*args)
 
-        def counted_search(*args):
-            # the two sides of one set-up run in turn, each from its first step
-            certified.append(0)
-            return (yield from true_search(*args))
-
         monkeypatch.setattr(intervals, "_certify", counted_certify)
-        monkeypatch.setattr(intervals, "_search_side", counted_search)
         pops = [lz.Weibull(1.0, 2.0), lz.ChiSquare(3.0), lz.SkewNormal(1.0, 3.0, 5.0)]
         crit = lz.chi2_crit(0.05)
         unbounded = 0
@@ -460,9 +454,9 @@ class TestEvaluationBudget:
                                 assert stat <= level * (1.0 + 1e-12), (kind, n, t)
                                 beyond = theta + out * (2e-8 * abs(theta) + 1e-14 * hull_w)
                                 assert lz.scaled_statistic(base, s, t, beyond) > level, (kind, n, t)
-        safeguarded = sum(c > 2 for c in certified)
+        safeguarded = sum(c > 2 for c in certified.values())
         assert unbounded > 0
-        assert 0.02 * len(certified) < safeguarded < 0.2 * len(certified)
+        assert 0.02 * len(sides.requests) < safeguarded < 0.2 * len(sides.requests)
 
     @pytest.mark.parametrize("forced", ["no_joint", "no_bounds"])
     def test_bisection_alone_finds_the_same_endpoints(self, monkeypatch, forced):
@@ -681,11 +675,12 @@ class TestBatchedPasses:
         return ends, cis
 
     def compare(self, monkeypatch, samples, t):
-        """The group driven one side at a time, a few sides at a time (more
-        sides than lanes) and all at once; returns the sides alone."""
+        """The group driven one side at a time, two at a time (each with its
+        own pass, taking turns), three and four at a time (more sides than
+        lanes, in one array pass) and all at once; returns the sides alone."""
         n = samples[0].size
         alone = self.drive(monkeypatch, samples, t, 1)
-        for pass_values in (4 * n, 10**9):
+        for pass_values in (2 * n, 3 * n, 4 * n, 10**9):
             assert self.drive(monkeypatch, samples, t, pass_values) == alone, (n, t, pass_values)
         return alone
 

@@ -447,14 +447,13 @@ class TestSeededSearches:
         assert checked == 3 * 2 * 3 * 3
         assert newton  # from AEL's closing passes
 
-    def test_refused_first_step_takes_a_pass_at_the_seed(self, monkeypatch):
+    def test_refused_first_step_takes_a_pass_at_the_seed(self, monkeypatch, sides):
         # when _newton refuses the step from the seed's pass, converted to
         # this kind by _as_kind, the side takes its first pass at the seed's
         # endpoint and multiplier, and still finds cold invert's interval
-        converted, refused, joint = [], [], []
+        converted, refused = [], []
         true_as_kind = intervals._as_kind
         true_newton = intervals._newton
-        true_pass = intervals._pass
 
         def as_kind(*args):
             converted.append(true_as_kind(*args))
@@ -462,19 +461,14 @@ class TestSeededSearches:
 
         def refusing_newton(sums, *args):
             if any(sums is c for c in converted):
-                refused.append(len(joint))  # the index of the side's next joint step
+                # the side that resumed, and the index of its next pass, its
+                # first joint step
+                refused.append((sides.current, len(sides.requests[sides.current])))
                 return None
             return true_newton(sums, *args)
 
-        def logged_pass(v, theta, lam, *args):
-            # every pass, in turn: the two sides of one set-up run one after
-            # the other, so a forced side's next pass is its first joint step
-            joint.append((theta, lam))
-            return true_pass(v, theta, lam, *args)
-
         monkeypatch.setattr(intervals, "_as_kind", as_kind)
         monkeypatch.setattr(intervals, "_newton", refusing_newton)
-        monkeypatch.setattr(intervals, "_pass", logged_pass)
         crit = lz.chi2_crit(0.05)
         checked = 0
         for p, pop in enumerate(self.POPS):
@@ -504,8 +498,8 @@ class TestSeededSearches:
                             continue
                         assert got.iterations >= len(forced), (n, t, kind)
                         ends = [math.ldexp(e, -k) for e in (seed.lower, seed.upper)] if forced else []
-                        for i in forced:
-                            theta, lam = joint[i]
+                        for side, i in forced:
+                            theta, lam = sides.requests[side][i]
                             assert theta in ends and lam is not None, (n, t, kind)
                         for a, b in ((got.lower, cold.lower), (got.upper, cold.upper)):
                             assert abs(a - b) <= 1e-8 * max(abs(a), abs(b)) + tol, (n, t, kind)
