@@ -17,18 +17,18 @@ TEL (TAEL) interval is the EL (AEL) interval at a larger target, which is
 why it contains the EL (AEL) interval.
 
 Joint steps.  The crossing and its Lagrange multiplier solve two
-equations together, sum(w / (1 + lam w)) = 0 and
-2 sum(log(1 + lam w)) = target, with w = V - theta (Hall & La Scala
-1990; Owen 2001, ch. 3).  A Newton step on (lam, theta) takes one pass
-over the data and solves no inner equation for lam
-(``_joint_step``).  It is halved until every 1 + lam w stays
-positive and theta stays between the point estimate and the search
-boundary.  Joint steps start from the Wald point.  If that lies beyond
-the boundary, or rounds onto the point estimate, they start halfway to
-the boundary instead, or one hull width out on an AEL side, whose
-boundary is infinite.  A joint step has stalled when it needs more than
-``_MAX_HALVINGS`` halvings, or is longer than half of each of the
-two joint steps before it.
+equations together, sum(w / (1 + lam w)) = 0 and 2 sum(log(1 + lam w)) =
+target, with w = V - theta (Hall & La Scala 1990; Owen 2001, ch. 3).  A
+Newton step on (lam, theta) takes one pass over the data and solves no
+inner equation for lam (``_joint_step``).  It is halved until every
+1 + lam w stays positive and theta stays between the point estimate and
+the search boundary.  Joint steps start from the Wald point.  If that lies
+beyond the boundary, or rounds onto the point estimate, they start halfway
+to the boundary instead, or one hull width out on an AEL side, whose
+boundary is infinite.  A cold start's lam is one Newton step from lam = 0,
+which the point estimate and sigma_p^2 give in O(1) (``_cold_lam``).  A
+joint step has stalled when it needs more than ``_MAX_HALVINGS`` halvings,
+or is longer than half of each of the two joint steps before it.
 
 Bounds.  Any admissible lam gives a lower bound on l (weak duality);
 while the Newton decrement delta of -sum(log(1 + lam w)) in lam is below
@@ -76,7 +76,7 @@ copy.
 
 Batched passes.  A side's search is a coroutine (``_search_side``): it
 keeps its scalar logic, but hands out each pass it needs, as (theta, lam),
-lam None for a cold start's, and is sent the pass's sums (``_pass``).
+and is sent the pass's sums (``_pass``).
 ``_chunk_intervals`` inverts one kind on many truncations of one sample
 size at once, the rows of one simulation chunk, stacked: both sides of
 every row are one group, and ``_drive`` answers the open requests of the
@@ -209,14 +209,6 @@ def _cold_lam(theta: float, hull: tuple[float, float], pseudo: float, sw: float,
     return None
 
 
-def _cold_fits(theta: float, hull: tuple[float, float], n: int) -> bool:
-    """Whether sum(w^2) at theta, over n values with the hull (min, max),
-    can neither overflow nor warn that it did: the largest |w| is at an end
-    of the hull."""
-    e = max(abs(hull[0] - theta), abs(hull[1] - theta))
-    return n * e * e <= 1e300
-
-
 def _dmin(theta: float, lam: float, hull: tuple[float, float], n: int,
           pseudo: float) -> float | None:
     """The smallest d = 1 + lam w of a pass at (theta, lam), over n values
@@ -238,24 +230,16 @@ def _dmin(theta: float, lam: float, hull: tuple[float, float], n: int,
     return dmin
 
 
-def _pass(v: np.ndarray, theta: float, lam: float | None, adjusted: bool,
+def _pass(v: np.ndarray, theta: float, lam: float, adjusted: bool,
           hull: tuple[float, float]) -> _Pass | None:
     """The sums of one pass over v at (theta, lam), for either kind of search
-    step, with ``lam=None`` at a cold start's lam (``_cold_lam``); None when
-    the cold start finds no admissible lam or ``_dmin`` refuses the pass.
-    ``hull`` is the (min, max) of v."""
+    step; None when ``_dmin`` refuses the pass.  ``hull`` is the (min, max)
+    of v."""
     n = v.size
     w = v - theta
     a = adjustment_factor(n) if adjusted else 0.0
     # np.add.reduce is ndarray.sum's own reduction, bit for bit, without its wrapper
-    sw = float(np.add.reduce(w)) if adjusted or lam is None else 0.0
-    pseudo = -a * (sw / n) if adjusted else 0.0
-    if lam is None:
-        # ndarray.dot, not @: the same product, bit for bit, at half the call cost
-        lam = (_cold_lam(theta, hull, pseudo, sw, float(w.dot(w)))
-               if _cold_fits(theta, hull, n) else None)
-        if lam is None:
-            return None
+    pseudo = -a * (float(np.add.reduce(w)) / n) if adjusted else 0.0
     dmin = _dmin(theta, lam, hull, n, pseudo)
     if dmin is None:
         return None
@@ -284,22 +268,14 @@ def _passes(V: np.ndarray, hulls: list, adjusted: bool, lanes: list) -> list:
     array does.  A lane refused is dropped before any sum of squares,
     logarithm or division, so no RuntimeWarning can fire."""
     n = V.shape[1]
-    rows, thetas, lams = zip(*lanes)
+    rows, thetas, _ = zip(*lanes)
     w = V[list(rows)]
     w -= np.array(thetas)[:, None]
     a = adjustment_factor(n) if adjusted else 0.0
-    cold = [j for j, lam in enumerate(lams)
-            if lam is None and _cold_fits(thetas[j], hulls[rows[j]], n)]
-    sums = np.add.reduce(w, axis=1).tolist() if adjusted or cold else None
-    squares = dict(zip(cold, _squares(w[cold]))) if cold else {}
+    sums = np.add.reduce(w, axis=1).tolist() if adjusted else None
     kept = []  # (lane index, lam, dmin, pseudo) of the lanes admitted
     for j, (row, theta, lam) in enumerate(lanes):
         pseudo = -a * (sums[j] / n) if adjusted else 0.0
-        if lam is None:
-            lam = (_cold_lam(theta, hulls[row], pseudo, sums[j], squares[j])
-                   if j in squares else None)
-            if lam is None:
-                continue
         dmin = _dmin(theta, lam, hulls[row], n, pseudo)
         if dmin is not None:
             kept.append((j, lam, dmin, pseudo))
@@ -456,18 +432,17 @@ def _newton(s: _Pass, target: float, lo: float, hi: float,
 
 def _joint_step(s: _Pass | None, target: float, lo: float, hi: float,
                 hull: tuple[float, float]) -> tuple[float, float, float, _Pass] | None:
-    """The joint step from the sums s of one pass (``_pass``, at a cold
-    start's lam or a warm one; None when it was refused): the Newton step
-    on them towards an interval endpoint (``_newton``), as the new theta and
-    lam and the length of the full theta step, and s; None when there is no
-    pass or ``_newton`` takes no step."""
+    """The joint step from the sums s of one pass (``_pass``; None when it
+    was refused): the Newton step on them towards an interval endpoint
+    (``_newton``), as the new theta and lam and the length of the full theta
+    step, and s; None when there is no pass or ``_newton`` takes no step."""
     step = None if s is None else _newton(s, target, lo, hi, hull)
     return None if step is None else (*step, s)
 
 
 def _search_side(v: np.ndarray, adjusted: bool, hull: tuple[float, float], target: float,
-                 theta_hat: float, bound: float, seed: tuple, inner: float | None = None,
-                 ) -> Generator[tuple, _Pass | None, tuple]:
+                 theta_hat: float, var: float, bound: float, seed: tuple,
+                 inner: float | None = None) -> Generator[tuple, _Pass | None, tuple]:
     """Locate the crossing l(theta) = target between theta_hat and bound.
 
     ``bound``, the hull edge (EL) or an infinity (AEL), lies beyond the
@@ -482,9 +457,11 @@ def _search_side(v: np.ndarray, adjusted: bool, hull: tuple[float, float], targe
     side as the next kind's seed, (the inner, covered, edge of the final
     bracket, the last lam, the joint pass whose bounds closed the side or
     None when certified steps closed it), and the steps it took.  A
-    coroutine: each step yields the pass it needs as (theta, lam), lam None
-    for a cold start, and is sent ``_pass``'s answer (see "Batched
-    passes").
+    coroutine: each step yields the pass it needs as (theta, lam), and is
+    sent ``_pass``'s answer (see "Batched passes").  A cold start's sums
+    come from theta_hat and ``var``, the variance of v about it; one not
+    strictly inside the search range, or whose ``_cold_lam`` is None, takes
+    no pass and goes to the certified steps.
     """
     inner, outer = theta_hat if inner is None else inner, bound
     hull_w = hull[1] - hull[0]
@@ -496,6 +473,10 @@ def _search_side(v: np.ndarray, adjusted: bool, hull: tuple[float, float], targe
     if not lo < theta < hi:  # the start is beyond the bound or rounds onto theta_hat
         theta = 0.5 * (theta_hat + bound) if math.isfinite(bound) else theta_hat + out * hull_w
         lam = None  # a seeded multiplier belongs to the seeded start
+    if lam is None and lo < theta < hi:
+        n, dev = v.size, theta_hat - theta
+        pseudo = -adjustment_factor(n) * dev if adjusted else 0.0
+        lam = _cold_lam(theta, hull, pseudo, n * dev, n * (var + dev * dev))
     # a seed's pass, as a pass of this kind, gives step 0, which needs no
     # pass of its own; its bounds may even close the side
     sums = None if sums is None else _as_kind(sums, adjusted, theta_hat)
@@ -505,9 +486,7 @@ def _search_side(v: np.ndarray, adjusted: bool, hull: tuple[float, float], targe
     step = prev_step = math.inf
     for passes in range(1 if nxt is None else 0, _MAX_PASSES + 1):
         if passes:
-            # one pass at (theta, lam), or at a cold start's lam, which
-            # needs theta strictly inside the search range
-            s = (yield theta, lam) if lam is not None or lo < theta < hi else None
+            s = None if lam is None else (yield theta, lam)
             nxt = _joint_step(s, target, lo, hi, hull)
             # a joint step that must be halved too often, or that is longer
             # than half of each of the two before it, has stalled
@@ -687,13 +666,13 @@ def _chunk_intervals(kinds: tuple, V: np.ndarray, setups: list, crit: float, lev
     n = V.shape[1]
     # each search runs on its row scaled by 2^-k, whose largest size lies in
     # [0.5, 1); the seeds stay in these units
-    rows = []  # per row: k, and theta_hat, the scale factor and the hull, scaled
+    rows = []  # per row: k, and theta_hat, the scale factor, sigma_p^2 and the hull, scaled
     for v, (theta_hat, scale, hull) in zip(V, setups):
         k = math.frexp(max(abs(hull[0]), abs(hull[1])))[1]
         np.ldexp(v, -k, out=v)
-        rows.append((k, math.ldexp(theta_hat, -k), scale,
+        rows.append((k, math.ldexp(theta_hat, -k), scale, math.ldexp(scale.sigma_p_sq, -2 * k),
                      (math.ldexp(hull[0], -k), math.ldexp(hull[1], -k))))
-    hulls = [row[3] for row in rows]
+    hulls = [row[4] for row in rows]
     # per row, per kind inverted so far, its sides as seeds: (endpoint, lam, closing pass)
     seeds = [{} for _ in rows]
     for kind in kinds:
@@ -702,7 +681,7 @@ def _chunk_intervals(kinds: tuple, V: np.ndarray, setups: list, crit: float, lev
         # per side to search, the lower then the upper side of each row: its
         # row and the arguments of _search_side after v and adjusted
         plans = []
-        for j, (k, theta_hat, scale, hull) in enumerate(rows):
+        for j, (k, theta_hat, scale, var, hull) in enumerate(rows):
             # the unscaled log-ratio that r * l (r * T(l) for TEL/TAEL) must not exceed
             target = crit / scale.ratio
             if transformed:
@@ -721,7 +700,7 @@ def _chunk_intervals(kinds: tuple, V: np.ndarray, setups: list, crit: float, lev
             # per side, (start, lam, closing pass): the seed's sides, or the Wald points
             starts = seed or ((theta_hat - wald, None, None), (theta_hat + wald, None, None))
             for bound, start in zip(bounds, starts):
-                plans.append((j, (hull, target, theta_hat, bound, start,
+                plans.append((j, (hull, target, theta_hat, var, bound, start,
                                   start[0] if seed and transformed else None)))
         ends = _drive(V, hulls, adjusted, plans)
         for i in range(0, len(ends), 2):

@@ -20,12 +20,12 @@ and ``curve`` commands, load no SciPy; the first population call does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
 
-from .core import Sample, _check_t, _integer
+from .core import Sample, _check_t, _integer, _number
 from .errors import DomainError, NonFinite
 
 __all__ = [
@@ -41,6 +41,16 @@ __all__ = [
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
+def _read_parameters(pop) -> None:
+    """Store each parameter of pop as a float (``core._number``); DomainError if not finite."""
+    for field in fields(pop):
+        name = f"{type(pop).__name__} {field.name}"
+        value = _number(getattr(pop, field.name), name)
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+        object.__setattr__(pop, field.name, value)
+
+
 @dataclass(frozen=True)
 class Weibull:
     """Weibull(shape a, scale b) on x >= 0."""
@@ -49,6 +59,7 @@ class Weibull:
     scale: float
 
     def __post_init__(self) -> None:
+        _read_parameters(self)
         if not (self.shape > 0.0 and self.scale > 0.0):
             raise DomainError("Weibull shape and scale must be positive")
 
@@ -93,6 +104,7 @@ class ChiSquare:
     df: float
 
     def __post_init__(self) -> None:
+        _read_parameters(self)
         if not self.df > 0.0:
             raise DomainError("degrees of freedom must be positive")
 
@@ -135,12 +147,16 @@ class SkewNormal:
     shape: float
 
     def __post_init__(self) -> None:
+        _read_parameters(self)
         if not self.scale > 0.0:
             raise DomainError("skew-normal scale must be positive")
 
     @property
     def _delta(self) -> float:
-        return self.shape / math.sqrt(1.0 + self.shape ** 2)
+        try:  # math.pow rounds as ** does, not always as shape * shape
+            return self.shape / math.sqrt(1.0 + math.pow(self.shape, 2.0))
+        except OverflowError:  # |shape| above about 1.34e154, where delta is +-1
+            return math.copysign(1.0, self.shape)
 
     def cdf(self, x):
         from scipy.special import ndtr, owens_t
@@ -163,8 +179,9 @@ class SkewNormal:
         d = self._delta
         z = (self.quantile(t) - self.location) / self.scale
         phi_z = math.exp(-0.5 * z * z) / _SQRT_2PI
-        partial = (2.0 * d / _SQRT_2PI * ndtr(z / math.sqrt(1.0 - d * d))
-                   - 2.0 * phi_z * ndtr(self.shape * z))
+        # 1 - delta^2 is 0 from |shape| about 1e8: the half-normal limit, Phi(+-inf)
+        z_rest = z / math.sqrt(1.0 - d * d) if d * d < 1.0 else math.copysign(math.inf, z)
+        partial = 2.0 * d / _SQRT_2PI * ndtr(z_rest) - 2.0 * phi_z * ndtr(self.shape * z)
         return self.location * t + self.scale * partial
 
     @property
@@ -229,9 +246,12 @@ class SeedSpec:
 
 
 def sample(pop: Population, n: int, seed: SeedSpec, replication: int = 0) -> Sample:
-    """Draw a reproducible Sample of size n from the population."""
+    """Draw a reproducible Sample of n >= 2 values from the population; replication >= 0."""
+    n, replication = _integer(n, "n"), _integer(replication, "replication")
     if n < 2:
         raise DomainError(f"sample size must be at least 2, got {n}")
+    if replication < 0:
+        raise ValueError(f"replication must be non-negative, got {replication}")
     return Sample(pop.draw(seed.generator(replication), n))
 
 

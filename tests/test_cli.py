@@ -244,14 +244,24 @@ class TestSimulate:
         assert e.value.code == 2
 
     def test_population_outside_its_domain_is_exit_2(self, tmp_path, capsys):
-        # Weibull(-1, 2) raises DomainError, which the parser reports as usage
+        # Weibull(-1, 2) raises DomainError, and so does a parameter that is
+        # not finite, which the parser reports as usage before the output opens
         out = tmp_path / "out.csv"
-        with pytest.raises(SystemExit) as e:
-            cli.main(["simulate", "--population", "weibull:-1,2", "--n", "10", "--t", "0.5",
-                      "--reps", "2", "--quiet", "--output", str(out)])
-        assert e.value.code == 2
-        assert "bad population 'weibull:-1,2'" in capsys.readouterr().err
-        assert not out.exists()
+        for spec in ("weibull:-1,2", "skewnormal:nan,1,1", "skewnormal:inf,1,1",
+                     "weibull:1,inf", "chisquare:inf"):
+            with pytest.raises(SystemExit) as e:
+                cli.main(["simulate", "--population", spec, "--n", "10", "--t", "0.5",
+                          "--reps", "2", "--quiet", "--output", str(out)])
+            assert e.value.code == 2
+            assert f"bad population {spec!r}" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_skewnormal_with_a_large_shape_runs(self, capsys):
+        # delta rounds to 1 there; the true ordinate is the half-normal's
+        code, out, _ = run(["simulate", "--population", "skewnormal:0,1,1e8", "--n", "10",
+                            "--t", "0.5", "--reps", "2", "--quiet"], capsys)
+        assert code == 0
+        assert len(out.splitlines()) == 5
 
 
 class TestCurve:

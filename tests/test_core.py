@@ -17,7 +17,7 @@ from conftest import random_positive_data
 from lorenzel import intervals
 from lorenzel.calibration import _setup
 from lorenzel.core import _kind, _profile
-from lorenzel.intervals import _bounds, _certify, _joint_step, _pass
+from lorenzel.intervals import _bounds, _certify, _cold_lam, _joint_step, _pass
 from lorenzel.variants import _tel_inverse
 
 TOY = lz.Sample([1.0, 2.0, 3.0, 4.0, 5.0])
@@ -546,6 +546,16 @@ class TestSolverKernelBits:
         assert got[0] is error
 
 
+def cold_pass(v, theta, adjusted, hull, theta_hat, var):
+    """The pass at a cold start's lam at theta, as ``_search_side`` takes
+    that lam from the set-up's theta_hat and sigma_p^2 (``var``); None when
+    no lam is admissible or the pass is refused."""
+    n, dev = v.size, theta_hat - theta
+    pseudo = -lz.adjustment_factor(n) * dev if adjusted else 0.0
+    lam = _cold_lam(theta, hull, pseudo, n * dev, n * (var + dev * dev))
+    return None if lam is None else _pass(v, theta, lam, adjusted, hull)
+
+
 class TestJointStep:
     def test_converges_quadratically_to_the_endpoint(self, rng):
         # from 5% inside an endpoint, with the exact multiplier there, four
@@ -576,16 +586,14 @@ class TestJointStep:
                     assert theta == pytest.approx(end, rel=2e-8)
 
     def test_cold_start_and_stall(self):
-        # lam=None starts from the one-step multiplier; a step that cannot
-        # stay inside (lo, hi) comes back as None
-        v = lz.truncated_values(TOY, 0.4)  # (1, 2, 0, 0, 0), theta_hat 0.6
-        hull = (0.0, 2.0)
-        theta, lam, step, sums = _joint_step(_pass(v, 0.9, None, False, hull), 3.0, 0.6, 2.0,
-                                             hull)
+        # a cold start takes the one-step multiplier from the set-up; a step
+        # that cannot stay inside (lo, hi) comes back as None
+        v, theta_hat, scale, hull = _setup(TOY, 0.4)  # (1, 2, 0, 0, 0), theta_hat 0.6
+        cold = cold_pass(v, 0.9, False, hull, theta_hat, scale.sigma_p_sq)
+        theta, lam, step, sums = _joint_step(cold, 3.0, 0.6, 2.0, hull)
         assert 0.6 < theta < 2.0 and lam < 0.0 and step > 0.0
         assert sums.theta == 0.9 and sums.lam < 0.0
-        assert _joint_step(_pass(v, 0.9, None, False, hull), 3.0, 0.9 - 1e-9, 0.9 + 1e-9,
-                           hull) is None
+        assert _joint_step(cold, 3.0, 0.9 - 1e-9, 0.9 + 1e-9, hull) is None
 
 
 class TestCertify:
@@ -626,10 +634,11 @@ class TestCertify:
                                 if kind.adjusted:
                                     edge = math.copysign(math.inf, end - theta_hat)
                                 lo, hi = sorted((theta_hat, edge))
-                                theta, lam = end - 0.05 * (end - theta_hat), None
+                                theta = end - 0.05 * (end - theta_hat)
+                                joint = cold_pass(v, theta, kind.adjusted, hull, theta_hat,
+                                                  scale.sigma_p_sq)
                                 for _ in range(5):
-                                    step = _joint_step(_pass(v, theta, lam, kind.adjusted, hull),
-                                                       target, lo, hi, hull)
+                                    step = _joint_step(joint, target, lo, hi, hull)
                                     if step is None:
                                         break
                                     theta, lam, _, sums = step
@@ -653,6 +662,7 @@ class TestCertify:
                                         if k and step[2] <= tol:  # near a converged root
                                             shifted[0] += 1
                                             shifted[1] += low > target or high <= target
+                                    joint = _pass(v, theta, lam, kind.adjusted, hull)
         # the bounds decide nearly every point without a full evaluation
         assert decided > 0.9 * checked > 0
         assert shifted[1] > 0.9 * shifted[0] > 0
@@ -683,7 +693,7 @@ class TestCertify:
         monkeypatch.setattr(intervals, "_profile", spy_profile)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            plans = [(0, (hull, target, theta_hat, out * math.inf,
+            plans = [(0, (hull, target, theta_hat, scale.sigma_p_sq, out * math.inf,
                           (theta_hat + out * wald, None, None))) for out in (-1.0, 1.0)]
             ends = intervals._drive(v[None], [hull], True, plans)
             assert not any(isinstance(end, Exception) for end in ends)

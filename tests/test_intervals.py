@@ -727,7 +727,7 @@ class TestBatchedPasses:
     def test_refused_lanes_are_dropped_before_the_array_pass(self, rng, adjusted):
         # lanes at a lam that makes some d non-positive, or whose sums of
         # squares could overflow, or (AEL) that the pseudo-deviation refuses,
-        # and cold starts (lam None), between admitted ones; none may warn
+        # between admitted ones; none may warn
         for n in (2, 7, 64, 500):
             V = np.sort(rng.uniform(0.5, 1.0, (6, n)), axis=1)
             V[:, : n // 2] = 0.0
@@ -735,7 +735,7 @@ class TestBatchedPasses:
             lanes = []
             for row, (lo, hi) in enumerate(hulls):
                 theta = 0.5 * (lo + hi)
-                for lam in (-0.5, 0.5, -1.0 / (hi - theta), 1e300, 3.0, -3.0, None):
+                for lam in (-0.5, 0.5, -1.0 / (hi - theta), 1e300, 3.0, -3.0):
                     lanes.append((row, theta, lam))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -745,3 +745,83 @@ class TestBatchedPasses:
             assert [None if s is None else [float(f).hex() for f in s] for s in got] == \
                    [None if s is None else [float(f).hex() for f in s] for s in want]
             assert 0 < sum(s is None for s in want) < len(want)
+
+
+def data_sum_cold_lam(v, theta, adjusted, hull):
+    """A cold start's lam at theta from the sums of a pass over v, as the
+    pass kernels once took it: sum(w) / sum(w^2) with the AEL
+    pseudo-deviation -a_n mean(w), one Newton step from lam = 0, halved
+    until every d is positive; None where sum(w^2) could overflow or no
+    halving is admissible."""
+    n = v.size
+    w = v - theta
+    if n * max(abs(hull[0] - theta), abs(hull[1] - theta)) ** 2 > 1e300:
+        return None
+    sw = float(np.add.reduce(w))
+    pseudo = -lz.adjustment_factor(n) * (sw / n) if adjusted else 0.0
+    lam = (sw + pseudo) / (float(w.dot(w)) + pseudo * pseudo)
+    for _ in range(intervals._MAX_HALVINGS):
+        if np.all(1.0 + lam * w > 0.0) and 1.0 + lam * pseudo > 0.0:
+            return lam
+        lam *= 0.5
+    return None
+
+
+class TestColdStart:
+    """A cold side's first lam comes in O(1) from the set-up's theta_hat and
+    sigma_p^2, and agrees with the one the data sums give."""
+
+    @pytest.mark.parametrize("adjusted", [False, True])
+    def test_agrees_with_the_data_sums(self, monkeypatch, adjusted):
+        # values on a grid of quarters, so ties at the quantile, searched in
+        # the units _chunk_intervals scales them to; Wald starts, and starts
+        # that _search_side moves: halfway to an EL hull edge, or one hull
+        # width out on an AEL side
+        seen = []  # per _cold_lam call, its theta and lam
+        true_cold = intervals._cold_lam
+
+        def spy(theta, *args):
+            lam = true_cold(theta, *args)
+            seen.append((theta, lam))
+            return lam
+
+        monkeypatch.setattr(intervals, "_cold_lam", spy)
+        starts = collections.Counter()
+        for n in (2, 3, 5, 10, 25, 100, 500, 3000):
+            rng = np.random.default_rng(n)
+            for _ in range(4):
+                x = np.sort(np.round(4.0 * random_positive_data(rng, n)) / 4.0)
+                for t in (0.1, 0.5, 0.9):
+                    try:
+                        v, theta_hat, scale, hull = _setup_from(
+                            x, *_truncate(x, float(x[_quantile_index(n, t)])))
+                    except lz.DegenerateVariance:
+                        continue
+                    k = math.frexp(max(abs(hull[0]), abs(hull[1])))[1]
+                    v, theta_hat = np.ldexp(v, -k), math.ldexp(theta_hat, -k)
+                    var, hull = math.ldexp(scale.sigma_p_sq, -2 * k), tuple(
+                        math.ldexp(h, -k) for h in hull)
+                    target = lz.chi2_crit(0.05) / scale.ratio
+                    wald = math.sqrt(target * var / n)
+                    for out, edge in zip((-1.0, 1.0), hull):
+                        bound = out * math.inf if adjusted else edge
+                        # the second start is not inside (theta_hat, bound)
+                        for start in (theta_hat + out * wald, theta_hat if adjusted else edge):
+                            seen.clear()
+                            side = intervals._search_side(v, adjusted, hull, target, theta_hat,
+                                                          var, bound, (start, None, None))
+                            with warnings.catch_warnings():
+                                warnings.simplefilter("error")
+                                try:
+                                    request = next(side)
+                                except (StopIteration, lz.LorenzELError):
+                                    request = None
+                            side.close()
+                            (theta, lam), = seen
+                            starts["wald" if theta == start else "moved"] += 1
+                            want = data_sum_cold_lam(v, theta, adjusted, hull)
+                            assert (lam is None) == (want is None), (n, t, theta)
+                            if lam is not None:
+                                assert lam == pytest.approx(want, rel=1e-13, abs=0.0), (n, t)
+                                assert request == (theta, lam)
+        assert starts["wald"] > 100 and starts["moved"] > 100

@@ -46,6 +46,20 @@ class TestDistributions:
             lz.ChiSquare(-3.0)
         with pytest.raises(lz.DomainError):
             lz.SkewNormal(0.0, 0.0, 1.0)
+        # every parameter is a finite real number, read as core._number
+        # reads one, and is stored as a float
+        for make, name in [(lambda: lz.SkewNormal(math.nan, 1.0, 1.0), "location"),
+                           (lambda: lz.SkewNormal(math.inf, 1.0, 1.0), "location"),
+                           (lambda: lz.SkewNormal(0.0, 1.0, -math.inf), "shape"),
+                           (lambda: lz.Weibull(1.0, math.inf), "scale"),
+                           (lambda: lz.ChiSquare(math.inf), "df"),
+                           (lambda: lz.Weibull(10**400, 1.0), "shape")]:
+            with pytest.raises(lz.DomainError, match=name):
+                make()
+        with pytest.raises(TypeError, match="Weibull shape"):
+            lz.Weibull("1", 2)
+        pop = lz.SkewNormal(1, 3, 5)
+        assert pop == SN and type(pop.shape) is float
 
     @pytest.mark.parametrize("pop", [WEI, CHI, SN])
     def test_cdf_matches_scipy(self, pop):
@@ -109,6 +123,13 @@ class TestSampling:
     def test_sample_size_validation(self):
         with pytest.raises(lz.DomainError):
             lz.sample(WEI, 1, lz.SeedSpec(0))
+        # n and replication are integers, and replication is not negative:
+        # a plain ValueError naming the argument, not numpy's own message
+        for args, name in [((10.0, 0), "n"), ((10, -1), "replication"),
+                           ((10, 1.5), "replication")]:
+            with pytest.raises(ValueError, match=name) as info:
+                lz.sample(WEI, args[0], lz.SeedSpec(0), replication=args[1])
+            assert not isinstance(info.value, lz.LorenzELError)
 
     @pytest.mark.parametrize("args", [(-1,), (0, -2), (1.5,)])
     def test_seeds_are_non_negative_integers(self, args):
@@ -168,6 +189,23 @@ class TestTrueOrdinate:
             ref, _ = integrate.quad(lambda x: x * dist.pdf(x), lo, dist.ppf(t),
                                     epsabs=0.0, epsrel=1e-11, limit=200)
             assert lz.true_ordinate(pop, t) == pytest.approx(ref, rel=1e-8)
+
+    @pytest.mark.parametrize("shape", [1e8, 1e200, -1e8, -1e200])
+    def test_skewnormal_large_shape_is_half_normal(self, shape):
+        # from |shape| about 1e8 delta rounds to +-1 and 1 - delta^2 to 0,
+        # and from about 1.34e154 shape^2 overflows: the ordinate is the
+        # half-normal's, +-|Z|, with Phi(+-inf) for the vanished term
+        pop = lz.SkewNormal(0.0, 1.0, shape)
+        for t in (0.1, 0.5, 0.9):
+            if shape > 0:  # |Z|: psi = Phi^-1((1 + t) / 2)
+                psi = stats.norm.ppf(0.5 * (1.0 + t))
+                want = math.sqrt(2.0 / math.pi) * -math.expm1(-0.5 * psi * psi)
+            else:  # -|Z|: the values below psi are those with |Z| above c
+                c = stats.norm.isf(0.5 * t)
+                want = -math.sqrt(2.0 / math.pi) * math.exp(-0.5 * c * c)
+            assert lz.true_ordinate(pop, t) == pytest.approx(want, rel=1e-9)
+        assert pop.mean == pytest.approx(math.copysign(math.sqrt(2.0 / math.pi), shape))
+        assert np.all(np.sign(lz.sample(pop, 50, lz.SeedSpec(1)).values) == np.sign(shape))
 
     def test_overflow_raises_nonfinite(self):
         # Gamma(1 + 1/a) overflows for shapes below about 0.006
