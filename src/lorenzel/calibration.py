@@ -9,14 +9,14 @@ What every kind's statistic and interval at one (sample, t) share, the
 truncation, the point estimate, the scale factor and the hull, is built
 by one function, ``_setup_from``.  ``_setup`` keeps its result in the
 sample's memo (see ``core.Sample``), where ``scale_factor``,
-``scaled_statistic``, ``invert`` and the ``ci`` command read it, and
+``scaled_statistic`` and ``invert`` read it, and
 ``scaled_statistic`` shares ``log_ratio``'s kept EL and AEL ratios.
-``run_experiment`` calls ``_setup_from`` on each replication's values,
-with no memo, since each set-up is used once.  Every interval is
-inverted from set-ups by ``intervals._chunk_intervals``, which takes the
-kinds asked of it in turn, each on every set-up of a simulation chunk at
-once; ``intervals._intervals``, for ``invert`` and the ``ci`` command, is
-its one-set-up case.
+``run_experiment`` and the ``ci`` command set up each sample's values at
+every t with no memo, since each set-up is used once, stacked in one
+array t-major (``_stacked_setups``).  Every interval is inverted from
+set-ups by ``intervals._chunk_intervals``, which takes the kinds asked of
+it in turn, each on every stacked set-up at once; ``invert`` is its
+one-set-up, one-kind case.
 
 The critical value comes from the standard library's ``NormalDist``, so
 this module, and the ``ci`` and ``curve`` commands, need no SciPy.
@@ -30,8 +30,9 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .core import Sample, VariantKind, _check_t, _kind, _number, _truncation
-from .errors import DegenerateVariance, DomainError, NonFinite
+from .core import (Sample, VariantKind, _check_t, _kind, _number, _quantile_index, _truncate,
+                   _truncation)
+from .errors import DegenerateVariance, DomainError, LorenzELError, NonFinite
 from .variants import _memo_log_ratio
 
 __all__ = [
@@ -96,6 +97,30 @@ def _setup_from(x: np.ndarray, v: np.ndarray, psi: float,
                         "underflow; the scale factor is undefined")
     scale = ScaleFactor(sigma_p_sq=sigma_p_sq, sigma_v_sq=sigma_v_sq, ratio=ratio)
     return v, theta_hat, scale, (float(np.minimum.reduce(v)), float(np.maximum.reduce(v)))
+
+
+def _stacked_setups(samples: list, ts) -> tuple[np.ndarray, list, list]:
+    """``_setup_from`` of each sorted array of ``samples``, all of one size
+    n, at each t of ``ts``, t-major, with no memo: the truncated values
+    stacked in the rows of V, their other results in ``setups``, and per t,
+    per sample, the index of its row or the LorenzELError of its set-up."""
+    n = samples[0].size
+    V, setups, rows = np.empty((len(ts) * len(samples), n)), [], []
+    for t in ts:
+        k = _quantile_index(n, t)
+        at = []
+        for x in samples:
+            try:
+                V[len(setups)], *setup = _setup_from(x, *_truncate(x, float(x[k])))
+            except LorenzELError as exc:
+                # kept without its traceback, which holds this frame and so
+                # the whole stack in a reference cycle with the error
+                at.append(exc.with_traceback(None))
+                continue
+            at.append(len(setups))
+            setups.append(setup)
+        rows.append(at)
+    return V[:len(setups)], setups, rows
 
 
 def _setup(s: Sample, t: float) -> tuple[np.ndarray, float, ScaleFactor, tuple[float, float]]:

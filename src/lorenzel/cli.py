@@ -14,11 +14,11 @@ import os
 import sys
 from typing import Optional
 
-from .calibration import _setup, chi2_crit
+from .calibration import _stacked_setups, chi2_crit
 from .core import VariantKind, _kind
 from .errors import FileError, LorenzELError, SchemaError
 from .income import _fmt, _write_table, curve, load_csv, write_curve_csv
-from .intervals import _intervals
+from .intervals import _PASS_VALUES, _chunk_intervals, _t_major
 from .populations import ChiSquare, SeedSpec, SkewNormal, Weibull
 from .simulation import ExperimentConfig, _workers, run_experiment, write_results_csv
 
@@ -178,20 +178,37 @@ def _cmd_ci(args) -> int:
     smp = table.sample()
     prec = None if args.raw else 4
 
+    failure = []  # the first failure, which ends the table after the rows before it
+
     def rows():
-        crit, level = chi2_crit(args.alpha), 1.0 - args.alpha
-        for t in args.t:
-            # the estimate is the truncation's theta_hat, bit for bit; the
-            # methods share the truncation and start from each other's
-            # endpoints, as in run_experiment
-            setup = _setup(smp, t)
-            for kind, ci in zip(args.methods, _intervals(args.methods, *setup, crit, level)):
+        crit, level, kinds = chi2_crit(args.alpha), 1.0 - args.alpha, args.methods
+        # the t grid in groups of rows that one array pass covers; each t's
+        # methods share its truncation and start from each other's
+        # endpoints, as in run_experiment
+        per = max(_PASS_VALUES // smp.n, 1)
+        for first in range(0, len(args.t), per):
+            ts = args.t[first:first + per]
+            V, setups, at = _stacked_setups([smp.values], ts)
+            # the t before the first whose set-up fails, row i for the i-th
+            good = next((i for i, (row,) in enumerate(at) if not isinstance(row, int)), len(ts))
+            for i, j, cis in _t_major(_chunk_intervals(kinds, V[:good], setups[:good], crit,
+                                                       level), good):
+                ci = cis[i]
                 if isinstance(ci, Exception):
-                    raise ci
-                yield [f"{t:.10g}", _fmt(setup[1], prec), kind.value,
+                    failure.append(ci)
+                    return
+                # the estimate is the truncation's theta_hat, bit for bit
+                yield [f"{ts[i]:.10g}", _fmt(setups[i][0], prec), kinds[j].value,
                        _fmt(ci.lower, prec), _fmt(ci.upper, prec), _fmt(ci.length, prec)]
+            if good < len(ts):
+                failure.append(at[good][0])
+                return
 
     _write_table(args.output, ["t", "estimate", "method", "lower", "upper", "length"], rows())
+    if failure:
+        # raised here, not in rows(), so that no frame of its traceback
+        # holds it in a reference cycle
+        raise failure.pop()
     return 0
 
 

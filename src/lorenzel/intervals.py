@@ -78,8 +78,11 @@ Batched passes.  A side's search is a coroutine (``_search_side``): it
 keeps its scalar logic, but hands out each pass it needs, as (theta, lam),
 and is sent the pass's sums (``_pass``).
 ``_chunk_intervals`` inverts one kind on many truncations of one sample
-size at once, the rows of one simulation chunk, stacked: both sides of
-every row are one group, and ``_drive`` answers the open requests of the
+size at once, stacked t-major (``calibration._stacked_setups``): every
+replication of a simulation chunk at every t of the grid, or the ``ci``
+command's one sample at every t of a group.  The truncation has n values
+at every t, so rows of different t share the stack.  Both sides of every
+row are one group, and ``_drive`` answers the open requests of the
 sides in flight with one array pass over their stacked rows
 (``_passes``).  Each row reduces along its own contiguous axis, as a 1-D
 array does, and each sum of squares is numpy's dot, as ``ndarray.dot``
@@ -91,14 +94,19 @@ than ``_PASS_VALUES`` values leaves the cache, so up to _PASS_VALUES // n
 sides, and at least one, are in flight.  A pass shared by two sides costs
 more than their two passes, so a round with fewer than three open requests
 answers each with ``_pass``: the two sides of one set-up, as for
-``invert`` and the ``ci`` command, take turns, a pass each, up to
-n = _PASS_VALUES / 2, and beyond it run one after the other.
+``invert``, take turns, a pass each, up to n = _PASS_VALUES / 2, and
+beyond it run one after the other.  The ``ci`` command stacks
+_PASS_VALUES // n of its t, and at least one, in a group, so a table of
+up to 455 values is one group over the default nine t, and one of more
+than 2,048 values searches one t at a time, as ``invert`` does.
 
 Seeded starts.  ``_chunk_intervals`` inverts the kinds asked in turn,
-lazily, for ``run_experiment`` and the ``ci`` command, and each search
-starts from an earlier kind's side on the same row (``_SEEDS``): AEL and
-TEL from EL's, TAEL from AEL's.  ``_intervals`` is its one-set-up case,
-and ``invert`` that one's one-kind case.  The first
+lazily, each on every row of its group, for ``run_experiment`` and the
+``ci`` command, and each search starts from an earlier kind's side on the
+same row, the same sample at the same t (``_SEEDS``): AEL and TEL from
+EL's, TAEL from AEL's.  Its lists come kind by kind, and ``_t_major``
+hands them on in (t, kind) order, each when it is first needed.
+``invert`` is its one-set-up, one-kind case.  The first
 joint step, step 0, comes from the seed side's closing pass, the joint
 pass whose bounds closed it: the data sums of a pass are the same for EL
 and AEL, and AEL's pseudo-deviation -a_n (theta_hat - theta) and a larger
@@ -120,14 +128,13 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from typing import Generator, Iterator, NamedTuple
 
 import numpy as np
 
-from .calibration import ScaleFactor, _setup, chi2_crit
+from .calibration import _setup, chi2_crit
 from .core import Sample, VariantKind, _check_t, _kind, _profile, adjustment_factor
 from .errors import BracketFailure, ConvexHullViolation, LorenzELError
 from .variants import _tel_inverse
@@ -575,10 +582,13 @@ def invert(kind: VariantKind, s: Sample, t: float, alpha: float) -> ConfidenceIn
     """
     kind = _kind(kind)
     crit = chi2_crit(alpha)
-    (ci,) = _intervals((kind,), *_setup(s, _check_t(t)), crit, 1.0 - float(alpha))
-    if isinstance(ci, Exception):
-        raise ci
-    return ci
+    v, *setup = _setup(s, _check_t(t))
+    # a copy of v, which is kept in the sample's memo, as the one row to scale
+    cis = next(_chunk_intervals((kind,), np.array(v, ndmin=2), [setup], crit,
+                                1.0 - float(alpha)))
+    if isinstance(cis[0], Exception):
+        raise cis.pop()  # popped, so that this frame, in its traceback, does not hold it
+    return cis[0]
 
 
 # The kind whose endpoints and multipliers, on the same truncation, start
@@ -589,7 +599,8 @@ _SEEDS = {VariantKind.AEL: VariantKind.EL, VariantKind.TEL: VariantKind.EL,
 
 
 # Values one array pass covers at most: the sides of a group, of size n,
-# share a pass _PASS_VALUES // n at a time.  A pass shared by 8 sides costs
+# share a pass _PASS_VALUES // n at a time, and the ci command stacks as
+# many of its t, and at least one, in a group.  A pass shared by 8 sides costs
 # 1.6x less than their passes one at a time at n = 500, and one shared by 32
 # sides 3.5x less at n = 100; past about 16,000 values a pass leaves the
 # cache and costs more.  A pass holds three arrays of this size (the
@@ -625,7 +636,7 @@ def _drive(V: np.ndarray, hulls: list, adjusted: bool, plans: list) -> list:
             except StopIteration as stop:
                 ends[taken] = stop.value
             except LorenzELError as exc:
-                ends[taken] = exc
+                ends[taken] = exc.with_traceback(None)  # without its traceback, as below
             taken += 1
         if not flight:
             return ends
@@ -641,7 +652,9 @@ def _drive(V: np.ndarray, hulls: list, adjusted: bool, plans: list) -> list:
                 ends[i] = stop.value
                 continue
             except LorenzELError as exc:
-                ends[i] = exc
+                # kept without its traceback, which holds this frame and so
+                # V in a reference cycle with the error
+                ends[i] = exc.with_traceback(None)
                 continue
             still.append(f)
         flight = still
@@ -719,15 +732,16 @@ def _chunk_intervals(kinds: tuple, V: np.ndarray, setups: list, crit: float, lev
         yield cis
 
 
-def _intervals(kinds: tuple, v: np.ndarray, theta_hat: float, scale: ScaleFactor,
-               hull: tuple[float, float], crit: float, level: float,
-               ) -> Iterator[ConfidenceInterval | LorenzELError]:
-    """The interval of each kind in ``kinds``, in turn, from
-    ``calibration._setup``'s result, the critical value and the level; in
-    place of an interval, the LorenzELError that ruled it out; the next
-    kind is searched all the same.  Lazy, as ``_chunk_intervals``, whose
-    one-set-up case it is; ``invert`` is its one-kind case.
-    """
-    # a copy of v, which is kept in the sample's memo, as the one row to scale
-    return map(operator.itemgetter(0), _chunk_intervals(kinds, np.array(v, ndmin=2),
-                                                        [(theta_hat, scale, hull)], crit, level))
+def _t_major(lists: Iterator[list], count: int) -> Iterator[tuple[int, int, list]]:
+    """(i, j, list j) for each t index i < ``count`` and each kind j, in (t,
+    kind) order, from the kind-major lists of ``_chunk_intervals`` over rows
+    stacked t-major, each drawn only when it is needed: at the first t each
+    kind follows its own list, and every later t follows the last kind's."""
+    drawn = []
+    for cis in lists:
+        drawn.append(cis)
+        if count:
+            yield 0, len(drawn) - 1, cis
+    for i in range(1, count):
+        for j, cis in enumerate(drawn):
+            yield i, j, cis

@@ -41,6 +41,16 @@ __all__ = [
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
+def _times_square(scale: float, factor: float) -> float:
+    """scale ** 2 * factor; where scale ** 2 overflows, scale * (scale *
+    factor), which is finite when the product is, and inf beyond the float
+    range."""
+    try:
+        return scale ** 2 * factor
+    except OverflowError:
+        return scale * (scale * factor)
+
+
 def _read_parameters(pop) -> None:
     """Store each parameter of pop as a float (``core._number``); DomainError if not finite."""
     for field in fields(pop):
@@ -72,21 +82,29 @@ class Weibull:
         t = _check_t(t)
         return self.scale * (-math.log1p(-t)) ** (1.0 / self.shape)
 
+    # SciPy's values are taken as Python floats, whose arithmetic rounds as
+    # numpy's does but gives inf and nan without a RuntimeWarning
+
     @property
     def mean(self) -> float:
         from scipy.special import gamma as gamma_fn
-        return self.scale * gamma_fn(1.0 + 1.0 / self.shape)
+        return self.scale * float(gamma_fn(1.0 + 1.0 / self.shape))
 
     def _ordinate(self, t: float) -> float:
         from scipy.special import gamma as gamma_fn, gammainc
         s = 1.0 + 1.0 / self.shape
-        return self.scale * gamma_fn(s) * gammainc(s, -math.log1p(-t))
+        # nan, not a warning, when Gamma(s) = inf meets gammainc = 0
+        return self.scale * float(gamma_fn(s)) * float(gammainc(s, -math.log1p(-t)))
 
     @property
     def variance(self) -> float:
+        """b^2 (Gamma(1 + 2/a) - Gamma(1 + 1/a)^2), or inf when Gamma(1 + 2/a)
+        overflows, as the mean is inf when Gamma(1 + 1/a) does."""
         from scipy.special import gamma as gamma_fn
-        g1 = gamma_fn(1.0 + 1.0 / self.shape)
-        return self.scale ** 2 * (gamma_fn(1.0 + 2.0 / self.shape) - g1 ** 2)
+        g2 = float(gamma_fn(1.0 + 2.0 / self.shape))
+        if g2 == math.inf:  # Gamma(1 + 2/a) >= Gamma(1 + 1/a)^2, as E[Z^2] >= E[Z]^2
+            return math.inf
+        return _times_square(self.scale, g2 - float(gamma_fn(1.0 + 1.0 / self.shape)) ** 2)
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         # inverse CDF: b * (-log U)^(1/a) with U uniform on (0, 1]
@@ -186,7 +204,7 @@ class SkewNormal:
 
     @property
     def variance(self) -> float:
-        return self.scale ** 2 * (1.0 - 2.0 * self._delta ** 2 / math.pi)
+        return _times_square(self.scale, 1.0 - 2.0 * self._delta ** 2 / math.pi)
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         # |Z0| carries the skew direction, the orthogonal Z1 fills in the rest

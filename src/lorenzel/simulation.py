@@ -5,13 +5,14 @@ r of a block is drawn once, from the child stream of (seed, r), and set
 up once per t, without the Sample's memo, for its point estimate and
 every method, so the calibrations and abscissae are compared on identical
 samples and the calibrations nest replication by replication.  A block
-draws its replications in chunks of at most ``_CHUNK``, so its memory is
-O(_CHUNK * n) with methods, however many replications there are, and
-O(n) for an estimate-only design, which estimates each sample at every t
-and drops it.  The rows of a chunk share n, so at each t their truncated
-values are stacked in one array, and each method inverts them all as one
-group (``intervals._chunk_intervals``), one array pass answering the
-passes of many of their searches.  A replication whose interval
+draws its replications in chunks of at most ``_CHUNK`` (replication, t)
+rows, so its memory is O(_CHUNK * n) with methods, however many
+replications there are, and O(n) for an estimate-only design, which
+estimates each sample at every t and drops it.  The truncations of a
+chunk have n values at every t, so those at every t are stacked in one
+array (``calibration._stacked_setups``), and each method inverts them all
+as one group (``intervals._chunk_intervals``), one array pass answering
+the passes of many of their searches.  A replication whose interval
 construction fails (any LorenzELError of its set-up or search, a search
 out of steps included) is counted in ``failures`` and left out of the
 coverage and length denominators, which count only the replications that
@@ -27,12 +28,10 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .calibration import _setup_from, chi2_crit
-from .core import (VariantKind, _integer, _kind, _number, _quantile_index, _truncate,
-                   point_estimate)
-from .errors import LorenzELError
+from .calibration import _stacked_setups, chi2_crit
+from .core import VariantKind, _integer, _kind, _number, point_estimate
 from .income import _fmt, _write_table
-from .intervals import ConfidenceInterval, _chunk_intervals
+from .intervals import ConfidenceInterval, _chunk_intervals, _t_major
 from .populations import Population, SeedSpec, sample, true_ordinate
 
 __all__ = [
@@ -94,10 +93,11 @@ class CellResult:
     failures: int
 
 
-# Replications a block draws and holds at once, which bounds its memory
-# however large reps is: at n = 500 the chunk's samples and one t's
-# truncations take about 8 MB, where the paper's 10**4 replications would
-# take 80 MB.
+# (replication, t) rows a block sets up and holds at once, _CHUNK //
+# len(t_grid) replications and at least one, which bounds its memory
+# however large reps is: at n = 500 a chunk's truncations at every t take
+# about 4 MB, and its samples at most as much, where the paper's 10**4
+# replications at 9 t would take 360 MB.
 _CHUNK = 1024
 
 
@@ -106,10 +106,13 @@ def _block(cfg: ExperimentConfig, n: int, thetas: tuple) -> Iterator[CellResult]
     with ``thetas`` the true ordinates at ``cfg.t_grid``.
 
     Each replication is drawn once, and set up once per t for its point
-    estimate and every method, in chunks of at most ``_CHUNK`` replications.
-    The methods at one t of a chunk are one ``intervals._chunk_intervals``
-    generator, drawn method by method, each method one group of every
-    row's searches.  A cell is yielded as soon as its last chunk is done.
+    estimate and every method, in chunks of at most ``_CHUNK`` (replication,
+    t) rows.  The methods on every row of a chunk are one
+    ``intervals._chunk_intervals`` generator, drawn method by method, each
+    method one group of every row's searches.  A cell is yielded as soon as
+    its method's list of the last chunk is drawn and every cell before it
+    is yielded: a chunk's cells at the first t follow their methods, and
+    the rest follow the last method.
     """
     reps, ts = cfg.reps, cfg.t_grid
     estimates = [np.empty(reps) for _ in ts]
@@ -126,47 +129,39 @@ def _block(cfg: ExperimentConfig, n: int, thetas: tuple) -> Iterator[CellResult]
     crit, level = chi2_crit(cfg.alpha), 1.0 - float(cfg.alpha)
     # per t and method: replications covered, failures and the sum of lengths
     tallies = [[[0, 0, 0.0] for _ in cfg.methods] for _ in ts]
-    for first in range(0, reps, _CHUNK):
-        rows = [sample(cfg.population, n, cfg.seed, replication=r)
-                for r in range(first, min(first + _CHUNK, reps))]
-        last = first + len(rows) == reps
-        for t, theta_true, est, tally in zip(ts, thetas, estimates, tallies):
-            # the rows whose scale factor is defined, in replication order:
-            # their truncated values stacked in V, and their other set-up
-            # results; the other rows fail every method
-            V, setups = np.empty((len(rows), n)), []
-            k = _quantile_index(n, t)
-            for r, smp in enumerate(rows, first):
-                x = smp.values
-                try:
-                    V[len(setups)], *setup = _setup_from(x, *_truncate(x, float(x[k])))
-                except LorenzELError:
-                    est[r] = point_estimate(smp, t)
-                    continue
-                est[r] = setup[0]
-                setups.append(setup)
-            failed = len(rows) - len(setups)
+    per = max(_CHUNK // len(ts), 1)  # replications per chunk
+    for first in range(0, reps, per):
+        smps = [sample(cfg.population, n, cfg.seed, replication=r)
+                for r in range(first, min(first + per, reps))]
+        last = first + len(smps) == reps
+        # per t, per replication: its row of V, or the failure of its set-up,
+        # which rules out every method
+        V, setups, rows = _stacked_setups([smp.values for smp in smps], ts)
+        for t, est, at in zip(ts, estimates, rows):
+            for r, (smp, row) in enumerate(zip(smps, at), first):
+                est[r] = setups[row][0] if isinstance(row, int) else point_estimate(smp, t)
+        if last:
+            errors = [_errors(est, theta_true) for est, theta_true in zip(estimates, thetas)]
+        for i, j, cis in _t_major(_chunk_intervals(cfg.methods, V, setups, crit, level), len(ts)):
+            if i == 0:  # the first t of method j: its intervals are new, tally every t
+                for at, theta_true, tally in zip(rows, thetas, tallies):
+                    counts = tally[j]
+                    for row in at:
+                        ci = cis[row] if isinstance(row, int) else row
+                        if not isinstance(ci, ConfidenceInterval):
+                            counts[1] += 1
+                            continue
+                        if ci.lower <= theta_true <= ci.upper:
+                            counts[0] += 1
+                        counts[2] += ci.length
             if last:
-                bias, mse = _errors(est, theta_true)
-            for method, counts, cis in zip(cfg.methods, tally,
-                                           _chunk_intervals(cfg.methods, V[:len(setups)],
-                                                            setups, crit, level)):
-                counts[1] += failed
-                for ci in cis:
-                    if not isinstance(ci, ConfidenceInterval):
-                        counts[1] += 1
-                        continue
-                    if ci.lower <= theta_true <= ci.upper:
-                        counts[0] += 1
-                    counts[2] += ci.length
-                if last:
-                    covered, failures, length_sum = counts
-                    produced = reps - failures
-                    yield CellResult(n=n, t=t, method=method, bias=bias, mse=mse,
-                                     coverage=covered / produced if produced else math.nan,
-                                     mean_length=length_sum / produced if produced else math.nan,
-                                     failures=failures)
-        del rows, V  # so that the next chunk is drawn with this one freed
+                (bias, mse), (covered, failures, length_sum) = errors[i], tallies[i][j]
+                produced = reps - failures
+                yield CellResult(n=n, t=ts[i], method=cfg.methods[j], bias=bias, mse=mse,
+                                 coverage=covered / produced if produced else math.nan,
+                                 mean_length=length_sum / produced if produced else math.nan,
+                                 failures=failures)
+        del smps, V  # so that the next chunk is drawn with this one freed
 
 
 def _errors(estimates: np.ndarray, theta_true: float) -> tuple[float, float]:
@@ -200,10 +195,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
     schedule because streams depend only on (seed, replication).
     ``progress(done, total, result)`` is called for each cell in design
     order, as soon as it and every cell before it are done.  Memory per
-    process is O(min(reps, 1024) * n) with methods (about 8 MB at n = 500)
-    and O(n) for an estimate-only design.  ``true_ordinate`` is evaluated
-    once per t.  ``workers`` that is not an integer of at least 1 raises
-    ValueError.
+    process is O(min(reps * len(t_grid), 1024) * n) with methods (at most
+    about 8 MB at n = 500) and O(n) for an estimate-only design.
+    ``true_ordinate`` is evaluated once per t.  ``workers`` that is not an
+    integer of at least 1 raises ValueError.
     """
     workers = _workers(workers)
     ordinate = {t: true_ordinate(cfg.population, t) for t in dict.fromkeys(cfg.t_grid)}

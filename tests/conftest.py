@@ -9,6 +9,7 @@ at single points and by bisection, for the whole grid at once, on the grid.
 """
 from __future__ import annotations
 
+import gc
 import math
 
 import numpy as np
@@ -16,7 +17,8 @@ import pytest
 from scipy.optimize import brentq
 from scipy.stats import chi2
 
-from lorenzel import intervals
+from lorenzel import intervals, simulation
+from lorenzel.calibration import _stacked_setups
 
 
 def oracle_quantile_index(n: int, t: float) -> int:
@@ -191,3 +193,56 @@ class Sides:
 @pytest.fixture
 def sides(monkeypatch) -> Sides:
     return Sides(monkeypatch)
+
+
+def seeded_intervals(kinds, s, t: float, crit: float, level: float = 0.95):
+    """The interval of each kind of ``kinds``, in turn and lazily, or the
+    LorenzELError in its place, on the one set-up of the Sample s at t, each
+    kind seeded by an earlier one's sides, as ``ci`` and ``run_experiment``
+    invert them.  s must have a set-up at t."""
+    V, setups, _ = _stacked_setups([s.values], (t,))
+    return (cis[0] for cis in intervals._chunk_intervals(tuple(kinds), V, setups, crit, level))
+
+
+def record_chunks(monkeypatch, record) -> None:
+    """Patch the simulation so that ``record`` is called with the kind and
+    each interval it inverts, or the failure in its place, in (n, t, kind,
+    replication)
+    order, for designs whose every n is one chunk.  A chunk sets its rows up
+    t-major (``_stacked_setups``) and inverts them kind by kind, so its
+    intervals are put back in that order once its last kind is done.  A
+    replication whose set-up fails is not recorded."""
+    true_stack, true_chunk = simulation._stacked_setups, simulation._chunk_intervals
+    latest = []  # the row index of the last stack set up
+
+    def stacked(*args):
+        out = true_stack(*args)
+        latest[:] = [out[2]]
+        return out
+
+    def chunk(kinds, *args):
+        (rows,), drawn = latest, []
+        for cis in true_chunk(kinds, *args):
+            drawn.append(cis)
+            yield cis
+        for at in rows:
+            for kind, cis in zip(kinds, drawn):
+                for row in at:
+                    if isinstance(row, int):
+                        record(kind, cis[row])
+
+    monkeypatch.setattr(simulation, "_stacked_setups", stacked)
+    monkeypatch.setattr(simulation, "_chunk_intervals", chunk)
+
+
+def garbage_cycles(run) -> int:
+    """The objects that only the cycle collector frees after a call of
+    ``run``, with collection off during it; a first call fills the caches."""
+    run()
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        gc.enable()

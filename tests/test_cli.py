@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import lorenzel as lz
+from conftest import garbage_cycles
 from lorenzel import cli, intervals
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -59,7 +60,9 @@ class TestCi:
 
     def test_stops_at_the_first_failing_interval(self, tmp_path, capsys, monkeypatch):
         # at t = 0.9 the TAEL set of this table is the whole line: the rows
-        # before it are written, and AEL after it is never searched
+        # before it are written, and no kind after it is searched.  Both t
+        # are one group, searched kind by kind: EL at both t, TAEL at 0.5,
+        # and AEL at both t, which the row (0.5, ael) before the failure needs
         table = tmp_path / "ten.csv"
         table.write_text("income\n" + "\n".join(["12", "31", "7", "45", "23", "18", "52",
                                                  "9", "27", "36"]) + "\n")
@@ -78,7 +81,62 @@ class TestCi:
         assert [(r[0], r[2]) for r in rows] == [
             ("t", "method"), ("0.5", "el"), ("0.5", "tael"), ("0.5", "ael"), ("0.9", "el")]
         assert err.startswith("lorenzel ci: BracketFailure: tael log-ratio is bounded")
-        assert searched == [False] * 2 + [True] * 4 + [False] * 2
+        assert searched == [False] * 4 + [True] * 6
+
+    @pytest.mark.parametrize("methods", ["all", "tael,el,ael"])
+    @pytest.mark.parametrize("per", [None, 2, 1])
+    def test_a_t_grid_writes_the_rows_of_its_single_t_runs(self, income_csv, capsys,
+                                                          monkeypatch, methods, per):
+        # the t of one group (all three by default; two, then one, or one
+        # at a time when _PASS_VALUES is cut) are searched together, kind by
+        # kind: each row is the one a run at its t alone writes, bit for bit
+        if per is not None:
+            monkeypatch.setattr(cli, "_PASS_VALUES", per * 140)  # the table's 140 rows
+        base = ["ci", "--input", income_csv, "--value-column", "income", "--raw",
+                "--methods", methods]
+        ts = ["0.2", "0.5", "0.8"]
+        code, out, _ = run(base + ["--t", ",".join(ts)], capsys)
+        assert code == 0
+        want = "t,estimate,method,lower,upper,length\n"
+        for t in ts:
+            code, alone, _ = run(base + ["--t", t], capsys)
+            assert code == 0
+            want += alone.split("\n", 1)[1]
+        assert out == want
+        assert len(out.splitlines()) == 1 + 3 * (4 if methods == "all" else 3)
+
+    def test_a_set_up_that_fails_ends_the_table_at_its_t(self, tmp_path, capsys):
+        # 20 small values and 5 near 1e200: at t = 0.9 the plug-in variances
+        # overflow, so the table holds the rows at t = 0.3, those of a run
+        # at 0.3 alone, and stops there, though t = 0.5 after it has a set-up
+        table = tmp_path / "huge_top.csv"
+        table.write_text("income\n" + "\n".join([str(k) for k in range(1, 21)]
+                                                 + [f"{k}e200" for k in range(1, 6)]) + "\n")
+        base = ["ci", "--input", str(table), "--value-column", "income"]
+        code, alone, _ = run(base + ["--t", "0.3"], capsys)
+        assert code == 0 and len(alone.splitlines()) == 5
+        code, out, err = run(base + ["--t", "0.3,0.9,0.5"], capsys)
+        assert code == 4
+        assert out == alone
+        assert err.startswith("lorenzel ci: NonFinite: plug-in variances")
+        code, _, _ = run(base + ["--t", "0.5"], capsys)
+        assert code == 0
+
+    def test_a_failure_leaves_no_reference_cycle(self, tmp_path, capsys, monkeypatch):
+        # a set-up that fails, a whole-line interval and a search out of
+        # steps end the table from no frame that still holds the failure, so
+        # the table, the open file and the stack are freed with the call
+        table = tmp_path / "ten.csv"
+        table.write_text("income\n" + "\n".join(["12", "31", "7", "45", "23", "18", "52",
+                                                 "9", "27", "36"]) + "\n")
+        base = ["ci", "--input", str(table), "--value-column", "income",
+                "--output", str(tmp_path / "out.csv")]
+        codes = []
+        for argv in (["--t", "0.5,0.1"], ["--t", "0.5,0.9", "--methods", "el,tael"]):
+            assert garbage_cycles(lambda: codes.append(run(base + argv, capsys)[0])) == 0
+        monkeypatch.setattr(intervals, "_MAX_PASSES", 2)
+        assert garbage_cycles(lambda: codes.append(run(base + ["--t", "0.5"], capsys)[0])) == 0
+        assert codes == [4] * 6
 
     def test_exhausted_search_is_exit_4(self, income_csv, capsys, monkeypatch):
         # ci raises the first failure of any kind, a search out of steps included

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 import lorenzel as lz
-import lorenzel.simulation as simulation
-from conftest import oracle_ci, random_positive_data
+from conftest import (garbage_cycles, oracle_ci, random_positive_data, record_chunks,
+                      seeded_intervals)
 from lorenzel import intervals
-from lorenzel.calibration import _setup, _setup_from
+from lorenzel.calibration import _setup_from
 from lorenzel.core import _profile, _quantile_index, _truncate
 from lorenzel.intervals import _ael_limit, _bounds, _joint_step, _newton, _pass
 from lorenzel.variants import _tel_inverse
@@ -378,6 +378,24 @@ class TestSearchBudget:
         assert not isinstance(exc_info.value, lz.BracketFailure)
         assert "100 steps" in str(exc_info.value)
 
+    def test_a_failure_leaves_no_reference_cycle(self, monkeypatch, rng):
+        # a search out of steps, and a whole-line set, are raised from no
+        # frame that still holds them, so nothing waits for the collector
+        monkeypatch.setattr(intervals, "_MAX_PASSES", 2)
+        s = lz.Sample(random_positive_data(rng, 40))
+        ten = lz.Sample([12, 31, 7, 45, 23, 18, 52, 9, 27, 36])  # TAEL at 0.9: the whole line
+        caught = []
+
+        def run():
+            for kind, smp, t in (("el", s, 0.5), ("tael", ten, 0.9)):
+                try:
+                    lz.invert(kind, smp, t, 0.05)
+                except lz.LorenzELError as exc:
+                    caught.append(type(exc))
+
+        assert garbage_cycles(run) == 0
+        assert set(caught) == {lz.LorenzELError, lz.BracketFailure}
+
 
 class TestEvaluationBudget:
     def test_few_evaluations_and_covered_edges(self):
@@ -513,32 +531,27 @@ PINS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "search_pins.jso
 
 
 def pinned_search(monkeypatch) -> dict:
-    """The intervals of the pinned design, in call order, each as [kind,
-    lower, upper, passes] or [kind, failure class]: ``run_experiment`` on 3
-    populations x n {10, 50, 300} x t {0.1, 0.5, 0.9} x 2 reps, and the four
-    kinds at t {0.1, 0.5, 0.9} on one 3,000-value sample, inverted as the
-    ``ci`` command does, from one set-up per t and each other's seeds."""
+    """The intervals of the pinned design, each as [kind, lower, upper,
+    passes] or [kind, failure class]: ``run_experiment`` on 3 populations x
+    n {10, 50, 300} x t {0.1, 0.5, 0.9} x 2 reps, in (population, n, t, kind,
+    replication) order, and the four kinds at t {0.1, 0.5, 0.9} on one
+    3,000-value sample, inverted as the ``ci`` command does at that size,
+    from one set-up per t and each other's seeds."""
     experiment = []
-    original = simulation._chunk_intervals
-
-    def recorded(kinds, *args):
-        for kind, cis in zip(kinds, original(kinds, *args)):
-            experiment.extend([kind.value, type(ci).__name__] if isinstance(ci, Exception)
-                              else [kind.value, ci.lower, ci.upper, ci.iterations] for ci in cis)
-            yield cis
-
-    monkeypatch.setattr(simulation, "_chunk_intervals", recorded)
-    for p, pop in enumerate([lz.Weibull(1.0, 2.0), lz.ChiSquare(3.0), lz.SkewNormal(1.0, 3.0, 5.0)]):
-        lz.run_experiment(lz.ExperimentConfig(population=pop, n_grid=(10, 50, 300),
-                                              t_grid=(0.1, 0.5, 0.9), reps=2,
-                                              seed=lz.SeedSpec(83, p)))
-    monkeypatch.setattr(simulation, "_chunk_intervals", original)
+    with monkeypatch.context() as patched:
+        record_chunks(patched, lambda kind, ci: experiment.append(
+            [kind.value, type(ci).__name__] if isinstance(ci, Exception)
+            else [kind.value, ci.lower, ci.upper, ci.iterations]))
+        for p, pop in enumerate([lz.Weibull(1.0, 2.0), lz.ChiSquare(3.0),
+                                 lz.SkewNormal(1.0, 3.0, 5.0)]):
+            lz.run_experiment(lz.ExperimentConfig(population=pop, n_grid=(10, 50, 300),
+                                                  t_grid=(0.1, 0.5, 0.9), reps=2,
+                                                  seed=lz.SeedSpec(83, p)))
     s = lz.Sample(np.random.default_rng(29).lognormal(10.0, 0.5, 3000))
     crit = lz.chi2_crit(0.05)
     table = []
-    kinds = tuple(lz.VariantKind)
     for t in (0.1, 0.5, 0.9):
-        for ci in intervals._intervals(kinds, *_setup(s, t), crit, 0.95):
+        for ci in seeded_intervals(lz.VariantKind, s, t, crit):
             table.append([ci.kind.value, ci.lower, ci.upper, ci.iterations])
     return {"experiment": experiment, "ci": table}
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,28 @@ class TestDistributions:
         assert CHI.mean == 3.0 and CHI.variance == 6.0
         assert SN.mean == pytest.approx(3.3471705452662808, rel=1e-14)
         assert SN.variance == pytest.approx(3.4907904314343914, rel=1e-13)
+
+    @pytest.mark.parametrize("pop,want", [
+        # each scale ** 2 overflows; the variance is finite (want as a log)
+        # or beyond the float range
+        (lz.SkewNormal(0.0, 1.5e154, 1.0), 2.0 * math.log(1.5e154) + math.log1p(-1.0 / math.pi)),
+        (lz.SkewNormal(0.0, 1e200, 1.0), math.inf),
+        (lz.Weibull(2.0, 2.5e154), 2.0 * math.log(2.5e154) + math.log1p(-math.pi / 4.0)),
+        (lz.Weibull(1.0, 1e200), math.inf),
+        # Gamma(1 + 2/a) overflows, as Gamma(1 + 1/a) does for the mean
+        (lz.Weibull(0.01, 1.0), math.inf),
+        (lz.Weibull(0.005, 1.0), math.inf),
+    ])
+    def test_variance_past_a_square_that_overflows(self, pop, want):
+        # no OverflowError and no RuntimeWarning: the variance when it is
+        # finite, inf beyond the float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pop.variance
+        if math.isfinite(want):
+            assert math.log(got) == pytest.approx(want, rel=1e-14)
+        else:
+            assert got == math.inf
 
     def test_str_forms(self):
         assert str(WEI) == "weibull(1,2)"
@@ -211,3 +234,12 @@ class TestTrueOrdinate:
         # Gamma(1 + 1/a) overflows for shapes below about 0.006
         with pytest.raises(lz.NonFinite):
             lz.true_ordinate(lz.Weibull(0.005, 1.0), 0.9)
+
+    @pytest.mark.parametrize("shape,t", [(0.005, 0.9), (1e-3, 0.5), (1e-3, 0.9)])
+    def test_overflow_warns_of_nothing(self, shape, t):
+        # where Gamma(1 + 1/a) = inf meets gammainc = 0 the product is nan:
+        # NonFinite, with no RuntimeWarning before it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(lz.NonFinite):
+                lz.true_ordinate(lz.Weibull(shape, 1.0), t)

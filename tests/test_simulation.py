@@ -14,7 +14,8 @@ import pytest
 import lorenzel as lz
 import lorenzel.simulation as simulation
 from lorenzel import intervals
-from lorenzel.calibration import _setup
+from conftest import garbage_cycles, record_chunks, seeded_intervals
+from lorenzel.calibration import _setup, _setup_from, _stacked_setups
 from lorenzel.core import _quantile_index, _truncate
 
 WEI = lz.Weibull(1.0, 2.0)
@@ -225,7 +226,8 @@ class TestRunExperiment:
 
 
 class TestChunks:
-    """A block draws its replications in chunks of ``simulation._CHUNK``."""
+    """A block draws its replications in chunks of ``simulation._CHUNK``
+    (replication, t) rows."""
 
     def test_chunk_boundaries_change_nothing(self, monkeypatch):
         # reps = 7 in chunks of 3: two full chunks and a partial one
@@ -238,6 +240,25 @@ class TestChunks:
         assert chunked == whole
         assert calls["chunked"] == calls["whole"]
         assert len(whole) == 2 * 3 * 4
+
+    @pytest.mark.parametrize("chunk", [7, 1024])
+    def test_a_t_grid_gives_the_cells_of_its_single_t_runs(self, monkeypatch, chunk):
+        # a chunk's rows at every t are one group, searched kind by kind;
+        # with _CHUNK = 7 a chunk of the grid holds 2 replications per t (7
+        # reps: chunks of 2, 2, 2 and 1), and one of a single t all 7
+        monkeypatch.setattr(simulation, "_CHUNK", chunk)
+
+        def cells(t_grid):
+            cfg = small_cfg(population=lz.ChiSquare(3.0), n_grid=(10, 25, 50), t_grid=t_grid,
+                            methods=tuple(lz.VariantKind), reps=7, seed=lz.SeedSpec(11))
+            return [(c.n, c.t, c.method, c.bias.hex(), c.mse.hex(), c.coverage.hex(),
+                     c.mean_length.hex(), c.failures) for c in lz.run_experiment(cfg)]
+
+        ts = (0.1, 0.5, 0.9)
+        grid = cells(ts)
+        alone = {t: cells((t,)) for t in ts}
+        assert grid == [cell for n in range(3) for t in ts for cell in alone[t][4 * n:4 * n + 4]]
+        assert sum(cell[-1] for cell in grid) > 0
 
     def test_memory_is_bounded_by_the_chunk(self, monkeypatch):
         monkeypatch.setattr(simulation, "_CHUNK", 64)
@@ -266,12 +287,12 @@ class TestChunks:
         assert peak < 3.3 * 64 * 400 * 8, peak / (64 * 400 * 8)
 
     @staticmethod
-    def _outcome(fn):
+    def _outcome(fn, writeable=False):
         try:
             v, theta_hat, scale, hull = fn()
         except lz.LorenzELError as exc:
             return type(exc)
-        assert not v.flags.writeable
+        assert v.flags.writeable == writeable
         return (v.tobytes(), theta_hat.hex(), scale.sigma_p_sq.hex(), scale.sigma_v_sq.hex(),
                 scale.ratio.hex(), hull[0].hex(), hull[1].hex())
 
@@ -286,32 +307,35 @@ class TestChunks:
     ])
     def test_row_setup_is_the_memo_setup(self, data, raised, rng):
         # the simulation's memo-free set-up of one row, bit for bit or the
-        # same exception class as the Sample's memoized one
+        # same exception class as the Sample's memoized one, alone and as
+        # a row of one stack over every t (which is writeable: it is scaled
+        # in place for the search)
         if data == "skew":
             data = lz.SkewNormal(0.0, 1.0, 4.0).draw(rng, 25)
         x = lz.Sample(data).values
+        ts = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95)
+        V, setups, rows = _stacked_setups([x], ts)
+        assert len(V) == len(setups)
         seen = set()
-        for t in (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95):
+        for t, (at,) in zip(ts, rows):
             k = _quantile_index(x.size, t)
-            row = self._outcome(lambda: simulation._setup_from(x, *_truncate(x, float(x[k]))))
+            row = self._outcome(lambda: _setup_from(x, *_truncate(x, float(x[k]))))
             assert row == self._outcome(lambda: _setup(lz.Sample(data), t)), t
+            stacked = (type(at) if isinstance(at, Exception)
+                       else self._outcome(lambda: (V[at], *setups[at]), writeable=True))
+            assert stacked == row, t
             if isinstance(row, type):
                 seen.add(row)
         assert seen == raised
 
 
 def recorded_intervals(monkeypatch):
-    """Patch the simulation to record, in call order, each interval it
-    inverts or the class of the failure it raised instead."""
+    """Patch the simulation to record, in (n, t, kind, replication) order,
+    each interval it inverts or the class of the failure it raised instead
+    (``record_chunks``)."""
     seen = []
-    original = simulation._chunk_intervals
-
-    def recorded(*args):
-        for cis in original(*args):
-            seen.extend(type(ci) if isinstance(ci, Exception) else ci for ci in cis)
-            yield cis
-
-    monkeypatch.setattr(simulation, "_chunk_intervals", recorded)
+    record_chunks(monkeypatch, lambda kind, ci: seen.append(
+        type(ci) if isinstance(ci, Exception) else ci))
     return seen
 
 
@@ -389,8 +413,7 @@ class TestSeededSearches:
         for t in (0.1, 0.3, 0.5, 0.7, 0.9):
             setup = _setup(s, t)
             tol = 1e-15 * float(np.ptp(setup[0]))
-            for kind, got in zip(lz.VariantKind, intervals._intervals(
-                    tuple(lz.VariantKind), *setup, crit, 0.95)):
+            for kind, got in zip(lz.VariantKind, seeded_intervals(lz.VariantKind, s, t, crit)):
                 cold = lz.invert(kind, s, t, 0.05)
                 for a, b in ((got.lower, cold.lower), (got.upper, cold.upper)):
                     assert abs(a - b) <= 1e-8 * max(abs(a), abs(b)) + tol, (t, kind)
@@ -428,7 +451,7 @@ class TestSeededSearches:
                 s = lz.sample(pop, n, lz.SeedSpec(59, p), 0)
                 for t in (0.1, 0.5, 0.9):
                     setup = _setup(s, t)
-                    cis = intervals._intervals(tuple(lz.VariantKind), *setup, crit, 0.95)
+                    cis = seeded_intervals(lz.VariantKind, s, t, crit)
                     monkeypatch.setattr(intervals, "_joint_step", lambda *args: None)
                     assert isinstance(next(cis), lz.ConfidenceInterval)  # EL
                     monkeypatch.setattr(intervals, "_joint_step", true_joint)
@@ -482,7 +505,7 @@ class TestSeededSearches:
                     # the search runs on the values scaled by 2^-k, max size in [0.5, 1)
                     k = math.frexp(max(abs(setup[3][0]), abs(setup[3][1])))[1]
                     tol = 1e-15 * float(np.ptp(setup[0]))
-                    gen = intervals._intervals(tuple(lz.VariantKind), *setup, crit, 0.95)
+                    gen = seeded_intervals(lz.VariantKind, s, t, crit)
                     cis = {}
                     for kind in lz.VariantKind:
                         before = len(refused)
@@ -545,6 +568,16 @@ class TestSurvivableFailures:
             assert all(math.isnan(r.coverage) for r in res)
         else:
             assert 0 < exhausted < len(res) * cfg.reps
+
+    def test_failures_leave_no_reference_cycle(self, monkeypatch):
+        # failed set-ups (n = 10 at t = 0.1) and searches out of steps are
+        # kept without their tracebacks, which would hold a chunk's stack in
+        # a cycle until the collector runs
+        monkeypatch.setattr(intervals, "_MAX_PASSES", 2)
+        cfg = small_cfg(n_grid=(10,), t_grid=(0.1, 0.5), reps=20, methods=tuple(lz.VariantKind))
+        res = []
+        assert garbage_cycles(lambda: res.append(lz.run_experiment(cfg))) == 0
+        assert {r.t for r in res[-1] if r.failures == cfg.reps} == {0.1, 0.5}
 
     def test_a_failed_search_rules_out_one_interval(self, monkeypatch):
         # the adjusted kinds' searches fail; EL, searched after AEL in each
