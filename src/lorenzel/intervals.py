@@ -127,6 +127,7 @@ from ``invert``'s within the stopping tolerance.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -261,28 +262,46 @@ def _pass(v: np.ndarray, theta: float, lam: float, adjusted: bool,
                  float(r.dot(r)), float(np.add.reduce(q)), float(q.dot(q)))
 
 
-def _squares(a: np.ndarray) -> list:
+def _squares(a: np.ndarray) -> np.ndarray:
     """Each row's a[i].dot(a[i]), bit for bit, in one call: a stacked
     row-by-column matmul takes each product with numpy's dot, as
     ndarray.dot does."""
-    return np.matmul(a[:, None, :], a[:, :, None]).ravel().tolist()
+    return np.matmul(a[:, None, :], a[:, :, None]).ravel()
+
+
+def _sums(w: np.ndarray, lam: np.ndarray) -> tuple:
+    """The five sums of ``_pass`` over each row of w = v - theta at the lam
+    of the row: 2 sum(log1p(lam w)), sum(r), sum(r^2), sum(q) and sum(q^2),
+    each an array over the rows.  Bit for bit ``_pass``'s: each row reduces
+    along its own contiguous axis as a 1-D array does, and each sum of
+    squares is numpy's dot.  w is overwritten."""
+    # lam w twice, so that log1p(lam w) needs no array of its own
+    lams = lam[:, None]
+    x = np.multiply(lams, w)
+    ldata = 2.0 * np.add.reduce(np.log1p(x, out=x), axis=1)
+    np.multiply(lams, w, out=x)
+    x += 1.0
+    q = np.divide(1.0, x, out=x)
+    r = np.multiply(w, q, out=w)
+    return (ldata, np.add.reduce(r, axis=1), _squares(r), np.add.reduce(q, axis=1),
+            _squares(q))
 
 
 def _passes(V: np.ndarray, hulls: list, adjusted: bool, lanes: list) -> list:
     """``_pass`` at each lane (row, theta, lam), on the row of V and its hull
-    in ``hulls``, as one array pass over the stacked rows: the same sums,
-    bit for bit, as each row reduces along its own contiguous axis as a 1-D
-    array does.  A lane refused is dropped before any sum of squares,
-    logarithm or division, so no RuntimeWarning can fire."""
+    in ``hulls``, as one array pass over the stacked rows (``_sums``): the
+    same sums, bit for bit, or None where ``_dmin`` refuses the pass.  A
+    lane refused is dropped before any sum of squares, logarithm or
+    division, so no RuntimeWarning can fire."""
     n = V.shape[1]
-    rows, thetas, _ = zip(*lanes)
+    rows, thetas, lams = zip(*lanes)
     w = V[list(rows)]
     w -= np.array(thetas)[:, None]
     a = adjustment_factor(n) if adjusted else 0.0
-    sums = np.add.reduce(w, axis=1).tolist() if adjusted else None
+    sw = np.add.reduce(w, axis=1).tolist() if adjusted else None
     kept = []  # (lane index, lam, dmin, pseudo) of the lanes admitted
     for j, (row, theta, lam) in enumerate(lanes):
-        pseudo = -a * (sums[j] / n) if adjusted else 0.0
+        pseudo = -a * (sw[j] / n) if adjusted else 0.0
         dmin = _dmin(theta, lam, hulls[row], n, pseudo)
         if dmin is not None:
             kept.append((j, lam, dmin, pseudo))
@@ -291,18 +310,9 @@ def _passes(V: np.ndarray, hulls: list, adjusted: bool, lanes: list) -> list:
         return out
     if len(kept) < len(lanes):
         w = w[[j for j, _, _, _ in kept]]
-    # lam w twice, so that log1p(lam w) needs no array of its own
-    lams = np.array([lam for _, lam, _, _ in kept])[:, None]
-    x = np.multiply(lams, w)
-    ldata = np.add.reduce(np.log1p(x, out=x), axis=1).tolist()
-    np.multiply(lams, w, out=x)
-    x += 1.0
-    q = np.divide(1.0, x, out=x)
-    r = np.multiply(w, q, out=w)
-    sums = zip(ldata, np.add.reduce(r, axis=1).tolist(), _squares(r),
-               np.add.reduce(q, axis=1).tolist(), _squares(q))
-    for (j, lam, dmin, pseudo), (ld, sr, sr2, sq, sq2) in zip(kept, sums):
-        out[j] = _Pass(thetas[j], lam, n, a, pseudo, dmin, 2.0 * ld, sr, sr2, sq, sq2)
+    sums = _sums(w, np.array([lam for _, lam, _, _ in kept]))
+    for (j, lam, dmin, pseudo), fields in zip(kept, zip(*(f.tolist() for f in sums))):
+        out[j] = _Pass(thetas[j], lam, n, a, pseudo, dmin, *fields)
     return out
 
 
@@ -470,7 +480,7 @@ def _search_side(v: np.ndarray, adjusted: bool, hull: tuple[float, float], targe
     strictly inside the search range, or whose ``_cold_lam`` is None, takes
     no pass and goes to the certified steps.
     """
-    inner, outer = theta_hat if inner is None else inner, bound
+    inner = theta_hat if inner is None else inner
     hull_w = hull[1] - hull[0]
     slack = 1e-15 * hull_w  # the absolute part of every stopping tolerance
     out = math.copysign(1.0, bound - theta_hat)
@@ -515,8 +525,22 @@ def _search_side(v: np.ndarray, adjusted: bool, hull: tuple[float, float], targe
         probe = moved <= tol
         if probe:
             break
-    # Certified steps, from where the joint steps stopped: the only kind
-    # that moves the bracket
+    return (yield from _certified(v, adjusted, hull, target, theta_hat, bound, inner, theta,
+                                  lam, probe, passes))
+
+
+def _certified(v: np.ndarray, adjusted: bool, hull: tuple[float, float], target: float,
+               theta_hat: float, bound: float, inner: float, theta: float, lam: float | None,
+               probe: bool, passes: int) -> Generator[tuple, _Pass | None, tuple]:
+    """The certified steps of ``_search_side``, from where its joint steps
+    stopped: their theta and lam, the inner bracket edge, whether the first
+    certified step probes beside a converged root, and the steps taken.  The
+    outer edge is still ``bound``, as only these steps move the bracket.  A
+    coroutine, as ``_search_side`` is; returns what it returns."""
+    outer = bound
+    hull_w = hull[1] - hull[0]
+    slack = 1e-15 * hull_w
+    out = math.copysign(1.0, bound - theta_hat)
     for passes in range(passes + 1, _MAX_PASSES + 1):
         s = None if lam is None else (yield theta, lam)
         try:
@@ -609,34 +633,303 @@ _SEEDS = {VariantKind.AEL: VariantKind.EL, VariantKind.TEL: VariantKind.EL,
 _PASS_VALUES = 4096
 
 
+# Sides a group needs for its joint steps to run in lockstep (``_lockstep``);
+# smaller groups run each side's joint steps as scalar code in its coroutine.
+_LOCKSTEP_SIDES = 40
+
+
+def _log1p(z: np.ndarray) -> np.ndarray:
+    """math.log1p of each element: np.log1p differs from it in the last bit
+    on a few percent of inputs, so the scalar steps' bits need the scalar
+    function."""
+    return np.fromiter(map(math.log1p, z.tolist()), float, len(z))
+
+
+def _lane_dmin(p: np.ndarray, h0: np.ndarray, h1: np.ndarray, adjusted: bool) -> np.ndarray:
+    """``_dmin`` at each lane of a pass, the fields of ``_Pass`` as rows over
+    the lanes, with sum(w) in the dmin row, elementwise in the same
+    operations: sets the pseudo-deviation and dmin rows and returns whether
+    each lane is admitted."""
+    theta, lam, n, a = p[:4]
+    if adjusted:
+        p[4] = -a * (p[5] / n)
+    else:
+        p[4] = 0.0
+    pseudo = p[4]
+    e0, e1 = h0 - theta, h1 - theta
+    d0, d1 = 1.0 + lam * e0, 1.0 + lam * e1
+    ok = (d0 > 0.0) & (d1 > 0.0) & (1.0 + lam * pseudo > 0.0)
+    # where d0 and d1 are positive, the two quotients are not NaN, and
+    # np.minimum and np.maximum take Python's min and max
+    p[5] = dmin = np.minimum(d0, d1)
+    r_end = np.maximum(-e0 / d0, e1 / d1)
+    ok &= ~((n * r_end * r_end > 1e300) | (n > 1e300 * dmin * dmin))
+    return ok
+
+
+def _lane_newton(p: tuple, a: float, adjusted: bool, target: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray, h0: np.ndarray, h1: np.ndarray) -> tuple:
+    """``_newton`` at each lane, from the pass p, the fields of ``_Pass`` as
+    rows over the lanes, with a = a_n for AEL and 0 for EL: the lanes that
+    step, and their new theta and lam and the length of the full theta step.
+    The same operations, in the same order, elementwise, so the same bits."""
+    theta, lam, _, _, pseudo, _, ldata, sr, sr2, sq, sq2 = p
+    z = lam * pseudo
+    dp = 1.0 + z
+    pr = pseudo / dp
+    f1 = sr + pr
+    # log1p(+-0) is +-0, the EL pseudo-deviation's term
+    f2 = ldata + 2.0 * (_log1p(z) if adjusted else z) - target
+    a11 = -sr2 - pr * pr
+    a12 = a / (dp * dp) - sq2
+    a22 = 2.0 * lam * (a / dp - sq)
+    det = a11 * a22 - 2.0 * f1 * a12
+    dlam = (a12 * f2 - a22 * f1) / det
+    dtheta = (2.0 * f1 * f1 - a11 * f2) / det
+    full = np.abs(dtheta)
+    # the full step at every lane, then the halvings where it is refused
+    th, lm = theta + dtheta, lam + dlam
+    finite = np.isfinite(det) & (det != 0.0)
+    ok = finite & (lo < th) & (th < hi) & (1.0 + lm * (h0 - th) > 0.0) & (
+        1.0 + lm * (h1 - th) > 0.0) & (1.0 + lm * (pseudo + a * dtheta) > 0.0)
+    todo = np.flatnonzero(finite & ~ok)
+    for _ in range(_MAX_HALVINGS):
+        if not len(todo):
+            break
+        dtheta[todo] *= 0.5
+        dlam[todo] *= 0.5
+        t, l, d = theta[todo] + dtheta[todo], lam[todo] + dlam[todo], dtheta[todo]
+        good = ((lo[todo] < t) & (t < hi[todo]) & (1.0 + l * (h0[todo] - t) > 0.0)
+                & (1.0 + l * (h1[todo] - t) > 0.0) & (1.0 + l * (pseudo[todo] + a * d) > 0.0))
+        th[todo], lm[todo], ok[todo] = t, l, good
+        todo = todo[~good]
+    return ok, th, lm, full
+
+
+def _lane_bounds(p: np.ndarray, n: int, a: float, adjusted: bool, far: np.ndarray,
+                 near: np.ndarray) -> tuple:
+    """``_bounds`` at each lane, from the pass p as in ``_lane_newton``: the
+    lower bound at ``far`` and the upper bound at ``near``, the two that
+    decide whether a joint pass closes its side.  The same operations, in
+    the same order, elementwise; the shared ones over both points at once."""
+    theta0, lam, _, _, pseudo, dmin, ldata, sr, sr2, sq, sq2 = p
+    shift = np.stack((far, near)) - theta0
+    x = lam * shift
+    eps = np.abs(x) / dmin
+    pseudo = pseudo + a * shift
+    z = lam * pseudo
+    dp = 1.0 + z
+    ok = (eps < 0.01) & (dp > 0.0)
+    if adjusted:  # log1p(+-0) is +-0, the EL pseudo-deviation's term
+        z[ok] = _log1p(z[ok])
+    x2 = 2.0 * x
+    top = ldata - x2 * sq + 2.0 * z
+    pr = pseudo / dp
+    root, size = np.sqrt(sr2), np.abs(shift)
+    # np.maximum is Python's max here but for the sign of a zero, which
+    # nr * nr drops
+    nr = np.maximum(root - size * np.sqrt(sq2), 0.0) / (1.0 + eps)
+    h = nr * nr + pr * pr
+    ok &= (_TINY <= h) & (h < math.inf)
+    rest = 1.0 - eps
+    low = top[0] - x2[0] * x[0] * sq2 / rest[0]
+    low[~ok[0]] = -math.inf
+    shift, pr, eps, rest, size, h, ok, top = (f[1] for f in (shift, pr, eps, rest, size, h, ok,
+                                                             top))
+    g = np.abs(sr - shift * sq + pr) + eps / rest * (math.sqrt(n) * root + size * sq)
+    delta = g / np.sqrt(h)
+    high = np.full(len(delta), math.inf)
+    sure = np.flatnonzero(ok & (delta < 1.0))
+    high[sure] = top[sure] - 2.0 * (delta[sure] + _log1p(-delta[sure]))
+    return low, high
+
+
+def _lockstep(V: np.ndarray, hulls: list, adjusted: bool, plans: list, ends: list) -> list:
+    """The joint steps of every side of ``plans``, as ``_drive`` takes them,
+    run as array code in lockstep: a round makes one pass at every side
+    still in its joint steps, then takes one Newton step, stall test and
+    close check over all of them.  Puts the end of each side that closes in
+    a joint pass in ``ends``, at the side's index, and returns the others, as
+    (index, row of V, ``_certified``, its arguments after v and adjusted),
+    from exactly the state where ``_search_side``'s joint steps stop.
+
+    Every step is ``_search_side``'s, bit for bit: ``_cold_lam``,
+    ``_as_kind``, ``_newton``, ``_dmin`` and ``_bounds`` are taken in their
+    own operations and order, elementwise (``_lane_newton``,
+    ``_lane_bounds``, ``_lane_dmin``), with Python's min and max and the
+    scalar ``math.log1p`` at each lane.
+    """
+    n = V.shape[1]
+    a = adjustment_factor(n) if adjusted else 0.0
+    width = max(_PASS_VALUES // n, 1)
+    m = len(plans)
+    rows = np.array([row for row, _ in plans])
+    hull, target, theta_hat, var, bound, seed, inner = zip(*(args for _, args in plans))
+    start, lam0, sums0 = zip(*seed)
+    inner = [th if edge is None else edge for th, edge in zip(theta_hat, inner)]
+    rest = []  # the sides that go on to certified steps
+
+    def certify(lanes, theta, lam, probe, passes):
+        for i, t, l in zip(lanes.tolist(), theta.tolist(), lam.tolist()):
+            rest.append((i, plans[i][0], _certified, (
+                hull[i], target[i], theta_hat[i], bound[i], inner[i], t,
+                None if math.isnan(l) else l, probe, passes)))
+
+    with np.errstate(all="ignore"):
+        h0, h1 = np.array(hull).T
+        tg, th_hat, b, theta = map(np.array, (target, theta_hat, bound, start))
+        hull_w = h1 - h0
+        out = np.copysign(1.0, b - th_hat)
+        # lo and hi are only compared, so a zero's sign does not matter
+        lo, hi = np.minimum(th_hat, b), np.maximum(th_hat, b)
+        lam = np.array([math.nan if x is None else x for x in lam0])
+        # a start beyond the bound or on theta_hat moves, without its multiplier
+        away = ~((lo < theta) & (theta < hi))
+        if away.any():
+            theta[away] = np.where(np.isfinite(b), 0.5 * (th_hat + b),
+                                   th_hat + out * hull_w)[away]
+            lam[away] = math.nan
+        cold = np.flatnonzero(np.isnan(lam) & (lo < theta) & (theta < hi))
+        if len(cold):  # _cold_lam, at each cold lane
+            dev = th_hat[cold] - theta[cold]
+            pseudo = -a * dev if adjusted else np.zeros(len(dev))
+            lc = (n * dev + pseudo) / (n * (np.array(var)[cold] + dev * dev) + pseudo * pseudo)
+            e0, e1 = h0[cold] - theta[cold], h1[cold] - theta[cold]
+            for _ in range(_MAX_HALVINGS):
+                ok = (1.0 + lc * e0 > 0.0) & (1.0 + lc * e1 > 0.0) & (1.0 + lc * pseudo > 0.0)
+                lam[cold[ok]] = lc[ok]
+                cold, lc, e0, e1, pseudo = (x[~ok] for x in (cold, lc, e0, e1, pseudo))
+                if not len(cold):
+                    break
+                lc *= 0.5
+        # per lane: theta, lam, its last two joint steps, the search range,
+        # target, hull, the absolute tolerance and the signed 0.499, then the
+        # fields of the pass of its last step
+        st = np.empty((22, m))
+        st[:2], st[2:4] = (theta, lam), math.inf
+        st[4:11] = lo, hi, tg, h0, h1, 1e-15 * hull_w, out * 0.499
+        st[13], st[14] = n, a
+        # step 0, at the lanes with a seed's pass, which _as_kind makes a
+        # pass of this kind: an EL pass gains AEL's pseudo-deviation
+        live = np.array([i for i, s in enumerate(sums0) if s is not None], dtype=np.intp)
+        moved = np.empty(0)  # per lane stepped, the length of its full theta step
+        if len(live):
+            p = np.fromiter(itertools.chain.from_iterable(sums0[i] for i in live.tolist()),
+                            float, 11 * len(live)).reshape(len(live), 11).T
+            if adjusted:
+                el = np.flatnonzero(~(p[3] > 0.0))
+                p[3, el], p[4, el] = a, -a * (th_hat[live[el]] - p[0, el])
+                good = np.ones(len(live), bool)
+                good[el] = 1.0 + p[1, el] * p[4, el] > 0.0
+                live, p = live[good], p[:, good]
+            edge, bl = np.array(inner)[live], b[live]
+            stepped, th, lm, moved = _lane_newton(p, a, adjusted, tg[live],
+                                                  np.minimum(edge, bl), np.maximum(edge, bl),
+                                                  h0[live], h1[live])
+            live, moved = live[stepped], moved[stepped]
+            st[:2, live] = th[stepped], lm[stepped]
+            st[11:, live] = p[:, stepped]
+        # the lanes with no multiplier and no step 0: their first joint step
+        # is refused before its pass
+        first = np.ones(m, bool)
+        first[live] = False
+        waiting = np.flatnonzero(first & ~np.isnan(st[1]))
+        none = np.flatnonzero(first & np.isnan(st[1]))
+        certify(none, st[0, none], st[1, none], False, 1)
+        state = st[:, live]
+        for passes in range(_MAX_PASSES + 1):
+            theta, lam, step, prev, lo, hi, tg, h0, h1, slack, half = state[:11]
+            if passes:
+                # this round's pass, in pieces of _PASS_VALUES // n lanes,
+                # and at least one
+                p = state[11:]
+                p[:2] = theta, lam
+                for i in range(0, len(live), width):
+                    part = slice(i, i + width)
+                    w = V[rows[live[part]]]
+                    w -= theta[part, None]
+                    if adjusted:  # sum(w), in the dmin row until _lane_dmin
+                        np.add.reduce(w, axis=1, out=p[5, part])
+                    p[6:, part] = _sums(w, lam[part])
+                ok = _lane_dmin(p, h0, h1, adjusted)
+                if not ok.all():  # refused passes: no joint step
+                    certify(live[~ok], theta[~ok], lam[~ok], False, passes)
+                    live, state = live[ok], state[:, ok]
+                    theta, lam, step, prev, lo, hi, tg, h0, h1, slack, half = state[:11]
+                stepped, th, lm, moved = _lane_newton(state[11:], a, adjusted, tg, lo, hi, h0, h1)
+                # a joint step that must be halved too often, or that is
+                # longer than half of each of the two before it, has stalled
+                # (no step is NaN, so np.maximum is Python's max)
+                go = stepped & ~(moved > 0.5 * np.maximum(step, prev))
+                if not go.all():
+                    certify(live[~go], theta[~go], lam[~go], False, passes)
+                    live, state, moved = live[go], state[:, go], moved[go]
+                    th, lm = th[go], lm[go]
+                state[3] = state[2]
+                state[:3] = th, lm, moved
+                theta, lam, step, prev, lo, hi, tg, h0, h1, slack, half = state[:11]
+            # the close check and the probe test of _search_side
+            tol = 1e-8 * np.abs(theta) + slack
+            near, far = theta - half * tol, theta + half * tol
+            low, high = _lane_bounds(state[11:], n, a, adjusted, far, near)
+            done = (lo < near) & (near < hi) & (low > tg) & (high <= tg)
+            if done.any():
+                for i, x, l, s in zip(live[done].tolist(), near[done].tolist(),
+                                      lam[done].tolist(),
+                                      map(_Pass._make, state[11:, done].T.tolist())):
+                    ends[i] = (x, l, s), passes
+            probe = ~done & (moved <= tol)
+            if probe.any():
+                certify(live[probe], theta[probe], lam[probe], True, passes)
+            keep = ~(done | probe)
+            if not keep.all():
+                live, state = live[keep], state[:, keep]
+            if not passes:  # after step 0, the other lanes join at their first pass
+                live = np.concatenate((live, waiting))
+                state = np.concatenate((state, st[:, waiting]), axis=1)
+            if not len(live):
+                break
+    # out of steps: _certified raises the budget's error at once
+    certify(live, state[0], state[1], False, _MAX_PASSES)
+    return rest
+
+
 def _drive(V: np.ndarray, hulls: list, adjusted: bool, plans: list) -> list:
     """Search each side of ``plans``, (row of V, the arguments of
     ``_search_side`` after v and adjusted), on its row of V, whose hull is in
-    ``hulls``, answering the passes its coroutine asks for; returns, per
-    side, what the coroutine returned or the LorenzELError it raised.
+    ``hulls``; returns, per side, what ``_search_side`` returns or the
+    LorenzELError it raised.
 
-    Up to _PASS_VALUES // n sides, and at least one, are in flight at once,
-    taken in order.  Each round answers every open request and sends each
-    side its answer: three or more in one array pass (``_passes``), fewer
-    each with ``_pass``, as a pass shared by two sides costs more than
-    their two passes.
+    A group of at least ``_LOCKSTEP_SIDES`` sides takes its joint steps in
+    lockstep (``_lockstep``), and only its sides that do not close there go
+    on as coroutines, from their certified steps; a smaller group runs every
+    side as a ``_search_side`` coroutine.  Up to _PASS_VALUES // n
+    coroutines, and at least one, are in flight at once, taken in order.
+    Each round answers every open request and sends each side its answer:
+    three or more in one array pass (``_passes``), fewer each with
+    ``_pass``, as a pass shared by two sides costs more than their two
+    passes.
     """
-    width = max(_PASS_VALUES // V.shape[1], 1)
     ends = [None] * len(plans)
+    if plans and len(plans) >= _LOCKSTEP_SIDES:
+        sides = _lockstep(V, hulls, adjusted, plans, ends)
+    else:
+        sides = [(i, row, _search_side, args) for i, (row, args) in enumerate(plans)]
+    width = max(_PASS_VALUES // V.shape[1], 1)
     taken = 0  # sides taken up so far
     flight = []  # per side in flight: [index, row, its row of V, hull, coroutine, open request]
     while True:
-        while len(flight) < width and taken < len(plans):
-            row, args = plans[taken]
+        while len(flight) < width and taken < len(sides):
+            i, row, search, args = sides[taken]
             # each side's coroutine is made when it is taken up
             v = V[row]
-            side = _search_side(v, adjusted, *args)
+            side = search(v, adjusted, *args)
             try:
-                flight.append([taken, row, v, hulls[row], side, next(side)])
+                flight.append([i, row, v, hulls[row], side, next(side)])
             except StopIteration as stop:
-                ends[taken] = stop.value
+                ends[i] = stop.value
             except LorenzELError as exc:
-                ends[taken] = exc.with_traceback(None)  # without its traceback, as below
+                ends[i] = exc.with_traceback(None)  # without its traceback, as below
             taken += 1
         if not flight:
             return ends

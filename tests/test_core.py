@@ -716,7 +716,10 @@ class TestCertify:
     def test_coverage_design_rarely_needs_a_full_evaluation(self, monkeypatch):
         # round 0 of the benchmark's seed-83 coverage design: nearly every
         # side closes in its joint passes, certified by a pass's O(1) bounds,
-        # and _profile runs in at most 1% of the passes
+        # and _profile runs in at most 1% of the passes.  Every group runs
+        # as coroutines, whose _search_side and _joint_step this test counts;
+        # TestLockstep holds the lockstep path to the same sides, bit for bit
+        monkeypatch.setattr(intervals, "_LOCKSTEP_SIDES", math.inf)
         counts = {"sides": 0, "closed": 0, "passes": 0, "profile": 0}
         true_search = intervals._search_side
         true_joint = intervals._joint_step

@@ -760,6 +760,161 @@ class TestBatchedPasses:
             assert 0 < sum(s is None for s in want) < len(want)
 
 
+class TestLockstep:
+    """A group of sides whose joint steps run as array code in lockstep
+    takes every pass and bit that its sides take as coroutines: the same
+    endpoints, lam, steps, closing-pass sums and failures, by float hex and
+    by message."""
+
+    T = (0.1, 0.5, 0.9)
+
+    @staticmethod
+    def compare(monkeypatch, samples, t, pass_values=intervals._PASS_VALUES):
+        """The group of ``TestBatchedPasses.drive`` driven as coroutines and
+        in lockstep, required equal; returns the ends and the lockstep's
+        joint steps, as the lanes of each array Newton step."""
+        steps = []
+        true_newton = intervals._lane_newton
+
+        def counted(p, *args):
+            steps.append(len(p[0]))
+            return true_newton(p, *args)
+
+        monkeypatch.setattr(intervals, "_lane_newton", counted)
+        monkeypatch.setattr(intervals, "_LOCKSTEP_SIDES", math.inf)
+        alone = TestBatchedPasses.drive(monkeypatch, samples, t, pass_values)
+        assert not steps
+        monkeypatch.setattr(intervals, "_LOCKSTEP_SIDES", 0)
+        assert TestBatchedPasses.drive(monkeypatch, samples, t, pass_values) == alone, (
+            samples[0].size, t, pass_values)
+        return alone, steps
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 10, 25, 50, 100, 300, 1000, 3000])
+    def test_same_sides_as_coroutines(self, monkeypatch, n):
+        # values on a grid of quarters: ties at the quantile, and whole
+        # samples that tie there, which have no interval; each kind seeded
+        # by the one before it, with pieces of two lanes and of all lanes
+        rng = np.random.default_rng(n)
+        samples = [np.sort(np.round(4.0 * random_positive_data(rng, n)) / 4.0)
+                   for _ in range(10)]
+        stepped = 0
+        for t in self.T:
+            for pass_values in (2 * n, 10**9):
+                (ends, _), steps = self.compare(monkeypatch, samples, t, pass_values)
+                if any(map(len, ends)):
+                    assert steps, (n, t)  # the array path took the joint steps
+                stepped += sum(steps)
+        assert stepped > (0 if n == 2 else 100)
+
+    def test_huge_data(self, monkeypatch):
+        # near 1e150, searched scaled by a power of two, with no warning
+        rng = np.random.default_rng(150)
+        samples = [np.sort(1e150 * random_positive_data(rng, 40)) for _ in range(10)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in self.T:
+                (ends, _), steps = self.compare(monkeypatch, samples, t)
+                assert steps and sum(map(len, ends)) == 80
+
+    @pytest.mark.parametrize("budget", [1, 4])
+    def test_exhausted_sides_and_whole_line_sets(self, monkeypatch, budget):
+        # with 1 or 4 steps a side, some sides run out, in the array loop or
+        # in the certified steps after it, next to ones that close
+        monkeypatch.setattr(intervals, "_MAX_PASSES", budget)
+        failed = closed = 0
+        for n in (5, 10, 25):
+            rng = np.random.default_rng(n + 7)
+            samples = [np.sort(random_positive_data(rng, n)) for _ in range(12)]
+            for t in self.T:
+                (ends, cis), steps = self.compare(monkeypatch, samples, t)
+                assert steps or not any(map(len, ends))
+                sides = [side for kind in ends for side in kind]
+                failed += sum(len(side) == 2 for side in sides)
+                closed += sum(len(side) == 4 and side[2] is not None for side in sides)
+        assert failed and (closed or budget == 1)
+
+
+class TestLog1pGuard:
+    """The array steps take log1p(lam pseudo) and log1p(-delta) with the
+    scalar math.log1p at each lane: on inputs where numpy's log1p rounds
+    differently, the array step keeps the scalar step's bits, and an array
+    log1p would not."""
+
+    @staticmethod
+    def candidates(adjusted: bool, count: int = 3000, differ: bool = False):
+        """``count`` passes of an AEL (EL) search on seeded data, at seeded
+        (theta, lam), with a point near each pass's theta: the pass fields
+        as rows over the lanes, as the lockstep keeps them, the passes, and
+        the points.
+        With ``differ``, only passes whose lam pseudo is an input where
+        numpy's log1p and math.log1p differ."""
+        rng = np.random.default_rng(1)
+        n = 60
+        v = np.sort(rng.uniform(0.5, 1.0, n))
+        hull = (float(v[0]), float(v[-1]))
+        passes, points = [], []
+        while len(passes) < count:
+            theta = float(rng.normal(v.mean(), 0.03))
+            lam = float(rng.normal(0.0, 2.0))
+            s = _pass(v, theta, lam, adjusted, hull)
+            z = None if s is None else s.lam * s.pseudo
+            if s is not None and (not differ or float(np.log1p(z)) != math.log1p(z)):
+                passes.append(s)
+                points.append(theta + float(rng.normal(0.0, 3e-4)))
+        fields = np.array(passes).T
+        return n, hull, fields, passes, np.array(points)
+
+    @staticmethod
+    def hexes(values) -> list:
+        return [float(x).hex() for x in values]
+
+    @pytest.mark.parametrize("adjusted", [False, True])
+    def test_bounds(self, monkeypatch, adjusted):
+        n, _, fields, passes, points = self.candidates(adjusted)
+        a = lz.adjustment_factor(n) if adjusted else 0.0
+        want = [_bounds(s, theta) for s, theta in zip(passes, points)]
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("error")
+            low, high = intervals._lane_bounds(fields, n, a, adjusted, points, points)
+            monkeypatch.setattr(intervals, "_log1p", np.log1p)
+            vec_low, vec_high = intervals._lane_bounds(fields, n, a, adjusted, points, points)
+        assert self.hexes(low) == self.hexes(w[0] for w in want)
+        assert self.hexes(high) == self.hexes(w[1] for w in want)
+        # lanes where numpy's log1p would move a bound: log1p(-delta) for
+        # both kinds, and log1p(lam pseudo) for AEL
+        moved = [i for i, w in enumerate(want)
+                 if (vec_low[i], vec_high[i]) != w]
+        assert len(moved) >= 10
+        if adjusted:
+            assert any(vec_low[i] != want[i][0] for i in moved)
+
+    def test_newton(self, monkeypatch):
+        n, hull, fields, passes, _ = self.candidates(True, 1000, differ=True)
+        a = lz.adjustment_factor(n)
+        k = len(passes)
+        # targets near each pass's own log-ratio bound, where F2 is small
+        # and so feels the last bit of log1p(lam pseudo)
+        rng = np.random.default_rng(2)
+        target = np.array([s.ldata + 2.0 * math.log1p(s.lam * s.pseudo) for s in passes])
+        target += rng.normal(0.0, 1e-3, k)
+        lo, hi = np.full(k, -math.inf), np.full(k, math.inf)
+        h0, h1 = np.full(k, hull[0]), np.full(k, hull[1])
+        want = [_newton(s, float(tg), -math.inf, math.inf, hull)
+                for s, tg in zip(passes, target)]
+        with np.errstate(all="ignore"):
+            got = intervals._lane_newton(fields, a, True, target, lo, hi, h0, h1)
+            monkeypatch.setattr(intervals, "_log1p", np.log1p)
+            vec = intervals._lane_newton(fields, a, True, target, lo, hi, h0, h1)
+
+        def steps(out):
+            stepped, th, lm, full = out
+            return [(th[i].hex(), lm[i].hex(), full[i].hex()) if stepped[i] else None
+                    for i in range(k)]
+
+        assert steps(got) == [None if w is None else tuple(map(float.hex, w)) for w in want]
+        assert sum(g != v for g, v in zip(steps(got), steps(vec))) >= 10
+
+
 def data_sum_cold_lam(v, theta, adjusted, hull):
     """A cold start's lam at theta from the sums of a pass over v, as the
     pass kernels once took it: sum(w) / sum(w^2) with the AEL

@@ -581,7 +581,9 @@ class TestSurvivableFailures:
 
     def test_a_failed_search_rules_out_one_interval(self, monkeypatch):
         # the adjusted kinds' searches fail; EL, searched after AEL in each
-        # replication, gives the cell it gives alone
+        # replication, gives the cell it gives alone.  Every group runs as
+        # coroutines, so that each side starts in the _search_side patched here
+        monkeypatch.setattr(intervals, "_LOCKSTEP_SIDES", math.inf)
         (alone,) = lz.run_experiment(small_cfg(reps=30))
         true_search = intervals._search_side
 
