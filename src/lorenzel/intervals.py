@@ -98,7 +98,30 @@ answers each with ``_pass``: the two sides of one set-up, as for
 beyond it run one after the other.  The ``ci`` command stacks
 _PASS_VALUES // n of its t, and at least one, in a group, so a table of
 up to 455 values is one group over the default nine t, and one of more
-than 2,048 values searches one t at a time, as ``invert`` does.
+than 2,048 values searches one t at a time, as ``invert`` does.  A group
+of fewer than ``_LOCKSTEP_SIDES`` sides runs every side as a coroutine:
+``invert`` (two sides), the ``ci`` command over the default nine t (at
+most 18 sides), and any simulation chunk of fewer than 20 (replication, t)
+rows.
+
+Lockstep joint steps.  A group of at least ``_LOCKSTEP_SIDES`` sides, a
+simulation chunk at every t of the grid, takes its joint steps as array
+code over all its sides at once (``_lockstep``), since the interpreter
+work of a step costs more than its pass at these sizes.  The cold
+multipliers and the seeded steps 0 are computed for every side together,
+and then each round makes one pass at every side still in its joint steps,
+_PASS_VALUES // n sides at a time, and takes one Newton step, stall test
+and close check over all of them.  A side that its pass closes ends there
+as ``_search_side`` would end it; a side that stalls, probes beside a
+converged root, is refused or runs out of steps goes on as a coroutine of
+certified steps (``_certified``) from exactly the theta, lam, bracket,
+probe flag and step count where the joint steps stopped.  The array steps
+are ``_search_side``'s, operation by operation in the same order,
+elementwise: IEEE arithmetic rounds each +, -, *, / and sqrt alone, so
+the bits are the same.  Python's min and max are taken where they keep
+NaN or a zero's sign as numpy's would not, and log1p(lam pseudo) and
+log1p(-delta) stay ``math.log1p`` at each lane, as numpy's log1p rounds
+differently on a few percent of inputs.
 
 Seeded starts.  ``_chunk_intervals`` inverts the kinds asked in turn,
 lazily, each on every row of its group, for ``run_experiment`` and the
@@ -635,6 +658,10 @@ _PASS_VALUES = 4096
 
 # Sides a group needs for its joint steps to run in lockstep (``_lockstep``);
 # smaller groups run each side's joint steps as scalar code in its coroutine.
+# A lockstep round costs about as much at 8 sides as at 72, so it pays only
+# in large groups: over all four kinds of one t, lockstep takes as long as the
+# coroutines at about 46 sides at n = 50 and at about 34 sides at n = 300,
+# 1.9x (1.5x) as long at 16 sides and 0.82x (0.77x) as long at 72.
 _LOCKSTEP_SIDES = 40
 
 
@@ -683,9 +710,10 @@ def _lane_newton(p: tuple, a: float, adjusted: bool, target: np.ndarray, lo: np.
     a11 = -sr2 - pr * pr
     a12 = a / (dp * dp) - sq2
     a22 = 2.0 * lam * (a / dp - sq)
-    det = a11 * a22 - 2.0 * f1 * a12
+    f12 = 2.0 * f1
+    det = a11 * a22 - f12 * a12
     dlam = (a12 * f2 - a22 * f1) / det
-    dtheta = (2.0 * f1 * f1 - a11 * f2) / det
+    dtheta = (f12 * f1 - a11 * f2) / det
     full = np.abs(dtheta)
     # the full step at every lane, then the halvings where it is refused
     th, lm = theta + dtheta, lam + dlam
@@ -766,13 +794,13 @@ def _lockstep(V: np.ndarray, hulls: list, adjusted: bool, plans: list, ends: lis
     rows = np.array([row for row, _ in plans])
     hull, target, theta_hat, var, bound, seed, inner = zip(*(args for _, args in plans))
     start, lam0, sums0 = zip(*seed)
-    inner = [th if edge is None else edge for th, edge in zip(theta_hat, inner)]
+    inner = np.array([th if edge is None else edge for th, edge in zip(theta_hat, inner)])
     rest = []  # the sides that go on to certified steps
 
     def certify(lanes, theta, lam, probe, passes):
         for i, t, l in zip(lanes.tolist(), theta.tolist(), lam.tolist()):
             rest.append((i, plans[i][0], _certified, (
-                hull[i], target[i], theta_hat[i], bound[i], inner[i], t,
+                hull[i], target[i], theta_hat[i], bound[i], float(inner[i]), t,
                 None if math.isnan(l) else l, probe, passes)))
 
     with np.errstate(all="ignore"):
@@ -822,7 +850,7 @@ def _lockstep(V: np.ndarray, hulls: list, adjusted: bool, plans: list, ends: lis
                 good = np.ones(len(live), bool)
                 good[el] = 1.0 + p[1, el] * p[4, el] > 0.0
                 live, p = live[good], p[:, good]
-            edge, bl = np.array(inner)[live], b[live]
+            edge, bl = inner[live], b[live]
             stepped, th, lm, moved = _lane_newton(p, a, adjusted, tg[live],
                                                   np.minimum(edge, bl), np.maximum(edge, bl),
                                                   h0[live], h1[live])
@@ -844,9 +872,10 @@ def _lockstep(V: np.ndarray, hulls: list, adjusted: bool, plans: list, ends: lis
                 # and at least one
                 p = state[11:]
                 p[:2] = theta, lam
+                at = rows[live]
                 for i in range(0, len(live), width):
                     part = slice(i, i + width)
-                    w = V[rows[live[part]]]
+                    w = V[at[part]]
                     w -= theta[part, None]
                     if adjusted:  # sum(w), in the dmin row until _lane_dmin
                         np.add.reduce(w, axis=1, out=p[5, part])
@@ -963,9 +992,10 @@ def _chunk_intervals(kinds: tuple, V: np.ndarray, setups: list, crit: float, lev
     scaled in place.
 
     Lazy: a kind is searched, on every row at once, when its list is asked
-    for.  Its searches are one group: both sides of every row are coroutines
-    that ``_drive`` runs together, so that one array pass answers many of
-    them (see "Batched passes").  Each search starts from its ``_SEEDS``
+    for.  Its searches are one group: ``_drive`` runs both sides of every
+    row together, so that one array pass answers many of them, and a large
+    group takes its joint steps in lockstep (see "Batched passes" and
+    "Lockstep joint steps").  Each search starts from its ``_SEEDS``
     kind's sides on the same row, when that kind came earlier in ``kinds``
     and produced an interval there.
     """
