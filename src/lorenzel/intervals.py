@@ -204,7 +204,8 @@ class _Pass(NamedTuple):
     """The sums of one pass over the data at (theta, lam).
 
     With w = v - theta, d = 1 + lam w, q = 1 / d and r = w q over the data;
-    the AEL pseudo-deviation is carried as a scalar.
+    the AEL pseudo-deviation is carried as a scalar.  A pass that closes a
+    side in lockstep (``_lockstep``) carries n as a float.
     """
 
     theta: float
@@ -772,7 +773,7 @@ def _lane_bounds(p: np.ndarray, n: int, a: float, adjusted: bool, far: np.ndarra
     return low, high
 
 
-def _lockstep(V: np.ndarray, hulls: list, adjusted: bool, plans: list, ends: list) -> list:
+def _lockstep(V: np.ndarray, adjusted: bool, plans: list, ends: list) -> list:
     """The joint steps of every side of ``plans``, as ``_drive`` takes them,
     run as array code in lockstep: a round makes one pass at every side
     still in its joint steps, then takes one Newton step, stall test and
@@ -941,7 +942,7 @@ def _drive(V: np.ndarray, hulls: list, adjusted: bool, plans: list) -> list:
     """
     ends = [None] * len(plans)
     if plans and len(plans) >= _LOCKSTEP_SIDES:
-        sides = _lockstep(V, hulls, adjusted, plans, ends)
+        sides = _lockstep(V, adjusted, plans, ends)
     else:
         sides = [(i, row, _search_side, args) for i, (row, args) in enumerate(plans)]
     width = max(_PASS_VALUES // V.shape[1], 1)
