@@ -118,10 +118,10 @@ certified steps (``_certified``) from exactly the theta, lam, bracket,
 probe flag and step count where the joint steps stopped.  The array steps
 are ``_search_side``'s, operation by operation in the same order,
 elementwise: IEEE arithmetic rounds each +, -, *, / and sqrt alone, so
-the bits are the same.  Python's min and max are taken where they keep
-NaN or a zero's sign as numpy's would not, and log1p(lam pseudo) and
-log1p(-delta) stay ``math.log1p`` at each lane, as numpy's log1p rounds
-differently on a few percent of inputs.
+the bits are the same.  np.minimum and np.maximum stand for Python's min
+and max only where no NaN and no zero's sign can reach a decision, and
+log1p(lam pseudo) and log1p(-delta) stay ``math.log1p`` at each lane, as
+numpy's log1p rounds differently on a few percent of inputs.
 
 Seeded starts.  ``_chunk_intervals`` inverts the kinds asked in turn,
 lazily, each on every row of its group, for ``run_experiment`` and the
@@ -318,7 +318,7 @@ def _passes(V: np.ndarray, hulls: list, adjusted: bool, lanes: list) -> list:
     lane refused is dropped before any sum of squares, logarithm or
     division, so no RuntimeWarning can fire."""
     n = V.shape[1]
-    rows, thetas, lams = zip(*lanes)
+    rows, thetas, _ = zip(*lanes)
     w = V[list(rows)]
     w -= np.array(thetas)[:, None]
     a = adjustment_factor(n) if adjusted else 0.0
@@ -679,10 +679,7 @@ def _lane_dmin(p: np.ndarray, h0: np.ndarray, h1: np.ndarray, adjusted: bool) ->
     operations: sets the pseudo-deviation and dmin rows and returns whether
     each lane is admitted."""
     theta, lam, n, a = p[:4]
-    if adjusted:
-        p[4] = -a * (p[5] / n)
-    else:
-        p[4] = 0.0
+    p[4] = -a * (p[5] / n) if adjusted else 0.0
     pseudo = p[4]
     e0, e1 = h0 - theta, h1 - theta
     d0, d1 = 1.0 + lam * e0, 1.0 + lam * e1
@@ -695,7 +692,7 @@ def _lane_dmin(p: np.ndarray, h0: np.ndarray, h1: np.ndarray, adjusted: bool) ->
     return ok
 
 
-def _lane_newton(p: tuple, a: float, adjusted: bool, target: np.ndarray, lo: np.ndarray,
+def _lane_newton(p: np.ndarray, a: float, adjusted: bool, target: np.ndarray, lo: np.ndarray,
                  hi: np.ndarray, h0: np.ndarray, h1: np.ndarray) -> tuple:
     """``_newton`` at each lane, from the pass p, the fields of ``_Pass`` as
     rows over the lanes, with a = a_n for AEL and 0 for EL: the lanes that
@@ -785,8 +782,8 @@ def _lockstep(V: np.ndarray, adjusted: bool, plans: list, ends: list) -> list:
     Every step is ``_search_side``'s, bit for bit: ``_cold_lam``,
     ``_as_kind``, ``_newton``, ``_dmin`` and ``_bounds`` are taken in their
     own operations and order, elementwise (``_lane_newton``,
-    ``_lane_bounds``, ``_lane_dmin``), with Python's min and max and the
-    scalar ``math.log1p`` at each lane.
+    ``_lane_bounds``, ``_lane_dmin``), with the scalar ``math.log1p`` at
+    each lane.
     """
     n = V.shape[1]
     a = adjustment_factor(n) if adjusted else 0.0
