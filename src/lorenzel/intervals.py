@@ -673,31 +673,34 @@ def _log1p(z: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log1p, z.tolist()), float, len(z))
 
 
-def _lane_dmin(p: np.ndarray, h0: np.ndarray, h1: np.ndarray, adjusted: bool) -> np.ndarray:
+def _lane_dmin(p: np.ndarray, hull: np.ndarray, adjusted: bool) -> np.ndarray:
     """``_dmin`` at each lane of a pass, the fields of ``_Pass`` as rows over
-    the lanes, with sum(w) in the dmin row, elementwise in the same
-    operations: sets the pseudo-deviation and dmin rows and returns whether
-    each lane is admitted."""
+    the lanes, with sum(w) in the dmin row and the hull's ends as the two
+    rows of ``hull``, elementwise in the same operations: sets the
+    pseudo-deviation and dmin rows and returns whether each lane is
+    admitted."""
     theta, lam, n, a = p[:4]
     p[4] = -a * (p[5] / n) if adjusted else 0.0
-    pseudo = p[4]
-    e0, e1 = h0 - theta, h1 - theta
-    d0, d1 = 1.0 + lam * e0, 1.0 + lam * e1
-    ok = (d0 > 0.0) & (d1 > 0.0) & (1.0 + lam * pseudo > 0.0)
+    e = hull - theta  # e0 and e1
+    d = 1.0 + lam * e
+    ok = (d > 0.0).all(0) & (1.0 + lam * p[4] > 0.0)
     # where d0 and d1 are positive, the two quotients are not NaN, and
-    # np.minimum and np.maximum take Python's min and max
-    p[5] = dmin = np.minimum(d0, d1)
-    r_end = np.maximum(-e0 / d0, e1 / d1)
+    # np.minimum and np.maximum take Python's min and max; -e0 / d0 is
+    # -(e0 / d0) exactly
+    p[5] = dmin = np.minimum(d[0], d[1])
+    r = e / d
+    r_end = np.maximum(-r[0], r[1])
     ok &= ~((n * r_end * r_end > 1e300) | (n > 1e300 * dmin * dmin))
     return ok
 
 
 def _lane_newton(p: np.ndarray, a: float, adjusted: bool, target: np.ndarray, lo: np.ndarray,
-                 hi: np.ndarray, h0: np.ndarray, h1: np.ndarray) -> tuple:
+                 hi: np.ndarray, hull: np.ndarray) -> tuple:
     """``_newton`` at each lane, from the pass p, the fields of ``_Pass`` as
-    rows over the lanes, with a = a_n for AEL and 0 for EL: the lanes that
-    step, and their new theta and lam and the length of the full theta step.
-    The same operations, in the same order, elementwise, so the same bits."""
+    rows over the lanes, with a = a_n for AEL and 0 for EL and the hull's
+    ends as the two rows of ``hull``: the lanes that step, and their new
+    theta and lam and the length of the full theta step.  The same
+    operations, in the same order, elementwise, so the same bits."""
     theta, lam, _, _, pseudo, _, ldata, sr, sr2, sq, sq2 = p
     z = lam * pseudo
     dp = 1.0 + z
@@ -716,8 +719,8 @@ def _lane_newton(p: np.ndarray, a: float, adjusted: bool, target: np.ndarray, lo
     # the full step at every lane, then the halvings where it is refused
     th, lm = theta + dtheta, lam + dlam
     finite = np.isfinite(det) & (det != 0.0)
-    ok = finite & (lo < th) & (th < hi) & (1.0 + lm * (h0 - th) > 0.0) & (
-        1.0 + lm * (h1 - th) > 0.0) & (1.0 + lm * (pseudo + a * dtheta) > 0.0)
+    ok = (finite & (lo < th) & (th < hi) & (1.0 + lm * (hull - th) > 0.0).all(0)
+          & (1.0 + lm * (pseudo + a * dtheta) > 0.0))
     todo = np.flatnonzero(finite & ~ok)
     for _ in range(_MAX_HALVINGS):
         if not len(todo):
@@ -725,8 +728,8 @@ def _lane_newton(p: np.ndarray, a: float, adjusted: bool, target: np.ndarray, lo
         dtheta[todo] *= 0.5
         dlam[todo] *= 0.5
         t, l, d = theta[todo] + dtheta[todo], lam[todo] + dlam[todo], dtheta[todo]
-        good = ((lo[todo] < t) & (t < hi[todo]) & (1.0 + l * (h0[todo] - t) > 0.0)
-                & (1.0 + l * (h1[todo] - t) > 0.0) & (1.0 + l * (pseudo[todo] + a * d) > 0.0))
+        good = ((lo[todo] < t) & (t < hi[todo]) & (1.0 + l * (hull[:, todo] - t) > 0.0).all(0)
+                & (1.0 + l * (pseudo[todo] + a * d) > 0.0))
         th[todo], lm[todo], ok[todo] = t, l, good
         todo = todo[~good]
     return ok, th, lm, full
@@ -851,7 +854,7 @@ def _lockstep(V: np.ndarray, adjusted: bool, plans: list, ends: list) -> list:
             edge, bl = inner[live], b[live]
             stepped, th, lm, moved = _lane_newton(p, a, adjusted, tg[live],
                                                   np.minimum(edge, bl), np.maximum(edge, bl),
-                                                  h0[live], h1[live])
+                                                  st[7:9, live])
             live, moved = live[stepped], moved[stepped]
             st[:2, live] = th[stepped], lm[stepped]
             st[11:, live] = p[:, stepped]
@@ -864,7 +867,7 @@ def _lockstep(V: np.ndarray, adjusted: bool, plans: list, ends: list) -> list:
         certify(none, st[0, none], st[1, none], False, 1)
         state = st[:, live]
         for passes in range(_MAX_PASSES + 1):
-            theta, lam, step, prev, lo, hi, tg, h0, h1, slack, half = state[:11]
+            theta, lam, step, prev, lo, hi, tg, _, _, slack, half = state[:11]
             if passes:
                 # this round's pass, in pieces of _PASS_VALUES // n lanes,
                 # and at least one
@@ -878,12 +881,13 @@ def _lockstep(V: np.ndarray, adjusted: bool, plans: list, ends: list) -> list:
                     if adjusted:  # sum(w), in the dmin row until _lane_dmin
                         np.add.reduce(w, axis=1, out=p[5, part])
                     p[6:, part] = _sums(w, lam[part])
-                ok = _lane_dmin(p, h0, h1, adjusted)
+                ok = _lane_dmin(p, state[7:9], adjusted)
                 if not ok.all():  # refused passes: no joint step
                     certify(live[~ok], theta[~ok], lam[~ok], False, passes)
                     live, state = live[ok], state[:, ok]
-                    theta, lam, step, prev, lo, hi, tg, h0, h1, slack, half = state[:11]
-                stepped, th, lm, moved = _lane_newton(state[11:], a, adjusted, tg, lo, hi, h0, h1)
+                    theta, lam, step, prev, lo, hi, tg, _, _, slack, half = state[:11]
+                stepped, th, lm, moved = _lane_newton(state[11:], a, adjusted, tg, lo, hi,
+                                                      state[7:9])
                 # a joint step that must be halved too often, or that is
                 # longer than half of each of the two before it, has stalled
                 # (no step is NaN, so np.maximum is Python's max)
@@ -894,7 +898,7 @@ def _lockstep(V: np.ndarray, adjusted: bool, plans: list, ends: list) -> list:
                     th, lm = th[go], lm[go]
                 state[3] = state[2]
                 state[:3] = th, lm, moved
-                theta, lam, step, prev, lo, hi, tg, h0, h1, slack, half = state[:11]
+                theta, lam, step, prev, lo, hi, tg, _, _, slack, half = state[:11]
             # the close check and the probe test of _search_side
             tol = 1e-8 * np.abs(theta) + slack
             near, far = theta - half * tol, theta + half * tol

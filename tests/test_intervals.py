@@ -902,9 +902,9 @@ class TestLog1pGuard:
         want = [_newton(s, float(tg), -math.inf, math.inf, hull)
                 for s, tg in zip(passes, target)]
         with np.errstate(all="ignore"):
-            got = intervals._lane_newton(fields, a, True, target, lo, hi, h0, h1)
+            got = intervals._lane_newton(fields, a, True, target, lo, hi, np.array([h0, h1]))
             monkeypatch.setattr(intervals, "_log1p", np.log1p)
-            vec = intervals._lane_newton(fields, a, True, target, lo, hi, h0, h1)
+            vec = intervals._lane_newton(fields, a, True, target, lo, hi, np.array([h0, h1]))
 
         def steps(out):
             stepped, th, lm, full = out
